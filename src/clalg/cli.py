@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import AlgebraCandidate, NoResidual, NotALattice, derive_implication
@@ -50,31 +51,20 @@ class _Usage(Exception):
 
 
 def _render_index(alg: AlgebraCandidate, value) -> object:
+    """A witness as printed: element indices become names, tuples lists."""
     if isinstance(value, tuple):
         return [_render_index(alg, v) for v in value]
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return alg.name_of(value)
     return value
 
 
 def _witness_payload(alg: AlgebraCandidate, witness: tuple | None) -> list | None:
-    if witness is None:
-        return None
-    out = []
-    for part in witness:
-        if isinstance(part, str):
-            out.append(part)
-        elif isinstance(part, bool):
-            out.append(part)
-        elif isinstance(part, tuple):
-            out.append([_render_index(alg, p) for p in part])
-        else:
-            out.append(alg.name_of(part))
-    return out
+    return None if witness is None else _render_index(alg, witness)
 
 
 class _Run:
-    """Collects payload entries plus the contexts needed for --replay."""
+    """Collects payload entries; replays witnesses under --replay."""
 
     def __init__(self, args, command: list[str]):
         self.args = args
@@ -83,7 +73,6 @@ class _Run:
             "command": command,
         }
         self.human: list[str] = []
-        self.replayable: list[tuple[AlgebraCandidate, Verdict, int | None, tuple | None]] = []
         self.exit_code = 0
 
     def fail(self):
@@ -100,13 +89,11 @@ class _Run:
             entry["detail"] = verdict.detail
         if not verdict.ok:
             self.fail()
-        if verdict.witness is not None:
-            self.replayable.append((alg, verdict, ideal_bits, class_index))
-            if self.args.replay:
-                ok = confirm_witness(alg, verdict, ideal_bits, class_index)
-                entry["replay"] = "confirmed" if ok else "NOT REPRODUCIBLE"
-                if not ok:
-                    self.fail()
+        if verdict.witness is not None and self.args.replay:
+            ok = confirm_witness(alg, verdict, ideal_bits, class_index)
+            entry["replay"] = "confirmed" if ok else "NOT REPRODUCIBLE"
+            if not ok:
+                self.fail()
         return entry
 
     def render_verdict_line(self, entry: dict) -> str:
@@ -145,14 +132,8 @@ def _cmd_validate(run: _Run) -> None:
     run.human.append(f"algebra {alg.name} ({alg.n} elements)")
     run.human.extend(run.render_verdict_line(e) for e in entries)
     if report.algebra is not None:
-        flags = report.flags
         run.payload["top"] = alg.name_of(report.top)
-        run.payload["flags"] = {
-            "is_linear": flags.is_linear,
-            "is_distributive_lattice": flags.is_distributive_lattice,
-            "is_idempotent": flags.is_idempotent,
-            "is_residuated_lattice": flags.is_residuated_lattice,
-        }
+        run.payload["flags"] = asdict(report.flags)
         run.human.append(f"top: {alg.name_of(report.top)}")
         run.human.append(
             "flags: " + " ".join(f"{k}={v}" for k, v in run.payload["flags"].items())
@@ -224,17 +205,6 @@ def _cmd_identities(run: _Run) -> None:
     run.human.append(f"result: {passed}/{len(entries)} identities hold")
 
 
-def _classification_payload(alg, ideal) -> dict:
-    flags = classify(alg, ideal)
-    return {
-        "is_prime": flags.is_prime,
-        "is_distributive": flags.is_distributive,
-        "is_implicative": flags.is_implicative,
-        "is_affine": flags.is_affine,
-        "is_zero_downset": flags.is_zero_downset,
-    }
-
-
 def _cmd_ideals(run: _Run) -> None:
     alg = _read_candidate(run.args.file)
     run.payload["algebra"] = alg.name
@@ -245,7 +215,7 @@ def _cmd_ideals(run: _Run) -> None:
         ideal = generated_ideal(alg, seed)
         entry = {"ideal": ideal.subset.render(alg)}
         if run.args.classify:
-            entry["classification"] = _classification_payload(alg, ideal)
+            entry["classification"] = asdict(classify(alg, ideal))
         run.payload["generated"] = entry
         run.human.append(f"generated ideal: {entry['ideal']}")
         if run.args.classify:
@@ -255,7 +225,7 @@ def _cmd_ideals(run: _Run) -> None:
     for ideal in all_ideals(alg):
         entry = {"ideal": ideal.subset.render(alg)}
         if run.args.classify:
-            entry["classification"] = _classification_payload(alg, ideal)
+            entry["classification"] = asdict(classify(alg, ideal))
         items.append(entry)
     run.payload["ideals"] = items
     run.human.append(f"algebra {alg.name}: {len(items)} ideals")
@@ -465,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--max-results", type=int, metavar="K")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--replay", action="store_true")
 
     p = sub.add_parser("export-dot", help="emit the Hasse diagram as DOT")
     common(p)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator
 
+from .laws import Law, ascending_pairs, first_violation
+
 MAX_UNIVERSE = 64
 
 Table = tuple[tuple[int, ...], ...]
@@ -119,20 +121,25 @@ class OrderRelation:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
+    @cached_property
+    def glbs(self) -> tuple[tuple[int | None, ...], ...]:
+        """glbs[x][y] is the greatest lower bound, or None when it does
+        not exist uniquely."""
+        dn = self.dn
+        return tuple(tuple(self.greatest_in(dn[x] & dn[y]) for y in range(self.n))
+                     for x in range(self.n))
+
+    @cached_property
+    def lubs(self) -> tuple[tuple[int | None, ...], ...]:
+        up = self.up
+        return tuple(tuple(self.least_in(up[x] & up[y]) for y in range(self.n))
+                     for x in range(self.n))
+
     def glb(self, x: int, y: int) -> int | None:
-        """Greatest lower bound, or None when it does not exist uniquely."""
-        lb = self.dn[x] & self.dn[y]
-        for g in iter_bits(lb):
-            if lb & ~self.dn[g] == 0:
-                return g
-        return None
+        return self.glbs[x][y]
 
     def lub(self, x: int, y: int) -> int | None:
-        ub = self.up[x] & self.up[y]
-        for g in iter_bits(ub):
-            if ub & ~self.up[g] == 0:
-                return g
-        return None
+        return self.lubs[x][y]
 
     def maximal_in(self, mask: int) -> tuple[int, ...]:
         """Elements of `mask` with nothing of `mask` strictly above them."""
@@ -148,29 +155,37 @@ class OrderRelation:
                 return g
         return None
 
-    def least(self) -> int | None:
-        full = (1 << self.n) - 1
-        for x in range(self.n):
-            if self.up[x] == full:
-                return x
+    def least_in(self, mask: int) -> int | None:
+        """The element of `mask` below all of `mask`, or None."""
+        for g in iter_bits(mask):
+            if mask & ~self.up[g] == 0:
+                return g
         return None
 
+    def least(self) -> int | None:
+        return self.least_in((1 << self.n) - 1)
+
     def is_total(self) -> bool:
-        return all(
-            self.leq(x, y) or self.leq(y, x)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-        )
+        return first_violation("linear", TOTAL, self).ok
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (lo, hi), sorted by (lo, hi)."""
+        """Hasse edges (lo, hi), sorted by (lo, hi); an element equivalent
+        to lo or hi does not lie between them, so the edges of a cyclic
+        order close to the same relation."""
         out = []
         for lo in range(self.n):
             for hi in iter_bits(self.up[lo] & ~(1 << lo)):
-                between = self.up[lo] & self.dn[hi] & ~(1 << lo) & ~(1 << hi)
+                between = self.up[lo] & self.dn[hi] & ~self.dn[lo] & ~self.up[hi]
                 if between == 0:
                     out.append((lo, hi))
         return tuple(out)
+
+
+# a total order: every pair comparable; the witness is the first
+# incomparable pair (x, y), x < y
+TOTAL = (
+    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else ()),
+)
 
 
 def _check_table(label: str, table, n: int) -> None:
@@ -312,6 +327,19 @@ class FiniteCLAlgebra(AlgebraCandidate):
             raise ValueError("top index out of range")
 
 
+def residual(order: OrderRelation, mult_table: Table, x: int, y: int) -> int:
+    """The greatest z with mult(x, z) <= y; raises NoResidual, with the
+    maximal elements of that set as frontier, when there is none."""
+    s = 0
+    for z, v in enumerate(mult_table[x]):
+        if order.up[v] >> y & 1:
+            s |= 1 << z
+    g = order.greatest_in(s)
+    if g is None:
+        raise NoResidual(x, y, order.maximal_in(s))
+    return g
+
+
 def derive_implication(order: OrderRelation, mult_table: Table) -> Table:
     """Compute the residuation-forced implication table.
 
@@ -321,18 +349,4 @@ def derive_implication(order: OrderRelation, mult_table: Table) -> Table:
     the set as an antichain.
     """
     n = order.n
-    rows = []
-    for x in range(n):
-        mrow = mult_table[x]
-        row = []
-        for y in range(n):
-            s = 0
-            for z in range(n):
-                if order.leq(mrow[z], y):
-                    s |= 1 << z
-            g = order.greatest_in(s)
-            if g is None:
-                raise NoResidual(x, y, order.maximal_in(s))
-            row.append(g)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(residual(order, mult_table, x, y) for y in range(n)) for x in range(n))

@@ -16,7 +16,10 @@ Grammar (line oriented, `#` starts a comment, sections in this order):
 
 Identifiers match [A-Za-z0-9_]+.  serialize_algebra emits the canonical
 form of this grammar (covers sorted by index pair), so parse o serialize
-is the identity on parsed values and on canonically written files.
+is the identity on parsed values and on canonically written files.  The
+order need not be antisymmetric: elements that are each below the other
+get a cover edge in both directions, so a cyclic order is written as
+edges whose closure is the same relation.
 """
 
 from __future__ import annotations

@@ -72,8 +72,3 @@ def linear_candidate():
 def nonlinear_candidate():
     return parse_algebra(NONLINEAR_CLA)
 
-
-def linear_algebra():
-    from .validator import seal
-
-    return seal(linear_candidate())

@@ -15,10 +15,10 @@ are only meaningful theorems on sealed algebras).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 from .core import AlgebraCandidate, AlgebraError, iter_bits, popcount
-from .validator import Verdict
+from .laws import Law, Verdict, cube, first_violation, rising_pairs
 
 
 class EmptySubset(AlgebraError):
@@ -45,15 +45,6 @@ class Subset:
     def __post_init__(self):
         if self.bits >> self.n:
             raise ValueError("subset has bits beyond the universe")
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Subset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range")
-            mask |= 1 << i
-        return cls(n, mask)
 
     @classmethod
     def from_names(cls, alg: AlgebraCandidate, names) -> "Subset":
@@ -88,10 +79,6 @@ class Ideal:
     """A subset whose three ideal conditions have been verified."""
 
     subset: Subset
-    contains_zero: bool = True
-    plus_closed: bool = True
-    join_closed: bool = True
-    down_closed: bool = True
 
     @property
     def bits(self) -> int:
@@ -107,6 +94,36 @@ class IdealClassification:
     is_zero_downset: bool
 
 
+_CLOSURE = {"plus_not_closed": "plus", "join_not_closed": "join"}
+
+
+def _member_pairs(c):
+    """Member pairs x <= y, each tried under plus and then join."""
+    pairs = combinations_with_replacement(iter_bits(c[1]), 2)
+    return ((kind, x, y) for x, y in pairs for kind in _CLOSURE)
+
+
+def _not_closed(c, kind, x, y):
+    alg, bits = c
+    v = getattr(alg, _CLOSURE[kind])(x, y)
+    return None if bits >> v & 1 else (v,)
+
+
+def _not_down_closed(c, x, y):
+    alg, bits = c
+    return () if alg.leq(x, y) and bits >> y & 1 and not bits >> x & 1 else None
+
+
+# read on (algebra, member bits); the closure kind is the first
+# coordinate of its point
+_CLOSED = Law(None, _member_pairs, _not_closed)
+IDEAL = (
+    Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else ()),
+    _CLOSED,
+    Law("not_down_closed", lambda c: cube(2)(c[0]), _not_down_closed),
+)
+
+
 def is_ideal(alg: AlgebraCandidate, s: Subset) -> Verdict:
     """Check the three ideal conditions on a non-empty subset.
 
@@ -116,24 +133,7 @@ def is_ideal(alg: AlgebraCandidate, s: Subset) -> Verdict:
     """
     if s.is_empty:
         raise EmptySubset("an ideal must be non-empty")
-    bits = s.bits
-    if alg.zero not in s:
-        return Verdict("ideal", False, ("zero_missing", alg.zero))
-    members = s.members()
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            p = alg.plus(x, y)
-            if not bits >> p & 1:
-                return Verdict("ideal", False, ("plus_not_closed", x, y, p))
-            j = alg.join(x, y)
-            if not bits >> j & 1:
-                return Verdict("ideal", False, ("join_not_closed", x, y, j))
-    dn = alg.order.dn
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if (dn[y] >> x & 1) and (bits >> y & 1) and not bits >> x & 1:
-                return Verdict("ideal", False, ("not_down_closed", x, y))
-    return Verdict("ideal", True)
+    return first_violation("ideal", IDEAL, (alg, s.bits))
 
 
 def certify_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
@@ -193,16 +193,7 @@ def all_ideals(alg: AlgebraCandidate) -> list[Ideal]:
     for bits in _down_sets(alg):
         if not bits & zero_bit:
             continue
-        mem = tuple(iter_bits(bits))
-        ok = True
-        for i, x in enumerate(mem):
-            for y in mem[i:]:
-                if not bits >> alg.plus(x, y) & 1 or not bits >> alg.join(x, y) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if first_violation("ideal", (_CLOSED,), (alg, bits)):
             found.append(Ideal(subset=Subset(alg.n, bits)))
     found.sort(key=lambda ideal: ideal.bits)
     return found
@@ -219,32 +210,49 @@ def _top_of(alg: AlgebraCandidate) -> int:
     return top if top is not None else alg.derived_top()
 
 
+def _prime(c, x, y):
+    alg, bits = c
+    nxy = alg.neg(alg.imp(x, y))
+    nyx = alg.neg(alg.imp(y, x))
+    return (nxy, nyx) if not (bits >> nxy & 1 or bits >> nyx & 1) else None
+
+
+def _distributive(c, x, y, z):
+    alg, bits = c
+    lhs = alg.meet(alg.join(x, y), alg.join(x, z))
+    w = alg.mult(lhs, alg.neg(alg.join(x, alg.meet(y, z))))
+    return None if bits >> w & 1 else (w,)
+
+
+def _implicative(c, x, y, z):
+    alg, bits = c
+    if not bits >> alg.neg(alg.imp(x, alg.imp(y, z))) & 1:
+        return None
+    if not bits >> alg.neg(alg.imp(x, y)) & 1:
+        return None
+    w = alg.neg(alg.imp(x, z))
+    return None if bits >> w & 1 else (w,)
+
+
+# read on (algebra, ideal bits); witnesses carry the point and the
+# computed values that miss the ideal
+PRIME = (Law(None, lambda c: rising_pairs(c[0]), _prime),)
+DISTRIBUTIVE_IDEAL = (Law(None, lambda c: cube(3)(c[0]), _distributive),)
+IMPLICATIVE = (Law(None, lambda c: cube(3)(c[0]), _implicative),)
+
+
 def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """For every pair, ~(x->y) or ~(y->x) must land in the ideal.
 
     The witness carries the first failing pair together with both
     computed values, (x, y, ~(x->y), ~(y->x)).
     """
-    bits = ideal.bits
-    n = alg.n
-    for x in range(n):
-        for y in range(x, n):
-            nxy = alg.neg(alg.imp(x, y))
-            nyx = alg.neg(alg.imp(y, x))
-            if not bits >> nxy & 1 and not bits >> nyx & 1:
-                return Verdict("prime", False, (x, y, nxy, nyx))
-    return Verdict("prime", True)
+    return first_violation("prime", PRIME, (alg, ideal.bits))
 
 
 def is_distributive_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """((x|y) & (x|z)) * ~(x | (y&z)) must land in the ideal, all triples."""
-    bits = ideal.bits
-    for x, y, z in product(range(alg.n), repeat=3):
-        lhs = alg.meet(alg.join(x, y), alg.join(x, z))
-        w = alg.mult(lhs, alg.neg(alg.join(x, alg.meet(y, z))))
-        if not bits >> w & 1:
-            return Verdict("distributive_ideal", False, (x, y, z, w))
-    return Verdict("distributive_ideal", True)
+    return first_violation("distributive_ideal", DISTRIBUTIVE_IDEAL, (alg, ideal.bits))
 
 
 def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
@@ -255,18 +263,7 @@ def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
     """
     if alg.zero not in s:
         raise ZeroMissing("an implicative ideal must contain zero")
-    bits = s.bits
-    for x, y, z in product(range(alg.n), repeat=3):
-        p1 = alg.neg(alg.imp(x, alg.imp(y, z)))
-        if not bits >> p1 & 1:
-            continue
-        p2 = alg.neg(alg.imp(x, y))
-        if not bits >> p2 & 1:
-            continue
-        c = alg.neg(alg.imp(x, z))
-        if not bits >> c & 1:
-            return Verdict("implicative", False, (x, y, z, c))
-    return Verdict("implicative", True)
+    return first_violation("implicative", IMPLICATIVE, (alg, s.bits))
 
 
 def is_affine(alg: AlgebraCandidate, ideal: Ideal) -> bool:
@@ -281,3 +278,16 @@ def classify(alg: AlgebraCandidate, ideal: Ideal) -> IdealClassification:
         is_affine=is_affine(alg, ideal),
         is_zero_downset=ideal.bits == alg.order.dn[alg.zero],
     )
+
+
+def _context(alg, ideal_bits, _class_index):
+    return (alg, ideal_bits)
+
+
+# law -> (context from the algebra, ideal bits and class index; entries)
+LAWS = {
+    "ideal": (_context, IDEAL),
+    "prime": (_context, PRIME),
+    "distributive_ideal": (_context, DISTRIBUTIVE_IDEAL),
+    "implicative": (_context, IMPLICATIVE),
+}

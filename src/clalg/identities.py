@@ -14,10 +14,10 @@ P2_7's implication part.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from functools import wraps
 
 from .core import AlgebraError, FiniteCLAlgebra
-from .validator import Verdict
+from .laws import Law, Verdict, cube, first_violation
 
 
 class UnknownIdentity(AlgebraError):
@@ -151,6 +151,22 @@ def lookup_identity(tag) -> IdentityId:
         raise UnknownIdentity(f"unknown identity tag {tag!r}") from None
 
 
+def _violation(pred):
+    """The predicate as a violation function with the predicate's signature."""
+    @wraps(pred)
+    def violation(A, *point):
+        return None if pred(A, *point) else ()
+    return violation
+
+
+# law -> (context from the algebra, ideal bits and class index; entries):
+# each identity is one untagged law over all tuples of its arity
+LAWS = {
+    ident.value: (lambda alg, *_: alg, (Law(None, cube(arity), _violation(pred)),))
+    for ident, (arity, pred, _formula) in IDENTITIES.items()
+}
+
+
 def check_identity(alg: FiniteCLAlgebra, tag) -> Verdict:
     """Quantify the tagged law over all element tuples of its arity.
 
@@ -158,11 +174,8 @@ def check_identity(alg: FiniteCLAlgebra, tag) -> Verdict:
     tuple.  `alg` must be validator-sealed.
     """
     ident = lookup_identity(tag)
-    arity, pred, formula = IDENTITIES[ident]
-    for point in product(range(alg.n), repeat=arity):
-        if not pred(alg, *point):
-            return Verdict(ident.value, False, tuple(point), formula)
-    return Verdict(ident.value, True, None, formula)
+    _ctx, laws = LAWS[ident.value]
+    return first_violation(ident.value, laws, alg, IDENTITIES[ident][2])
 
 
 def run_identity_suite(alg: FiniteCLAlgebra) -> dict[IdentityId, Verdict]:

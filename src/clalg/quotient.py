@@ -16,16 +16,12 @@ and quotient elements are ordered by ascending representative index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import AlgebraCandidate, AlgebraError, FiniteCLAlgebra, OrderRelation, iter_bits
+from .core import TOTAL, AlgebraCandidate, AlgebraError, FiniteCLAlgebra, OrderRelation, iter_bits
 from .ideals import Ideal, Subset, is_affine, is_distributive_ideal, is_prime
-from .validator import (
-    ValidationReport,
-    Verdict,
-    first_incomparable_pair,
-    first_nondistributive_triple,
-    validate,
-)
+from .laws import Law, Verdict, cube, first_violation
+from .validator import DISTRIBUTIVE_LATTICE, ValidationReport, validate
 
 
 class NotEquivalence(AlgebraError):
@@ -69,10 +65,6 @@ class Congruence:
     class_index: tuple[int, ...]
     certificate: Verdict
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def representatives(self) -> tuple[int, ...]:
         return tuple(cls.members()[0] for cls in self.classes)
 
@@ -113,31 +105,61 @@ def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
             for y in iter_bits(rel[x]):
                 class_index[y] = idx
 
-    certificate = _compatibility_certificate(alg, rel, class_index)
+    certificate = first_violation("congruence", CONGRUENCE, _classes(alg, ibits, class_index))
     return Congruence(
         n=n, ideal=ideal.subset, classes=tuple(classes),
         class_index=tuple(class_index), certificate=certificate,
     )
 
 
-def _compatibility_certificate(alg, rel, class_index) -> Verdict:
+class _Classes(NamedTuple):
+    """What the compatibility and order laws read: the algebra, the
+    ideal, the class of each element and the related pairs (x, x') in
+    ascending order."""
+
+    alg: AlgebraCandidate
+    ideal_bits: int
+    class_index: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _classes(alg, ideal_bits, class_index) -> _Classes:
     n = alg.n
-    pairs = [(x, x1) for x in range(n) for x1 in iter_bits(rel[x])]
-    ops = (
-        ("meet", alg.meet),
-        ("join", alg.join),
-        ("mult", alg.mult),
-        ("imp", alg.imp),
-    )
-    for tag, fn in ops:
-        for x, x1 in pairs:
-            for y, y1 in pairs:
-                if class_index[fn(x, y)] != class_index[fn(x1, y1)]:
-                    return Verdict("congruence", False, (tag, x, x1, y, y1))
-    for x, x1 in pairs:
-        if class_index[alg.neg(x)] != class_index[alg.neg(x1)]:
-            return Verdict("congruence", False, ("neg", x, x1))
-    return Verdict("congruence", True)
+    pairs = tuple((x, x1) for x in range(n) for x1 in range(n)
+                  if class_index[x] == class_index[x1])
+    return _Classes(alg, ideal_bits, class_index, pairs)
+
+
+def _quads(c: _Classes):
+    return [p + q for p in c.pairs for q in c.pairs]
+
+
+def _compatible(op: str):
+    """Violation of "x ~ x' and y ~ y' give op(x, y) ~ op(x', y')"."""
+    def violation(c, x, x1, y, y1):
+        fn = getattr(c.alg, op)
+        return None if c.class_index[fn(x, y)] == c.class_index[fn(x1, y1)] else ()
+    return violation
+
+
+CONGRUENCE = tuple(Law(op, _quads, _compatible(op)) for op in ("meet", "join", "mult", "imp")) + (
+    Law("neg", lambda c: c.pairs, lambda c, x, x1: None
+        if c.class_index[c.alg.neg(x)] == c.class_index[c.alg.neg(x1)] else ()),
+)
+
+
+def _order_sides(c: _Classes, x: int, y: int) -> tuple[bool, bool]:
+    """(class(x) <= class(y), ~(x->y) in I), by the class of the meet."""
+    alg, cidx = c.alg, c.class_index
+    return cidx[alg.meet(x, y)] == cidx[x], bool(c.ideal_bits >> alg.neg(alg.imp(x, y)) & 1)
+
+
+def _order_mismatch(c, x, y):
+    sides = _order_sides(c, x, y)
+    return None if sides[0] == sides[1] else sides
+
+
+ORDER_CRITERION = (Law("order_criterion", lambda c: cube(2)(c.alg), _order_mismatch),)
 
 
 def class_of(cong: Congruence, x: int) -> Subset:
@@ -173,7 +195,6 @@ def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
     if not cong.certificate:
         raise NotACongruence(cong.certificate)
 
-    n = alg.n
     cidx = cong.class_index
     reps = cong.representatives()
     k = len(reps)
@@ -184,17 +205,15 @@ def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
             q_leq[i][j] = cidx[alg.meet(ri, rj)] == i
 
     # cross-check the meet-derived order against the membership criterion
-    ibits = ideal.bits
-    for x in range(n):
-        for y in range(n):
-            left = cidx[alg.meet(x, y)] == cidx[x]
-            right = bool(ibits >> alg.neg(alg.imp(x, y)) & 1)
-            if left != right:
-                raise QuotientInvalid(
-                    f"class order disagrees with ideal-membership criterion at "
-                    f"({alg.name_of(x)}, {alg.name_of(y)})",
-                    witness=("order_criterion", x, y, left, right),
-                )
+    mismatch = first_violation("order_criterion", ORDER_CRITERION,
+                               _classes(alg, ideal.bits, cidx))
+    if not mismatch:
+        x, y = mismatch.witness[1:3]
+        raise QuotientInvalid(
+            f"class order disagrees with ideal-membership criterion at "
+            f"({alg.name_of(x)}, {alg.name_of(y)})",
+            witness=mismatch.witness,
+        )
 
     names = tuple(f"[{alg.elements[r]}]" for r in reps)
     q_mult = tuple(
@@ -227,9 +246,7 @@ def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal, x: int, y: int,
     """
     if cong is None:
         cong = congruence_from_ideal(alg, ideal)
-    left = cong.class_index[alg.meet(x, y)] == cong.class_index[x]
-    right = alg.neg(alg.imp(x, y)) in ideal.subset
-    return left, right
+    return _order_sides(_classes(alg, ideal.bits, cong.class_index), x, y)
 
 
 @dataclass(frozen=True)
@@ -298,11 +315,11 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
 
     quotient_claim(
         "distributive_ideal_distributive_quotient", distributive,
-        first_nondistributive_triple,
+        lambda q: first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, q).witness,
     )
     quotient_claim(
         "prime_ideal_linear_quotient", prime,
-        first_incomparable_pair,
+        lambda q: first_violation("linear", TOTAL, q.order).witness,
     )
     quotient_claim(
         "affine_ideal_residuated_quotient", affine,
@@ -328,3 +345,7 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
         claims=tuple(claims),
         quotient_report=quotient_report,
     )
+
+
+# law -> (context from the algebra, ideal bits and class index; entries)
+LAWS = {"congruence": (_classes, CONGRUENCE)}

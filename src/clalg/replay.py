@@ -1,85 +1,21 @@
 """Witness replay: confirm a reported violation directly from the tables.
 
-Every fail verdict in this package carries a witness tuple whose first
-entry (or law name) selects a condition and whose remaining entries are
-element indices plus, for some kinds, computed values.  confirm_witness
-re-evaluates that one condition at the witnessed point and returns True
-when the violation is reproduced.  The CLI --replay flag drives this
-over every witness it prints.
+Every fail verdict in this package carries a witness tuple built by
+laws.first_violation from a declared law entry: the entry's kind tag
+(if any), the point, and the extra values the violation returned.
+confirm_witness finds that entry by the verdict's law and the tag,
+re-evaluates its violation function at the witnessed point and returns
+True when the same extra values come back.  The CLI --replay flag
+drives this over every witness it prints.
 """
 
 from __future__ import annotations
 
+from . import identities, ideals, quotient, validator
 from .core import AlgebraCandidate
-from .identities import IDENTITIES, IdentityId
-from .validator import Verdict
+from .laws import Verdict
 
-
-def _confirm_lattice(alg: AlgebraCandidate, witness: tuple) -> bool:
-    order = alg.order
-    kind = witness[0]
-    if kind == "reflexivity":
-        return not order.leq(witness[1], witness[1])
-    if kind == "antisymmetry":
-        _, x, y = witness
-        return order.leq(x, y) and order.leq(y, x) and x != y
-    if kind == "transitivity":
-        _, x, y, z = witness
-        return order.leq(x, y) and order.leq(y, z) and not order.leq(x, z)
-    if kind == "no_join":
-        return order.lub(witness[1], witness[2]) is None
-    if kind == "no_meet":
-        return order.glb(witness[1], witness[2]) is None
-    if kind == "bot_not_least":
-        return not order.leq(alg.bot, witness[1])
-    return False
-
-
-def _confirm_monoid(alg: AlgebraCandidate, witness: tuple) -> bool:
-    t = alg.mult_table
-    kind = witness[0]
-    if kind == "commutativity":
-        _, x, y = witness
-        return t[x][y] != t[y][x]
-    if kind == "unit":
-        x = witness[1]
-        return t[alg.one][x] != x or t[x][alg.one] != x
-    if kind == "associativity":
-        _, x, y, z = witness
-        return t[t[x][y]][z] != t[x][t[y][z]]
-    return False
-
-
-def _confirm_residuation(alg: AlgebraCandidate, witness: tuple) -> bool:
-    kind = witness[0]
-    if kind == "adjunction":
-        _, x, y, z = witness
-        return alg.leq(alg.mult(x, y), z) != alg.leq(x, alg.imp(y, z))
-    if kind == "no_residual":
-        _, x, y, _frontier = witness
-        s = 0
-        for z in range(alg.n):
-            if alg.leq(alg.mult(x, z), y):
-                s |= 1 << z
-        return alg.order.greatest_in(s) is None
-    return False
-
-
-def _confirm_ideal(alg: AlgebraCandidate, witness: tuple, ideal_bits: int) -> bool:
-    kind = witness[0]
-    if kind == "zero_missing":
-        return not ideal_bits >> alg.zero & 1
-    if kind == "plus_not_closed":
-        _, x, y, val = witness
-        return alg.plus(x, y) == val and not ideal_bits >> val & 1
-    if kind == "join_not_closed":
-        _, x, y, val = witness
-        return alg.join(x, y) == val and not ideal_bits >> val & 1
-    if kind == "not_down_closed":
-        _, x, y = witness
-        return (alg.leq(x, y) and ideal_bits >> y & 1
-                and not ideal_bits >> x & 1)
-    return False
+LAWS = {**validator.LAWS, **ideals.LAWS, **quotient.LAWS, **identities.LAWS}
 
 
 def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
@@ -93,46 +29,14 @@ def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
     """
     if verdict.ok or verdict.skipped or verdict.witness is None:
         return True
-    law = verdict.law
+    if verdict.law not in LAWS:
+        return False
+    context, laws = LAWS[verdict.law]
     w = verdict.witness
-    if law == "lattice":
-        return _confirm_lattice(alg, w)
-    if law == "monoid":
-        return _confirm_monoid(alg, w)
-    if law == "residuation":
-        return _confirm_residuation(alg, w)
-    if law == "involution":
-        return alg.neg(alg.neg(w[1])) != w[1]
-    if law == "ideal":
-        return _confirm_ideal(alg, w, ideal_bits)
-    if law == "prime":
-        x, y, nxy, nyx = w
-        return (alg.neg(alg.imp(x, y)) == nxy
-                and alg.neg(alg.imp(y, x)) == nyx
-                and not ideal_bits >> nxy & 1
-                and not ideal_bits >> nyx & 1)
-    if law == "distributive_ideal":
-        x, y, z, val = w
-        lhs = alg.meet(alg.join(x, y), alg.join(x, z))
-        got = alg.mult(lhs, alg.neg(alg.join(x, alg.meet(y, z))))
-        return got == val and not ideal_bits >> val & 1
-    if law == "implicative":
-        x, y, z, val = w
-        p1 = alg.neg(alg.imp(x, alg.imp(y, z)))
-        p2 = alg.neg(alg.imp(x, y))
-        c = alg.neg(alg.imp(x, z))
-        return (ideal_bits >> p1 & 1 and ideal_bits >> p2 & 1
-                and c == val and not ideal_bits >> c & 1)
-    if law == "congruence":
-        tag = w[0]
-        ops = {"meet": alg.meet, "join": alg.join, "mult": alg.mult, "imp": alg.imp}
-        if tag == "neg":
-            _, x, x1 = w
-            return class_index[alg.neg(x)] != class_index[alg.neg(x1)]
-        _, x, x1, y, y1 = w
-        fn = ops[tag]
-        return class_index[fn(x, y)] != class_index[fn(x1, y1)]
-    if law in IdentityId._value2member_map_:
-        arity, pred, _formula = IDENTITIES[IdentityId(law)]
-        return not pred(alg, *w)
-    return False
+    by_kind = {e.kind: e for e in laws}
+    entry = by_kind.get(w[0] if w else None, by_kind.get(None))
+    if entry is None:
+        return False
+    start = 0 if entry.kind is None else 1
+    point, extra = w[start:start + entry.arity], w[start + entry.arity:]
+    return entry.violation(context(alg, ideal_bits, class_index), *point) == extra

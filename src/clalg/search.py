@@ -37,8 +37,9 @@ from .core import (
     derive_implication,
     iter_bits,
     popcount,
+    residual,
 )
-from .validator import validate
+from .validator import seal, validate
 
 SIZE_MIN = 2
 SIZE_MAX = 8
@@ -254,25 +255,19 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int,
     if name_prefix is None:
         name_prefix = f"cl{n}_z{zero}_u{one}"
 
-    join = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            g = order.lub(x, y)
-            if g is None:
-                raise NotALattice(x, y, "join")
-            join[x][y] = g
+    join = order.lubs
+    for x, y in product(range(n), repeat=2):
+        if join[x][y] is None:
+            raise NotALattice(x, y, "join")
 
     elements = tuple(f"e{i}" for i in range(n))
     results: list[FiniteCLAlgebra] = []
 
     if n == 1:
-        cand = AlgebraCandidate(
+        return [seal(AlgebraCandidate(
             name=f"{name_prefix}_0", elements=elements, order=order,
             mult_table=((0,),), imp_table=None, bot=0, zero=0, one=0,
-        )
-        report = validate(cand)
-        assert report.algebra is not None
-        return [report.algebra]
+        ))]
 
     if one == bot:
         return []  # the unit row must be the identity, the bottom row constant
@@ -294,7 +289,6 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int,
     ]
     up = order.up
     dn = order.dn
-    zero_dn = dn[zero]
 
     def value_ok(x, y, v):
         # monotonicity of the partial table against every filled cell
@@ -353,17 +347,10 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int,
 
     def finish():
         # negation column + involution: cheap, happens before deriving imp
-        negcol = [0] * n
-        for x in range(n):
-            s = 0
-            rowx = tab[x]
-            for z in range(n):
-                if zero_dn >> rowx[z] & 1:
-                    s |= 1 << z
-            g = order.greatest_in(s)
-            if g is None:
-                return
-            negcol[x] = g
+        try:
+            negcol = [residual(order, tab, x, zero) for x in range(n)]
+        except NoResidual:
+            return
         for x in range(n):
             if negcol[negcol[x]] != x:
                 return

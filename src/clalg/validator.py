@@ -11,48 +11,31 @@ witness agreement):
             likewise; declared bot not least.
   monoid:   commutativity (x, y) with x < y; unit x; associativity
             (x, y, z).
-  residuation: (x, y, z) on the biconditional mult(x,y) <= z iff
-            x <= imp(y,z).
+  residuation: without a derivable implication table, (x, y) whose
+            residual does not exist; else (x, y, z) on the
+            biconditional mult(x,y) <= z iff x <= imp(y,z).
   involution: x on neg(neg(x)) == x.
 
-Checks never mutate the candidate; a derived implication table is
-attached to the returned report/algebra only.
+Each law is declared once below as a list of laws.Law entries; the
+checks and replay.confirm_witness both read those declarations.  Checks
+never mutate the candidate; a derived implication table is attached to
+the returned report/algebra only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     AlgebraCandidate,
     FiniteCLAlgebra,
-    ImplicationAbsent,
     NoResidual,
+    NotALattice,
     Table,
     derive_implication,
+    residual,
 )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check; truthy iff the property holds.
-
-    `witness` is the lexicographically first violating tuple.  Its first
-    entry is a kind tag, the rest are element indices (plus, for some
-    kinds, a computed value or an antichain tuple) so the violation can
-    be replayed against the tables.  `skipped` marks a check that could
-    not run at all (no implication table and none derivable).
-    """
-
-    law: str
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
-    skipped: bool = False
-
-    def __bool__(self) -> bool:
-        return self.ok
+from .laws import Law, Verdict, ascending_pairs, cube, first_violation, rising_pairs
 
 
 @dataclass(frozen=True)
@@ -94,7 +77,9 @@ class NotACLAlgebra(Exception):
 
 
 class EquivalenceBroken(Exception):
-    """Integrality and top == one disagreed on a supposedly sealed algebra."""
+    """A consequence of the axioms failed on an algebra that passed them:
+    integrality disagreed with top == one, or an element is not below
+    imp(bot, bot)."""
 
     def __init__(self, x: int, y: int, detail: str):
         self.x = x
@@ -102,88 +87,106 @@ class EquivalenceBroken(Exception):
         super().__init__(detail)
 
 
+def _no_bound(op):
+    """Violation of "x and y have a join (meet)": the frontier of bounds."""
+    def violation(A, x, y):
+        try:
+            getattr(A, op)(x, y)
+        except NotALattice as exc:
+            return (exc.frontier,)
+        return None
+    return violation
+
+
+def _intransitive(A, x, y, z):
+    up = A.order.up
+    return () if up[x] >> y & 1 and up[y] >> z & 1 and not up[x] >> z & 1 else None
+
+
+LATTICE = (
+    Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else ()),
+    Law("antisymmetry", ascending_pairs,
+        lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None),
+    Law("transitivity", cube(3), _intransitive),
+    Law("no_join", rising_pairs, _no_bound("join")),
+    Law("no_meet", rising_pairs, _no_bound("meet")),
+    Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else ()),
+)
+
+
+def _nonassociative(A, x, y, z):
+    t = A.mult_table
+    return None if t[t[x][y]][z] == t[x][t[y][z]] else ()
+
+
+MONOID = (
+    Law("commutativity", ascending_pairs,
+        lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else ()),
+    Law("unit", cube(1),
+        lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else ()),
+    Law("associativity", cube(3), _nonassociative),
+)
+
+
+def _nonadjoint(A, x, y, z):
+    up = A.order.up
+    return None if up[A.mult_table[x][y]] >> z & 1 == up[x] >> A.imp_table[y][z] & 1 else ()
+
+
+def _adjunction_detail(A, x, y, z) -> str:
+    if A.leq(A.mult(x, y), z):
+        return "mult(x,y) <= z but not x <= imp(y,z)"
+    return "x <= imp(y,z) but not mult(x,y) <= z"
+
+
+def _no_residual(A, x, y):
+    try:
+        residual(A.order, A.mult_table, x, y)
+    except NoResidual as exc:
+        return (exc.frontier,)
+    return None
+
+
+# read on the candidate with its implication table resolved by
+# _imp_or_derive: no_residual is scanned only where no table exists
+RESIDUATION = (
+    Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
+        "no implication table can satisfy residuation"),
+    Law("adjunction", cube(3), _nonadjoint, _adjunction_detail),
+)
+
+INVOLUTION = (Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else ()),)
+
+
+def _imp_or_derive(cand: AlgebraCandidate, imp_table: Table | None = None) -> AlgebraCandidate:
+    """The candidate carrying the implication table the residuation and
+    involution laws read: `imp_table`, else its own, else the derived
+    one; without a table when none is derivable."""
+    if imp_table is not None:
+        return cand.with_imp(imp_table)
+    if cand.has_imp:
+        return cand
+    try:
+        return cand.with_imp(derive_implication(cand.order, cand.mult_table))
+    except NoResidual:
+        return cand
+
+
 def check_lattice(cand: AlgebraCandidate) -> Verdict:
-    order = cand.order
-    n = cand.n
-    for x in range(n):
-        if not order.leq(x, x):
-            return Verdict("lattice", False, ("reflexivity", x))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if order.leq(x, y) and order.leq(y, x):
-                return Verdict("lattice", False, ("antisymmetry", x, y))
-    for x, y, z in product(range(n), repeat=3):
-        if order.leq(x, y) and order.leq(y, z) and not order.leq(x, z):
-            return Verdict("lattice", False, ("transitivity", x, y, z))
-    for x in range(n):
-        for y in range(x, n):
-            if order.lub(x, y) is None:
-                ub = order.up[x] & order.up[y]
-                return Verdict("lattice", False, ("no_join", x, y, order.minimal_in(ub)))
-    for x in range(n):
-        for y in range(x, n):
-            if order.glb(x, y) is None:
-                lb = order.dn[x] & order.dn[y]
-                return Verdict("lattice", False, ("no_meet", x, y, order.maximal_in(lb)))
-    for x in range(n):
-        if not order.leq(cand.bot, x):
-            return Verdict("lattice", False, ("bot_not_least", x))
-    return Verdict("lattice", True)
+    return first_violation("lattice", LATTICE, cand)
 
 
 def check_monoid(cand: AlgebraCandidate) -> Verdict:
-    n = cand.n
-    t = cand.mult_table
-    for x in range(n):
-        for y in range(x + 1, n):
-            if t[x][y] != t[y][x]:
-                return Verdict("monoid", False, ("commutativity", x, y))
-    e = cand.one
-    for x in range(n):
-        if t[e][x] != x or t[x][e] != x:
-            return Verdict("monoid", False, ("unit", x))
-    for x, y, z in product(range(n), repeat=3):
-        if t[t[x][y]][z] != t[x][t[y][z]]:
-            return Verdict("monoid", False, ("associativity", x, y, z))
-    return Verdict("monoid", True)
-
-
-def _imp_or_derive(cand: AlgebraCandidate, imp_table: Table | None) -> Table:
-    if imp_table is not None:
-        return imp_table
-    if cand.imp_table is not None:
-        return cand.imp_table
-    try:
-        return derive_implication(cand.order, cand.mult_table)
-    except NoResidual as exc:
-        raise ImplicationAbsent(
-            f"no implication table and derivation failed at "
-            f"({exc.x}, {exc.y})"
-        ) from exc
+    return first_violation("monoid", MONOID, cand)
 
 
 def check_residuation(cand: AlgebraCandidate, imp_table: Table | None = None) -> Verdict:
-    imp = _imp_or_derive(cand, imp_table)
-    order = cand.order
-    t = cand.mult_table
-    n = cand.n
-    for x, y, z in product(range(n), repeat=3):
-        lhs = order.leq(t[x][y], z)
-        rhs = order.leq(x, imp[y][z])
-        if lhs != rhs:
-            direction = "mult(x,y) <= z but not x <= imp(y,z)" if lhs else \
-                "x <= imp(y,z) but not mult(x,y) <= z"
-            return Verdict("residuation", False, ("adjunction", x, y, z), direction)
-    return Verdict("residuation", True)
+    return first_violation("residuation", RESIDUATION, _imp_or_derive(cand, imp_table))
 
 
 def check_involution(cand: AlgebraCandidate, imp_table: Table | None = None) -> Verdict:
-    imp = _imp_or_derive(cand, imp_table)
-    z = cand.zero
-    for x in range(cand.n):
-        if imp[imp[x][z]][z] != x:
-            return Verdict("involution", False, ("involution", x))
-    return Verdict("involution", True)
+    """Raises ImplicationAbsent when no implication table is derivable."""
+    return first_violation("involution", INVOLUTION, _imp_or_derive(cand, imp_table))
 
 
 def validate(cand: AlgebraCandidate) -> ValidationReport:
@@ -192,40 +195,33 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
     Always returns the full report.  When the candidate has no
     implication table, one is derived first; if derivation is impossible
     the residuation verdict carries the no-residual witness and the
-    involution check is marked skipped.
+    involution check is marked skipped.  Raises EquivalenceBroken if an
+    element of an algebra that passes is not below imp(bot, bot).
     """
     lattice = check_lattice(cand)
     monoid = check_monoid(cand)
-
-    imp_table = cand.imp_table
-    if imp_table is None:
-        try:
-            imp_table = derive_implication(cand.order, cand.mult_table)
-        except NoResidual as exc:
-            residuation = Verdict(
-                "residuation", False,
-                ("no_residual", exc.x, exc.y, exc.frontier),
-                "no implication table can satisfy residuation",
-            )
-            involution = Verdict(
-                "involution", False, None,
-                "not checkable: implication neither supplied nor derivable",
-                skipped=True,
-            )
-            return ValidationReport(lattice, monoid, residuation, involution)
-
-    residuation = check_residuation(cand, imp_table)
-    involution = check_involution(cand, imp_table)
+    resolved = _imp_or_derive(cand)
+    residuation = first_violation("residuation", RESIDUATION, resolved)
+    if not resolved.has_imp:
+        involution = Verdict(
+            "involution", False, None,
+            "not checkable: implication neither supplied nor derivable",
+            skipped=True,
+        )
+        return ValidationReport(lattice, monoid, residuation, involution)
+    involution = first_violation("involution", INVOLUTION, resolved)
     report = ValidationReport(lattice, monoid, residuation, involution)
     if not report.passed:
         return report
 
-    top = imp_table[cand.bot][cand.bot]
+    top = resolved.derived_top()
     # forced by the axioms: bot is absorbing for mult, hence x <= imp(bot, bot)
-    assert all(cand.order.leq(x, top) for x in range(cand.n))
+    for x in range(cand.n):
+        if not cand.leq(x, top):
+            raise EquivalenceBroken(x, top, f"{x} is not below imp(bot, bot) = {top}")
     sealed = FiniteCLAlgebra(
         cand.name, cand.elements, cand.order, cand.mult_table,
-        imp_table, cand.bot, cand.zero, cand.one, top,
+        resolved.imp_table, cand.bot, cand.zero, cand.one, top,
     )
     flags = StructuralFlags(
         is_linear(sealed),
@@ -244,6 +240,10 @@ def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:
     return report.algebra
 
 
+# mult is integral: x * y <= x for all (x, y)
+INTEGRAL = (Law(None, cube(2), lambda A, x, y: None if A.leq(A.mult(x, y), x) else ()),)
+
+
 def is_residuated_lattice(alg: FiniteCLAlgebra) -> bool:
     """True iff top == one, cross-checked against integrality of mult.
 
@@ -251,20 +251,12 @@ def is_residuated_lattice(alg: FiniteCLAlgebra) -> bool:
     discrepancy is an internal-consistency failure and raises
     EquivalenceBroken rather than returning a guess.
     """
-    integral_witness = None
-    n = alg.n
-    for x in range(n):
-        for y in range(n):
-            if not alg.leq(alg.mult(x, y), x):
-                integral_witness = (x, y)
-                break
-        if integral_witness:
-            break
+    integral = first_violation("integral", INTEGRAL, alg)
     top_is_one = alg.top == alg.one
-    if top_is_one and integral_witness is not None:
-        x, y = integral_witness
+    if top_is_one and not integral:
+        x, y = integral.witness
         raise EquivalenceBroken(x, y, f"top == one but mult({x},{y}) is not below {x}")
-    if not top_is_one and integral_witness is None:
+    if not top_is_one and integral:
         raise EquivalenceBroken(
             alg.one, alg.top,
             "mult is integral everywhere but top != one",
@@ -280,24 +272,27 @@ def is_linear(alg: AlgebraCandidate) -> bool:
     return alg.order.is_total()
 
 
+# meet distributes over join; the witness is the first failing (x, y, z)
+DISTRIBUTIVE_LATTICE = (
+    Law(None, cube(3), lambda A, x, y, z:
+        None if A.meet(x, A.join(y, z)) == A.join(A.meet(x, y), A.meet(x, z)) else ()),
+)
+
+
 def is_distributive_lattice(alg: AlgebraCandidate) -> bool:
-    n = alg.n
-    return all(
-        alg.meet(x, alg.join(y, z)) == alg.join(alg.meet(x, y), alg.meet(x, z))
-        for x, y, z in product(range(n), repeat=3)
-    )
+    return first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, alg).ok
 
 
-def first_incomparable_pair(alg: AlgebraCandidate) -> tuple[int, int] | None:
-    for x in range(alg.n):
-        for y in range(x + 1, alg.n):
-            if not alg.leq(x, y) and not alg.leq(y, x):
-                return (x, y)
-    return None
+def _context(alg, _ideal_bits, _class_index):
+    return alg
 
 
-def first_nondistributive_triple(alg: AlgebraCandidate) -> tuple[int, int, int] | None:
-    for x, y, z in product(range(alg.n), repeat=3):
-        if alg.meet(x, alg.join(y, z)) != alg.join(alg.meet(x, y), alg.meet(x, z)):
-            return (x, y, z)
-    return None
+# the laws whose witnesses are replayed -> (the context their violations
+# read, built from the algebra, the ideal bits and the class index a
+# witness is replayed against; entries)
+LAWS = {
+    "lattice": (_context, LATTICE),
+    "monoid": (_context, MONOID),
+    "residuation": (lambda alg, *_: _imp_or_derive(alg), RESIDUATION),
+    "involution": (lambda alg, *_: _imp_or_derive(alg), INVOLUTION),
+}

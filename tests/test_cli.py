@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from clalg.cli import run_command
+from clalg.core import ImplicationAbsent
+from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
 
 
 def run(capsys, *argv):
@@ -204,3 +208,64 @@ def test_underivable_implication_is_property_failure(capsys, tmp_path):
     code, _, err = run(capsys, "ideals", str(f))
     assert code == 1
     assert "property failure" in err
+
+
+def _without_imp(text):
+    return text.split("imp:")[0] + "end\n"
+
+
+_ASSOC_BROKEN = LINEAR_CLA.replace("bot 0 a 0 top", "bot 0 a top top", 1)  # a*a = top
+
+# every subcommand on each variant must report, never raise
+CONTRACT_VARIANTS = {
+    "no_imp": _without_imp(LINEAR_CLA),
+    "cyclic_order": LINEAR_CLA.replace("cover: a 1\n", "cover: a 1\ncover: a 0\n"),
+    "dropped_cover": LINEAR_CLA.replace("cover: a 1\n", ""),
+    "assoc_broken": _ASSOC_BROKEN,
+    "assoc_broken_no_imp": _without_imp(_ASSOC_BROKEN),
+    "nonlinear6": NONLINEAR_CLA,
+}
+
+CONTRACT_COMMANDS = {
+    "validate": ["--replay"],
+    "derive-imp": ["--replay"],
+    "identities": ["--replay"],
+    "ideals": ["--classify", "--replay"],
+    "quotient": ["--ideal", "bot,0", "--verify", "--replay"],
+    "theorems": ["--ideal", "bot,0", "--replay"],
+    "search": None,
+    "export-dot": ["--replay"],
+}
+
+# a known fault, not mended yet: quotient and theorems read the
+# implication table without deriving it, so without `imp:` they raise
+_NEEDS_IMP = pytest.mark.xfail(strict=True, raises=ImplicationAbsent)
+
+CONTRACT_CASES = [
+    pytest.param(variant, command, id=f"{command}-{variant}", marks=_NEEDS_IMP
+                 if variant.endswith("no_imp") and command in ("quotient", "theorems") else ())
+    for variant in CONTRACT_VARIANTS
+    for command in CONTRACT_COMMANDS
+]
+
+
+def _replays(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from [item] if key == "replay" else _replays(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _replays(item)
+
+
+@pytest.mark.parametrize("variant,command", CONTRACT_CASES)
+def test_every_subcommand_reports_on_every_variant(capsys, tmp_path, variant, command):
+    assert CONTRACT_VARIANTS[variant] != LINEAR_CLA
+    path = tmp_path / f"{variant}.cla"
+    path.write_text(CONTRACT_VARIANTS[variant], encoding="utf-8")
+    args = CONTRACT_COMMANDS[command]
+    argv = ["search", "--size", "2"] if args is None else [command, str(path), *args]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code in (0, 1, 2)
+    if out:
+        assert all(r == "confirmed" for r in _replays(json.loads(out)))

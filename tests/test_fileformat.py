@@ -138,3 +138,23 @@ def candidates(draw):
 @given(candidates())
 def test_round_trip_random_candidates(cand):
     assert parse_algebra(serialize_algebra(cand)) == cand
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_round_trip_keeps_any_closed_order(case):
+    # edges in both directions make a cycle: the order is only a preorder
+    n, edges = case
+    cand = AlgebraCandidate(
+        name="g", elements=tuple(f"e{i}" for i in range(n)),
+        order=OrderRelation.from_covers(n, edges),
+        mult_table=((0,) * n,) * n, imp_table=None, bot=0, zero=0, one=0,
+    )
+    assert parse_algebra(serialize_algebra(cand)).order == cand.order

@@ -163,6 +163,12 @@ def test_count_only_matches_full_rows():
     assert count_cl_algebras(SearchConfig(size=4)) == full.rows
 
 
+def test_size_six_census_is_pinned():
+    rows = count_cl_algebras(SearchConfig(size=6))
+    assert len(rows) == 15  # OEIS A006966
+    assert sum(row.count for row in rows) == 100
+
+
 def test_max_results_caps_list():
     result = run_search(SearchConfig(size=4, max_results=3))
     assert len(result.algebras) == 3
