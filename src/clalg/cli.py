@@ -351,11 +351,14 @@ def _cmd_theorems(run: _Run) -> None:
 
 
 def _cmd_search(run: _Run) -> None:
-    config = SearchConfig(
-        size=run.args.size,
-        max_results=run.args.max_results,
-        count_only=run.args.count_only,
-    )
+    try:
+        config = SearchConfig(
+            size=run.args.size,
+            max_results=run.args.max_results,
+            count_only=run.args.count_only,
+        )
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
     result = run_search(config)
     text = render_search_result(result)
     run.payload["census"] = [

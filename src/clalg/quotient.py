@@ -59,8 +59,6 @@ class Congruence:
     related pairs; it records the first incompatibility.
     """
 
-    n: int
-    ideal: Subset
     classes: tuple[Subset, ...]
     class_index: tuple[int, ...]
     certificate: Verdict
@@ -107,8 +105,7 @@ def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
 
     certificate = first_violation("congruence", CONGRUENCE, _classes(alg, ibits, class_index))
     return Congruence(
-        n=n, ideal=ideal.subset, classes=tuple(classes),
-        class_index=tuple(class_index), certificate=certificate,
+        classes=tuple(classes), class_index=tuple(class_index), certificate=certificate,
     )
 
 
@@ -258,12 +255,10 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    ideal: Subset
     certificate: Verdict
     congruence: Congruence
     quotient_valid: bool
     claims: tuple[ClaimResult, ...]
-    quotient_report: ValidationReport | None = None
 
     @property
     def ok(self) -> bool:
@@ -293,12 +288,10 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
     affine = is_affine(alg, ideal)
 
     quotient = None
-    quotient_report = None
     blocked_witness = None
     try:
         quotient = build_quotient(alg, ideal, cong)
     except QuotientInvalid as exc:
-        quotient_report = exc.report
         blocked_witness = exc.witness
 
     claims = []
@@ -338,12 +331,10 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
             ))
 
     return TheoremReport(
-        ideal=ideal.subset,
         certificate=cong.certificate,
         congruence=cong,
         quotient_valid=quotient is not None,
         claims=tuple(claims),
-        quotient_report=quotient_report,
     )
 
 

@@ -15,11 +15,16 @@ and partial join-distribution.  Completed tables get a cheap
 negation-column involution filter before the implication table is
 derived, and every survivor is sealed by the full validator.
 
-Isomorphism handling: a fingerprint is minimized over all permutations
-consistent with an iso-invariant coloring (refined from order, table
-and designation profiles), so equal fingerprints mean isomorphic via a
-bijection preserving order, both tables, bot, zero and one.  Output
-order is canonical, independent of discovery order.
+Isomorphism handling: one encoding (order, designated elements,
+tables) is minimized over all permutations consistent with an
+iso-invariant coloring (refined from order, table and designation
+profiles), so equal encodings mean isomorphic via a bijection
+preserving order, both tables, bot, zero and one.  Lattices are keyed
+by their order alone, algebras by all of it.  Each lattice's census is
+the sorted set of its algebras' keys, and each algebra is emitted as
+rebuilt from its key, named cl{n}_l{lattice}_{rank}: the order, the
+labeling and the names of the output are independent of discovery
+order.
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ class SearchConfig:
     count_only: bool = False
     lattice: OrderRelation | None = None
 
+    def __post_init__(self):
+        if self.max_results is not None and self.max_results < 0:
+            raise ValueError(f"max_results must be >= 0, got {self.max_results}")
+
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -77,19 +86,6 @@ class SearchResult:
     @property
     def total(self) -> int:
         return sum(r.count for r in self.rows)
-
-
-def _refine(n: int, keys, neighbor_sig) -> list[int]:
-    """Iterated partition refinement; colors only depend on iso-invariants."""
-    ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-    col = [ranks[k] for k in keys]
-    while True:
-        sig = [(col[i], neighbor_sig(i, col)) for i in range(n)]
-        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if len(set(new)) == len(set(col)):
-            return new
-        col = new
 
 
 def _color_consistent_perms(colors):
@@ -109,34 +105,50 @@ def _color_consistent_perms(colors):
         yield tuple(x for part in parts for x in part)
 
 
-def _order_colors(order: OrderRelation) -> list[int]:
+def _least_encoding(order: OrderRelation, marks: tuple[int, ...] = (),
+                    tables: tuple = ()) -> tuple:
+    """Least (n, up masks, marked elements, row-major tables) over the
+    relabelings consistent with an iso-invariant coloring.
+
+    Colors start from each element's down- and up-set sizes and the
+    marks it carries, and are refined by the colors strictly below and
+    above it and in its table rows until stable, so equal encodings mean
+    a bijection preserving the order, the marks and every table.
+    """
     n = order.n
-    keys = [(popcount(order.dn[i]), popcount(order.up[i])) for i in range(n)]
+    below = [order.dn[i] & ~(1 << i) for i in range(n)]
+    above = [order.up[i] & ~(1 << i) for i in range(n)]
 
-    def sig(i, col):
-        below = tuple(sorted(col[j] for j in iter_bits(order.dn[i] & ~(1 << i))))
-        above = tuple(sorted(col[j] for j in iter_bits(order.up[i] & ~(1 << i))))
-        return (below, above)
+    def ranks(keys):
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [rank[k] for k in keys]
 
-    return _refine(n, keys, sig)
+    col = ranks([(popcount(order.dn[i]), popcount(order.up[i]), *(i == m for m in marks))
+                 for i in range(n)])
+    while True:
+        new = ranks([
+            (col[i], tuple(sorted(col[j] for j in iter_bits(below[i]))),
+             tuple(sorted(col[j] for j in iter_bits(above[i]))),
+             *(tuple(sorted((col[j], col[t[i][j]]) for j in range(n))) for t in tables))
+            for i in range(n)
+        ])
+        if max(new) == max(col):  # no class split: the ranks are unchanged
+            break
+        col = new
 
-
-def canonical_order_masks(order: OrderRelation) -> tuple[int, ...]:
-    """Lex-least up-mask encoding over color-consistent relabelings."""
-    n = order.n
-    colors = _order_colors(order)
     best = None
-    for pi in _color_consistent_perms(colors):
+    for pi in _color_consistent_perms(col):
         pos = [0] * n
         for newi, old in enumerate(pi):
             pos[old] = newi
-        enc = []
-        for newi in range(n):
+        masks = []
+        for old_i in pi:
             mask = 0
-            for old in iter_bits(order.up[pi[newi]]):
+            for old in iter_bits(order.up[old_i]):
                 mask |= 1 << pos[old]
-            enc.append(mask)
-        enc = tuple(enc)
+            masks.append(mask)
+        enc = (n, tuple(masks), *(pos[m] for m in marks),
+               *(tuple(pos[t[x][y]] for x in pi for y in pi) for t in tables))
         if best is None or enc < best:
             best = enc
     return best
@@ -152,8 +164,8 @@ def enumerate_lattices(n: int) -> list[OrderRelation]:
         for y in range(n):
             for x in iter_bits(dnmasks[y]):
                 up[x] |= 1 << y
-        seen.add(canonical_order_masks(OrderRelation(n, tuple(up))))
-    return [OrderRelation(n, key) for key in sorted(seen)]
+        seen.add(_least_encoding(OrderRelation(n, tuple(up))))
+    return [OrderRelation(n, masks) for _n, masks in sorted(seen)]
 
 
 def _natural_lattice_downmasks(n: int):
@@ -192,54 +204,36 @@ def _natural_lattice_downmasks(n: int):
 
 
 def canonical_form(alg: FiniteCLAlgebra) -> tuple:
-    """Isomorphism-invariant fingerprint of a sealed algebra.
+    """Isomorphism-invariant key of a sealed algebra:
+    (n, up masks, bot, zero, one, mult, imp), tables row-major.
 
-    Equal forms mean there is a bijection preserving order, mult, imp,
-    bot, zero and one.
+    Equal keys mean there is a bijection preserving order, mult, imp,
+    bot, zero and one.  run_search emits the algebras rebuilt from their
+    keys.
     """
-    n = alg.n
-    order = alg.order
-    mult = alg.mult_table
-    imp = alg.imp_table
-    keys = [
-        (popcount(order.dn[i]), popcount(order.up[i]), i == alg.zero, i == alg.one)
-        for i in range(n)
-    ]
-
-    def sig(i, col):
-        below = tuple(sorted(col[j] for j in iter_bits(order.dn[i] & ~(1 << i))))
-        above = tuple(sorted(col[j] for j in iter_bits(order.up[i] & ~(1 << i))))
-        mrow = tuple(sorted((col[j], col[mult[i][j]]) for j in range(n)))
-        irow = tuple(sorted((col[j], col[imp[i][j]]) for j in range(n)))
-        return (below, above, mrow, irow)
-
-    colors = _refine(n, keys, sig)
-    best = None
-    for pi in _color_consistent_perms(colors):
-        pos = [0] * n
-        for newi, old in enumerate(pi):
-            pos[old] = newi
-        enc_order = []
-        for newi in range(n):
-            mask = 0
-            for old in iter_bits(order.up[pi[newi]]):
-                mask |= 1 << pos[old]
-            enc_order.append(mask)
-        enc_mult = tuple(
-            pos[mult[pi[x]][pi[y]]] for x in range(n) for y in range(n)
-        )
-        enc_imp = tuple(
-            pos[imp[pi[x]][pi[y]]] for x in range(n) for y in range(n)
-        )
-        enc = (n, tuple(enc_order), pos[alg.bot], pos[alg.zero], pos[alg.one],
-               enc_mult, enc_imp)
-        if best is None or enc < best:
-            best = enc
-    return best
+    return _least_encoding(alg.order, (alg.bot, alg.zero, alg.one),
+                           (alg.mult_table, alg.imp_table))
 
 
-def complete_to_cl(order: OrderRelation, zero: int, one: int,
-                   name_prefix: str | None = None) -> list[FiniteCLAlgebra]:
+def _algebra_from_key(key: tuple, name: str,
+                      orders: dict[tuple, OrderRelation]) -> FiniteCLAlgebra:
+    """The sealed algebra a canonical key encodes, in that labeling;
+    `orders` shares one OrderRelation (and its meet/join tables) per
+    order encoding."""
+    n, up, bot, zero, one, mult, imp = key
+
+    def rows(flat):
+        return tuple(flat[i:i + n] for i in range(0, n * n, n))
+
+    return seal(AlgebraCandidate(
+        name=name, elements=tuple(f"e{i}" for i in range(n)),
+        order=orders.setdefault(up, OrderRelation(n, up)),
+        mult_table=rows(mult), imp_table=rows(imp),
+        bot=bot, zero=zero, one=one,
+    ))
+
+
+def complete_to_cl(order: OrderRelation, zero: int, one: int) -> list[FiniteCLAlgebra]:
     """All CL-algebras on a labeled lattice with the given zero and one.
 
     Returns raw completions (not deduplicated by isomorphism) in a
@@ -252,8 +246,7 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int,
     bot = order.least()
     if bot is None:
         raise ValueError("order has no least element")
-    if name_prefix is None:
-        name_prefix = f"cl{n}_z{zero}_u{one}"
+    name_prefix = f"cl{n}_z{zero}_u{one}"
 
     join = order.lubs
     for x, y in product(range(n), repeat=2):
@@ -397,7 +390,8 @@ def _self_dual_profile(order: OrderRelation) -> bool:
 
 def run_search(config: SearchConfig) -> SearchResult:
     """Census over all lattices of the configured size (or the fixed
-    one), deduplicating by canonical form; deterministic output."""
+    one): per lattice, the sorted set of canonical keys of its
+    completions, each emitted as the algebra the key encodes."""
     n = config.size
     _check_size(n)
     if config.lattice is not None:
@@ -409,8 +403,9 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     rows = []
     algebras: list[FiniteCLAlgebra] = []
+    orders: dict[tuple, OrderRelation] = {}
     for li, lat in enumerate(lattices):
-        found: dict[tuple, FiniteCLAlgebra] = {}
+        keys: set[tuple] = set()
         if _self_dual_profile(lat):
             bot = lat.least()
             for zero in range(n):
@@ -422,15 +417,11 @@ def run_search(config: SearchConfig) -> SearchResult:
                         continue
                     if popcount(lat.dn[one]) != popcount(lat.up[zero]):
                         continue
-                    prefix = f"cl{n}_l{li}_z{zero}_u{one}"
-                    for alg in complete_to_cl(lat, zero, one, prefix):
-                        key = canonical_form(alg)
-                        if key not in found:
-                            found[key] = alg
-        rows.append(CensusRow(n, li, len(found)))
+                    keys.update(canonical_form(alg) for alg in complete_to_cl(lat, zero, one))
+        rows.append(CensusRow(n, li, len(keys)))
         if not config.count_only:
-            for key in sorted(found):
-                algebras.append(found[key])
+            algebras += [_algebra_from_key(key, f"cl{n}_l{li}_{k}", orders)
+                         for k, key in enumerate(sorted(keys))]
     if config.max_results is not None:
         algebras = algebras[: config.max_results]
     return SearchResult(rows=tuple(rows), algebras=tuple(algebras))

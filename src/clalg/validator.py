@@ -48,15 +48,26 @@ class StructuralFlags:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """All four axiom verdicts; `algebra` and `flags` are set on promotion."""
+    """All four axiom verdicts; `algebra` is set on promotion, and `top`
+    and `flags` are read from it (the flags are computed when read)."""
 
     lattice: Verdict
     monoid: Verdict
     residuation: Verdict
     involution: Verdict
-    top: int | None = None
-    flags: StructuralFlags | None = None
     algebra: FiniteCLAlgebra | None = None
+
+    @property
+    def top(self) -> int | None:
+        return None if self.algebra is None else self.algebra.top
+
+    @property
+    def flags(self) -> StructuralFlags | None:
+        alg = self.algebra
+        if alg is None:
+            return None
+        return StructuralFlags(is_linear(alg), is_distributive_lattice(alg),
+                               is_idempotent(alg), is_residuated_lattice(alg))
 
     @property
     def passed(self) -> bool:
@@ -223,13 +234,7 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
         cand.name, cand.elements, cand.order, cand.mult_table,
         resolved.imp_table, cand.bot, cand.zero, cand.one, top,
     )
-    flags = StructuralFlags(
-        is_linear(sealed),
-        is_distributive_lattice(sealed),
-        is_idempotent(sealed),
-        is_residuated_lattice(sealed),
-    )
-    return ValidationReport(lattice, monoid, residuation, involution, top, flags, sealed)
+    return ValidationReport(lattice, monoid, residuation, involution, sealed)
 
 
 def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:

@@ -172,6 +172,7 @@ def test_parse_error_exit_2(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys, ex1_path):
     assert run(capsys, "validate")[0] == 2  # missing file argument
     assert run(capsys, "search", "--size", "11")[0] == 2
+    assert run(capsys, "search", "--size", "3", "--max-results", "-1")[0] == 2
     assert run(capsys, "quotient", str(ex1_path), "--ideal", "bot,zz")[0] == 2
     assert run(capsys, "validate", "/nonexistent/x.cla")[0] == 2
 

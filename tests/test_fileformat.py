@@ -158,3 +158,34 @@ def test_round_trip_keeps_any_closed_order(case):
         mult_table=((0,) * n,) * n, imp_table=None, bot=0, zero=0, one=0,
     )
     assert parse_algebra(serialize_algebra(cand)).order == cand.order
+
+
+LINEAR_LINES = LINEAR_CLA.splitlines()
+JUNK = st.one_of(st.text(max_size=16), st.sampled_from(LINEAR_LINES))
+
+
+@st.composite
+def mangled_texts(draw):
+    """LINEAR_CLA with lines replaced, inserted or dropped, or its lines
+    shuffled together with arbitrary strings."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(JUNK, max_size=30)))
+    lines = list(LINEAR_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "drop")))
+        if edit == "drop":
+            del lines[i]
+        else:
+            lines[i:i + (edit == "replace")] = [draw(JUNK)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled_texts())
+def test_parser_fuzz_yields_candidate_or_parse_error(text):
+    try:
+        cand = parse_algebra(text)
+    except ParseError:
+        return
+    assert isinstance(cand, AlgebraCandidate)

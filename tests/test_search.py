@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import oracle_census, oracle_lattice_classes, orders_isomorphic
@@ -173,6 +175,8 @@ def test_max_results_caps_list():
     result = run_search(SearchConfig(size=4, max_results=3))
     assert len(result.algebras) == 3
     assert result.total == 9  # the census itself is not truncated
+    with pytest.raises(ValueError):
+        SearchConfig(size=4, max_results=-1)
 
 
 def test_fixed_lattice_config(linear5):
@@ -195,3 +199,40 @@ def test_identity_and_quotient_mass_checks_run_in_search_tests(census):
         for alg in algs:
             assert alg.imp_table is not None
             assert alg.order.leq(alg.bot, alg.top)
+
+
+# sha256 of render_search_result per size: any rewrite of the search
+# must reproduce the census byte for byte
+CENSUS_SHA256 = {
+    2: "e4d093ed985822d592cd30698463f532283d030714fb3f7eba74c0797c6600eb",
+    3: "486376c75f2888763860bde43d4b36edae331f4d6960ba068a7ce2b9aea74989",
+    4: "62962bb0d87608855847237f22581c7772fec05362dbe90dcf674720bc257132",
+    5: "021916b06b1240d01266a669607e7d770a3ae75663bc5f805de8d8e97889250a",
+    6: "20359275cb302c5bffd9cfa63e5db0d09a2a3faf73368ae0168769a8e92270e7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_SHA256))
+def test_census_text_is_pinned(n):
+    text = render_search_result(run_search(SearchConfig(size=n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256[n]
+
+
+def _content(alg):
+    return (alg.elements, alg.order.up, alg.mult_table, alg.imp_table,
+            alg.bot, alg.zero, alg.one, alg.top)
+
+
+def test_census_rows_do_not_depend_on_lattice_labeling(census):
+    perm = (0, 3, 1, 4, 2)  # new index of each old element
+    start = 0
+    for row, lat in zip(count_cl_algebras(SearchConfig(size=5)), enumerate_lattices(5)):
+        relabeled = OrderRelation.from_leq(
+            5, [[lat.leq(perm.index(x), perm.index(y)) for y in range(5)] for x in range(5)])
+        assert relabeled.up != lat.up
+        fixed = run_search(SearchConfig(size=5, lattice=relabeled))
+        expected = census[5][start:start + row.count]
+        assert [_content(a) for a in fixed.algebras] == [_content(a) for a in expected]
+        assert [a.name for a in fixed.algebras] == [
+            f"cl5_l0_{k}" for k in range(row.count)]
+        start += row.count

@@ -157,6 +157,11 @@ def test_is_residuated_lattice(linear5, census):
     two = census[2][0]
     assert two.top == two.one
     assert is_residuated_lattice(two) is True
+    # sealing does not compute the flags, so this is where the
+    # integrality cross-check (EquivalenceBroken) meets every census algebra
+    for algs in census.values():
+        for alg in algs:
+            assert is_residuated_lattice(alg) is (alg.top == alg.one)
 
 
 def test_equivalence_broken_on_tampered_algebra(linear5):
