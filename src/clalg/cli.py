@@ -40,7 +40,7 @@ from .quotient import (
     theorem_suite,
 )
 from .replay import confirm_witness
-from .search import SearchConfig, render_search_result, run_search
+from .search import SIZE_MAX, SIZE_MIN, SearchConfig, render_search_result, run_search
 from .validator import Verdict, validate
 
 SCHEMA_VERSION = 1
@@ -57,10 +57,6 @@ def _render_index(alg: AlgebraCandidate, value) -> object:
     if isinstance(value, int) and not isinstance(value, bool):
         return alg.name_of(value)
     return value
-
-
-def _witness_payload(alg: AlgebraCandidate, witness: tuple | None) -> list | None:
-    return None if witness is None else _render_index(alg, witness)
 
 
 class _Run:
@@ -83,7 +79,7 @@ class _Run:
         entry = {
             "check": verdict.law,
             "status": status,
-            "witness": _witness_payload(alg, verdict.witness),
+            "witness": _render_index(alg, verdict.witness),
         }
         if verdict.detail:
             entry["detail"] = verdict.detail
@@ -259,7 +255,7 @@ def _cmd_quotient(run: _Run) -> None:
         cong = congruence_from_ideal(alg, ideal)
     except NotEquivalence as exc:
         run.payload["congruence"] = {"error": "not_an_equivalence",
-                                     "witness": _witness_payload(alg, exc.witness)}
+                                     "witness": _render_index(alg, exc.witness)}
         run.human.append(f"relation is not an equivalence: witness={exc.witness}")
         run.fail()
         return
@@ -282,7 +278,7 @@ def _cmd_quotient(run: _Run) -> None:
     except QuotientInvalid as exc:
         detail: dict = {"error": str(exc)}
         if exc.witness is not None:
-            detail["witness"] = _witness_payload(alg, exc.witness)
+            detail["witness"] = _render_index(alg, exc.witness)
         if exc.report is not None:
             detail["verdicts"] = [run.verdict_entry(alg, v) for v in exc.report.verdicts]
         run.payload["quotient"] = detail
@@ -354,8 +350,7 @@ def _cmd_search(run: _Run) -> None:
     try:
         config = SearchConfig(
             size=run.args.size,
-            max_results=run.args.max_results,
-            count_only=run.args.count_only,
+            max_results=0 if run.args.count_only else run.args.max_results,
         )
     except ValueError as exc:
         raise _Usage(str(exc)) from None
@@ -366,7 +361,7 @@ def _cmd_search(run: _Run) -> None:
         for r in result.rows
     ]
     run.payload["total"] = result.total
-    if not config.count_only:
+    if not run.args.count_only:
         run.payload["algebras"] = [serialize_algebra(a) for a in result.algebras]
     run.human.extend(text.rstrip("\n").splitlines())
 
@@ -433,8 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", metavar="LIST", required=True)
 
     p = sub.add_parser("search", help="enumerate CL-algebras up to isomorphism")
-    p.add_argument("--size", type=int, required=True, choices=range(2, 9),
-                   metavar="N", help="universe size (2..8)")
+    p.add_argument("--size", type=int, required=True, choices=range(SIZE_MIN, SIZE_MAX + 1),
+                   metavar="N", help=f"universe size ({SIZE_MIN}..{SIZE_MAX})")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--max-results", type=int, metavar="K")
     p.add_argument("--json", action="store_true")

@@ -7,13 +7,16 @@ meet-closed, and a finite meet-semilattice with a top is a lattice, so
 the incremental meet check loses nothing).  Each lattice is then
 canonically relabeled and deduplicated.
 
-Completions fill a commutative fusion table by backtracking.  The unit
-row is fixed, the bottom row is forced to bottom (residuation plus the
-least element leave no other choice), commutativity halves the table,
-and partial tables are pruned by monotonicity, partial associativity
-and partial join-distribution.  Completed tables get a cheap
-negation-column involution filter before the implication table is
-derived, and every survivor is sealed by the full validator.
+Completions fill a commutative fusion table by backtracking, one search
+per (lattice, unit).  The unit row is fixed, the bottom row is forced
+to bottom (residuation plus the least element leave no other choice),
+commutativity halves the table, and partial tables are pruned by
+monotonicity, partial associativity and partial join-distribution;
+none of this reads zero.  Zero is read off each finished table: every
+zero whose down/up profile mirrors the unit's gets a cheap
+negation-column involution filter, the implication table is derived
+once for the table, and every survivor is sealed by the full
+validator.
 
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
@@ -36,7 +39,6 @@ from .core import (
     AlgebraCandidate,
     AlgebraError,
     FiniteCLAlgebra,
-    NoResidual,
     NotALattice,
     OrderRelation,
     derive_implication,
@@ -63,7 +65,6 @@ def _check_size(n: int) -> None:
 class SearchConfig:
     size: int
     max_results: int | None = None
-    count_only: bool = False
     lattice: OrderRelation | None = None
 
     def __post_init__(self):
@@ -233,20 +234,22 @@ def _algebra_from_key(key: tuple, name: str,
     ))
 
 
-def complete_to_cl(order: OrderRelation, zero: int, one: int) -> list[FiniteCLAlgebra]:
-    """All CL-algebras on a labeled lattice with the given zero and one.
+def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
+    """All CL-algebras on a labeled lattice with the given one, over
+    every zero.
 
-    Returns raw completions (not deduplicated by isomorphism) in a
-    deterministic backtracking order; every result is validator-sealed.
+    One backtracking search fills the fusion table, which zero does not
+    enter; each finished table is then tried against every zero whose
+    down/up profile mirrors one's.  Returns raw completions (not
+    deduplicated by isomorphism) in a deterministic order; every result
+    is validator-sealed.
     """
     n = order.n
-    for label, v in (("zero", zero), ("one", one)):
-        if not 0 <= v < n:
-            raise ValueError(f"{label} index {v} out of range")
+    if not 0 <= one < n:
+        raise ValueError(f"one index {one} out of range")
     bot = order.least()
     if bot is None:
         raise ValueError("order has no least element")
-    name_prefix = f"cl{n}_z{zero}_u{one}"
 
     join = order.lubs
     for x, y in product(range(n), repeat=2):
@@ -258,20 +261,23 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int) -> list[FiniteCLAl
 
     if n == 1:
         return [seal(AlgebraCandidate(
-            name=f"{name_prefix}_0", elements=elements, order=order,
+            name="cl1_z0_u0_0", elements=elements, order=order,
             mult_table=((0,),), imp_table=None, bot=0, zero=0, one=0,
         ))]
 
     if one == bot:
         return []  # the unit row must be the identity, the bottom row constant
+    up = order.up
+    dn = order.dn
+    # negation swaps zero and one and inverts the order
+    zeros = [z for z in range(n)
+             if popcount(up[one]) == popcount(dn[z]) and popcount(dn[one]) == popcount(up[z])]
+    if not zeros:
+        return []
 
     tab: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
         tab[bot][x] = tab[x][bot] = bot
-    for x in range(n):
-        cur = tab[one][x]
-        if cur is not None and cur != x:
-            return []
         tab[one][x] = tab[x][one] = x
 
     cells = [
@@ -280,8 +286,6 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int) -> list[FiniteCLAl
         for y in range(x, n)
         if x != bot and x != one and y != bot and y != one
     ]
-    up = order.up
-    dn = order.dn
 
     def value_ok(x, y, v):
         # monotonicity of the partial table against every filled cell
@@ -339,27 +343,22 @@ def complete_to_cl(order: OrderRelation, zero: int, one: int) -> list[FiniteCLAl
         return True
 
     def finish():
-        # negation column + involution: cheap, happens before deriving imp
-        try:
-            negcol = [residual(order, tab, x, zero) for x in range(n)]
-        except NoResidual:
+        # a finished table distributes over joins and bot absorbs, so
+        # every residual exists; the negation column is the cheap filter
+        negs = {z: [residual(order, tab, x, z) for x in range(n)] for z in zeros}
+        involutive = [z for z, neg in negs.items() if all(neg[neg[x]] == x for x in range(n))]
+        if not involutive:
             return
-        for x in range(n):
-            if negcol[negcol[x]] != x:
-                return
         mult = tuple(tuple(row) for row in tab)
-        try:
-            imp = derive_implication(order, mult)
-        except NoResidual:
-            return
-        cand = AlgebraCandidate(
-            name=f"{name_prefix}_{len(results)}", elements=elements,
-            order=order, mult_table=mult, imp_table=imp,
-            bot=bot, zero=zero, one=one,
-        )
-        report = validate(cand)
-        if report.algebra is not None:
-            results.append(report.algebra)
+        imp = derive_implication(order, mult)
+        for zero in involutive:
+            report = validate(AlgebraCandidate(
+                name=f"cl{n}_z{zero}_u{one}_{len(results)}", elements=elements,
+                order=order, mult_table=mult, imp_table=imp,
+                bot=bot, zero=zero, one=one,
+            ))
+            if report.algebra is not None:
+                results.append(report.algebra)
 
     def dfs(k):
         if k == len(cells):
@@ -402,33 +401,22 @@ def run_search(config: SearchConfig) -> SearchResult:
         lattices = enumerate_lattices(n)
 
     rows = []
-    algebras: list[FiniteCLAlgebra] = []
-    orders: dict[tuple, OrderRelation] = {}
+    named: list[tuple[str, tuple]] = []
     for li, lat in enumerate(lattices):
         keys: set[tuple] = set()
         if _self_dual_profile(lat):
-            bot = lat.least()
-            for zero in range(n):
-                for one in range(n):
-                    if one == bot:
-                        continue
-                    # negation swaps zero and one and inverts the order
-                    if popcount(lat.up[one]) != popcount(lat.dn[zero]):
-                        continue
-                    if popcount(lat.dn[one]) != popcount(lat.up[zero]):
-                        continue
-                    keys.update(canonical_form(alg) for alg in complete_to_cl(lat, zero, one))
+            for one in range(n):
+                keys.update(canonical_form(alg) for alg in complete_to_cl(lat, one))
         rows.append(CensusRow(n, li, len(keys)))
-        if not config.count_only:
-            algebras += [_algebra_from_key(key, f"cl{n}_l{li}_{k}", orders)
-                         for k, key in enumerate(sorted(keys))]
-    if config.max_results is not None:
-        algebras = algebras[: config.max_results]
-    return SearchResult(rows=tuple(rows), algebras=tuple(algebras))
+        named += [(f"cl{n}_l{li}_{k}", key) for k, key in enumerate(sorted(keys))]
+    orders: dict[tuple, OrderRelation] = {}
+    algebras = tuple(_algebra_from_key(key, name, orders)
+                     for name, key in named[:config.max_results])
+    return SearchResult(rows=tuple(rows), algebras=algebras)
 
 
 def count_cl_algebras(config: SearchConfig) -> tuple[CensusRow, ...]:
-    return run_search(replace(config, count_only=True)).rows
+    return run_search(replace(config, max_results=0)).rows
 
 
 def render_search_result(result: SearchResult) -> str:

@@ -31,7 +31,6 @@ from .core import (
     FiniteCLAlgebra,
     NoResidual,
     NotALattice,
-    Table,
     derive_implication,
     residual,
 )
@@ -169,12 +168,10 @@ RESIDUATION = (
 INVOLUTION = (Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else ()),)
 
 
-def _imp_or_derive(cand: AlgebraCandidate, imp_table: Table | None = None) -> AlgebraCandidate:
+def _imp_or_derive(cand: AlgebraCandidate) -> AlgebraCandidate:
     """The candidate carrying the implication table the residuation and
-    involution laws read: `imp_table`, else its own, else the derived
-    one; without a table when none is derivable."""
-    if imp_table is not None:
-        return cand.with_imp(imp_table)
+    involution laws read: its own, else the derived one; without a table
+    when none is derivable."""
     if cand.has_imp:
         return cand
     try:
@@ -191,13 +188,13 @@ def check_monoid(cand: AlgebraCandidate) -> Verdict:
     return first_violation("monoid", MONOID, cand)
 
 
-def check_residuation(cand: AlgebraCandidate, imp_table: Table | None = None) -> Verdict:
-    return first_violation("residuation", RESIDUATION, _imp_or_derive(cand, imp_table))
+def check_residuation(cand: AlgebraCandidate) -> Verdict:
+    return first_violation("residuation", RESIDUATION, _imp_or_derive(cand))
 
 
-def check_involution(cand: AlgebraCandidate, imp_table: Table | None = None) -> Verdict:
+def check_involution(cand: AlgebraCandidate) -> Verdict:
     """Raises ImplicationAbsent when no implication table is derivable."""
-    return first_violation("involution", INVOLUTION, _imp_or_derive(cand, imp_table))
+    return first_violation("involution", INVOLUTION, _imp_or_derive(cand))
 
 
 def validate(cand: AlgebraCandidate) -> ValidationReport:

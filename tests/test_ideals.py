@@ -153,7 +153,7 @@ def test_zero_downset(linear5, nonlinear6, census):
     from clalg.core import OrderRelation
     from clalg.search import complete_to_cl
 
-    one = complete_to_cl(OrderRelation.from_covers(1, []), 0, 0)[0]
+    one = complete_to_cl(OrderRelation.from_covers(1, []), 0)[0]
     assert zero_downset(one).bits == 1
 
 

@@ -26,7 +26,7 @@ def test_all_pass_on_one_element():
     from clalg.search import complete_to_cl
     from clalg.core import OrderRelation
 
-    one = complete_to_cl(OrderRelation.from_covers(1, []), 0, 0)[0]
+    one = complete_to_cl(OrderRelation.from_covers(1, []), 0)[0]
     assert suite_passed(run_identity_suite(one))
 
 

@@ -42,20 +42,20 @@ def test_size_bounds():
 
 
 def test_complete_one_element_lattice():
-    algs = complete_to_cl(OrderRelation.from_covers(1, []), 0, 0)
+    algs = complete_to_cl(OrderRelation.from_covers(1, []), 0)
     assert len(algs) == 1
     assert algs[0].n == 1 and algs[0].top == 0
 
 
 def test_complete_two_chain():
     chain = OrderRelation.from_covers(2, [(0, 1)])
-    assert len(complete_to_cl(chain, 0, 1)) == 1  # zero=bot, one=top
-    assert complete_to_cl(chain, 1, 1) == []  # involution rules this out
-    assert complete_to_cl(chain, 0, 0) == []  # the unit cannot be bot
+    # one=top: zero=bot only, zero=top is ruled out by the involution
+    assert [a.zero for a in complete_to_cl(chain, 1)] == [0]
+    assert complete_to_cl(chain, 0) == []  # the unit cannot be bot
 
 
 def test_completions_contain_the_linear_fixture(linear5):
-    found = complete_to_cl(linear5.order, linear5.zero, linear5.one)
+    found = complete_to_cl(linear5.order, linear5.one)
     target = canonical_form(linear5)
     assert any(canonical_form(alg) == target for alg in found)
 
@@ -119,9 +119,8 @@ def test_canonical_form_equality_is_isomorphism(census):
 
     diamond = OrderRelation.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     raw = []
-    for zero in range(4):
-        for one in range(4):
-            raw.extend(complete_to_cl(diamond, zero, one))
+    for one in range(4):
+        raw.extend(complete_to_cl(diamond, one))
     assert len(raw) > len({canonical_form(a) for a in raw})
     for i, a in enumerate(raw):
         for b in raw[i + 1:]:
@@ -159,7 +158,7 @@ def test_search_output_is_deterministic():
 
 def test_count_only_matches_full_rows():
     full = run_search(SearchConfig(size=4))
-    counted = run_search(SearchConfig(size=4, count_only=True))
+    counted = run_search(SearchConfig(size=4, max_results=0))
     assert counted.rows == full.rows
     assert counted.algebras == ()
     assert count_cl_algebras(SearchConfig(size=4)) == full.rows
@@ -179,10 +178,23 @@ def test_max_results_caps_list():
         SearchConfig(size=4, max_results=-1)
 
 
+def test_max_results_seals_only_what_it_returns(monkeypatch):
+    calls = []
+
+    def counting_seal(cand):
+        calls.append(cand.name)
+        return seal(cand)
+
+    monkeypatch.setattr("clalg.search.seal", counting_seal)
+    result = run_search(SearchConfig(size=5, max_results=1))
+    assert [a.name for a in result.algebras] == calls == ["cl5_l0_0"]
+    assert result.total == 21
+
+
 def test_fixed_lattice_config(linear5):
     result = run_search(SearchConfig(size=5, lattice=linear5.order))
     assert len(result.rows) == 1
-    full = run_search(SearchConfig(size=5, count_only=True))
+    full = run_search(SearchConfig(size=5, max_results=0))
     chain_rows = [
         row for row, lat in zip(full.rows, enumerate_lattices(5))
         if orders_isomorphic(lat.up, linear5.order.up)

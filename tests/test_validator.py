@@ -14,6 +14,7 @@ from clalg.validator import (
     check_involution,
     check_lattice,
     check_monoid,
+    check_residuation,
     is_distributive_lattice,
     is_idempotent,
     is_linear,
@@ -107,6 +108,13 @@ def test_check_monoid_associativity_witness():
         mult_table=mult, imp_table=None, bot=0, zero=0, one=2,
     )
     assert check_monoid(cand).witness == ("associativity", 0, 0, 1)
+
+
+def test_check_residuation_witness(linear5_candidate, nonlinear6):
+    assert check_residuation(linear5_candidate).ok
+    verdict = check_residuation(nonlinear6)
+    assert (verdict.law, verdict.ok) == ("residuation", False)
+    assert verdict.witness == ("adjunction", 2, 4, 1)
 
 
 def test_check_involution_witness(linear5_candidate):
