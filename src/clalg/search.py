@@ -7,16 +7,22 @@ meet-closed, and a finite meet-semilattice with a top is a lattice, so
 the incremental meet check loses nothing).  Each lattice is then
 canonically relabeled and deduplicated.
 
-Completions fill a commutative fusion table by backtracking, one search
-per (lattice, unit).  The unit row is fixed, the bottom row is forced
-to bottom (residuation plus the least element leave no other choice),
-commutativity halves the table, and partial tables are pruned by
-monotonicity, partial associativity and partial join-distribution;
-none of this reads zero.  Zero is read off each finished table: every
-zero whose down/up profile mirrors the unit's gets a cheap
-negation-column involution filter, the implication table is derived
-once for the table, and every survivor is sealed by the full
-validator.
+Completions are involution-first.  A CL-algebra's negation x -> zero
+is an order-reversing involution sigma of the lattice with zero =
+sigma(one), so the lattice's automorphisms and its order-reversing
+involutions are listed first, by backtracking.  run_search takes one
+unit per automorphism orbit, and complete_to_cl one sigma per class
+under conjugation by the automorphisms fixing that unit; a lattice
+without such a sigma has no completion.  Per (one, sigma) a
+backtracking search fills a commutative fusion table: the unit row is
+fixed, the bottom row is forced to bottom (residuation plus the least
+element leave no other choice), commutativity halves the table, and
+partial tables are pruned by monotonicity, partial associativity,
+partial join-distribution and the rotation law x*y <= sigma(w) iff
+x*w <= sigma(y) (both say x*y*w <= zero).  On a finished table the
+rotation law makes sigma the negation and x -> y = sigma(x *
+sigma(y)) the residual, so the implication is read off sigma and every
+survivor is sealed by the full validator.
 
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
@@ -41,10 +47,9 @@ from .core import (
     FiniteCLAlgebra,
     NotALattice,
     OrderRelation,
-    derive_implication,
+    Table,
     iter_bits,
     popcount,
-    residual,
 )
 from .validator import seal, validate
 
@@ -234,46 +239,71 @@ def _algebra_from_key(key: tuple, name: str,
     ))
 
 
-def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
-    """All CL-algebras on a labeled lattice with the given one, over
-    every zero.
-
-    One backtracking search fills the fusion table, which zero does not
-    enter; each finished table is then tried against every zero whose
-    down/up profile mirrors one's.  Returns raw completions (not
-    deduplicated by isomorphism) in a deterministic order; every result
-    is validator-sealed.
-    """
+def _order_maps(order: OrderRelation, reverse: bool) -> list[tuple[int, ...]]:
+    """Every bijection p with x <= y iff p(x) <= p(y) (automorphisms),
+    or iff p(y) <= p(x) when `reverse` (dual automorphisms), found by
+    backtracking over the images of 0, 1, ... in turn."""
     n = order.n
-    if not 0 <= one < n:
-        raise ValueError(f"one index {one} out of range")
+    up, dn = order.up, order.dn
+    # p(x) has x's down-set size, or its up-set size when reversing
+    want = [popcount((up if reverse else dn)[x]) for x in range(n)]
+    p: list[int] = []
+    out = []
+
+    def fits(x, c):
+        for j, pj in enumerate(p):
+            lo, hi = up[pj] >> c & 1, up[c] >> pj & 1
+            if reverse:
+                lo, hi = hi, lo
+            if (up[j] >> x & 1, up[x] >> j & 1) != (lo, hi):
+                return False
+        return True
+
+    def rec(x):
+        if x == n:
+            out.append(tuple(p))
+            return
+        for c in range(n):
+            if c not in p and popcount(dn[c]) == want[x] and fits(x, c):
+                p.append(c)
+                rec(x + 1)
+                p.pop()
+
+    rec(0)
+    return out
+
+
+def _involutions(order: OrderRelation) -> list[tuple[int, ...]]:
+    """The order-reversing involutions of the lattice: the only tables a
+    CL-algebra's negation x -> zero can have."""
+    return [s for s in _order_maps(order, reverse=True)
+            if all(s[s[x]] == x for x in range(order.n))]
+
+
+def _orbit_reps(items, images) -> list:
+    """The first item of each orbit, in the order of `items`;
+    images(item) lists the item's orbit."""
+    seen: set = set()
+    reps = []
+    for item in items:
+        if item not in seen:
+            reps.append(item)
+            seen.update(images(item))
+    return reps
+
+
+def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> list[Table]:
+    """Every commutative fusion table on the lattice with unit `one`
+    that is monotone, associative, distributes over joins and satisfies
+    the rotation law x*y <= sigma(w) iff x*w <= sigma(y), by
+    backtracking over the cells outside the unit and bottom rows."""
+    n = order.n
     bot = order.least()
-    if bot is None:
-        raise ValueError("order has no least element")
-
     join = order.lubs
-    for x, y in product(range(n), repeat=2):
-        if join[x][y] is None:
-            raise NotALattice(x, y, "join")
-
-    elements = tuple(f"e{i}" for i in range(n))
-    results: list[FiniteCLAlgebra] = []
-
-    if n == 1:
-        return [seal(AlgebraCandidate(
-            name="cl1_z0_u0_0", elements=elements, order=order,
-            mult_table=((0,),), imp_table=None, bot=0, zero=0, one=0,
-        ))]
-
-    if one == bot:
-        return []  # the unit row must be the identity, the bottom row constant
     up = order.up
     dn = order.dn
-    # negation swaps zero and one and inverts the order
-    zeros = [z for z in range(n)
-             if popcount(up[one]) == popcount(dn[z]) and popcount(dn[one]) == popcount(up[z])]
-    if not zeros:
-        return []
+    # bit c of under_neg[v] is set iff v <= sigma(c)
+    under_neg = [sum(1 << c for c in range(n) if up[v] >> sigma[c] & 1) for v in range(n)]
 
     tab: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -286,8 +316,24 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
         for y in range(x, n)
         if x != bot and x != one and y != bot and y != one
     ]
+    tables: list[Table] = []
 
     def value_ok(x, y, v):
+        # rotation law against the filled cells of rows x and y: both
+        # sides say x*y*c <= zero.  The preset rows satisfy it for every
+        # order-reversing involution (one's row by x <= sigma(y) iff
+        # y <= sigma(x), bot's row and column trivially), so checking
+        # each new cell covers every pair of filled cells.
+        rowx = tab[x]
+        rowy = tab[y]
+        vmask = under_neg[v]
+        for c in range(n):
+            w = rowx[c]
+            if w is not None and (vmask >> c & 1) != (under_neg[w] >> y & 1):
+                return False
+            w = rowy[c]
+            if w is not None and (vmask >> c & 1) != (under_neg[w] >> x & 1):
+                return False
         # monotonicity of the partial table against every filled cell
         for p in range(n):
             rowp = tab[p]
@@ -342,27 +388,9 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
                         return False
         return True
 
-    def finish():
-        # a finished table distributes over joins and bot absorbs, so
-        # every residual exists; the negation column is the cheap filter
-        negs = {z: [residual(order, tab, x, z) for x in range(n)] for z in zeros}
-        involutive = [z for z, neg in negs.items() if all(neg[neg[x]] == x for x in range(n))]
-        if not involutive:
-            return
-        mult = tuple(tuple(row) for row in tab)
-        imp = derive_implication(order, mult)
-        for zero in involutive:
-            report = validate(AlgebraCandidate(
-                name=f"cl{n}_z{zero}_u{one}_{len(results)}", elements=elements,
-                order=order, mult_table=mult, imp_table=imp,
-                bot=bot, zero=zero, one=one,
-            ))
-            if report.algebra is not None:
-                results.append(report.algebra)
-
     def dfs(k):
         if k == len(cells):
-            finish()
+            tables.append(tuple(tuple(row) for row in tab))
             return
         x, y = cells[k]
         for v in range(n):
@@ -376,15 +404,69 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
                     tab[y][x] = None
 
     dfs(0)
+    return tables
+
+
+def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
+    """CL-algebras on a labeled lattice with the given one: at least one
+    from each isomorphism class, over every zero.
+
+    A CL-algebra's negation x -> zero is an order-reversing involution
+    sigma with zero = sigma(one).  For one sigma per class under
+    conjugation by the lattice automorphisms that fix one, the fusion
+    tables are filled by backtracking under the rotation law; on a
+    finished table that law makes x -> zero = sigma(x), so the
+    implication is read as x -> y = sigma(x * sigma(y)).  Returns raw
+    completions (not deduplicated by isomorphism) in a deterministic
+    order; every result is validator-sealed.
+    """
+    n = order.n
+    if not 0 <= one < n:
+        raise ValueError(f"one index {one} out of range")
+    bot = order.least()
+    if bot is None:
+        raise ValueError("order has no least element")
+
+    join = order.lubs
+    for x, y in product(range(n), repeat=2):
+        if join[x][y] is None:
+            raise NotALattice(x, y, "join")
+
+    elements = tuple(f"e{i}" for i in range(n))
+
+    if n == 1:
+        return [seal(AlgebraCandidate(
+            name="cl1_z0_u0_0", elements=elements, order=order,
+            mult_table=((0,),), imp_table=None, bot=0, zero=0, one=0,
+        ))]
+
+    if one == bot:
+        return []  # the unit row must be the identity, the bottom row constant
+
+    stabilizer = [p for p in _order_maps(order, reverse=False) if p[one] == one]
+
+    def conjugates(sigma):
+        out = []
+        for p in stabilizer:
+            image = [0] * n
+            for x in range(n):
+                image[p[x]] = p[sigma[x]]
+            out.append(tuple(image))
+        return out
+
+    results: list[FiniteCLAlgebra] = []
+    for sigma in _orbit_reps(_involutions(order), conjugates):
+        zero = sigma[one]
+        for mult in _fusion_tables(order, one, sigma):
+            imp = tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n)) for x in range(n))
+            report = validate(AlgebraCandidate(
+                name=f"cl{n}_z{zero}_u{one}_{len(results)}", elements=elements,
+                order=order, mult_table=mult, imp_table=imp,
+                bot=bot, zero=zero, one=one,
+            ))
+            if report.algebra is not None:
+                results.append(report.algebra)
     return results
-
-
-def _self_dual_profile(order: OrderRelation) -> bool:
-    # involution is an order anti-automorphism, so the degree profile
-    # must be symmetric or no completion can exist
-    prof = sorted((popcount(order.dn[i]), popcount(order.up[i])) for i in range(order.n))
-    dual = sorted((popcount(order.up[i]), popcount(order.dn[i])) for i in range(order.n))
-    return prof == dual
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -404,9 +486,9 @@ def run_search(config: SearchConfig) -> SearchResult:
     named: list[tuple[str, tuple]] = []
     for li, lat in enumerate(lattices):
         keys: set[tuple] = set()
-        if _self_dual_profile(lat):
-            for one in range(n):
-                keys.update(canonical_form(alg) for alg in complete_to_cl(lat, one))
+        autos = _order_maps(lat, reverse=False)
+        for one in _orbit_reps(range(n), lambda u: [p[u] for p in autos]):
+            keys.update(canonical_form(alg) for alg in complete_to_cl(lat, one))
         rows.append(CensusRow(n, li, len(keys)))
         named += [(f"cl{n}_l{li}_{k}", key) for k, key in enumerate(sorted(keys))]
     orders: dict[tuple, OrderRelation] = {}

@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations, used only by tests.
 
 Everything here expands quantifiers literally over raw table entries and
-order masks, with no pruning and no reuse of the package's derived
-operations; the only shared surface is reading the candidate's fields.
-Scan orders mirror the documented validator contract so that first
-witnesses are comparable.
+order masks, with no reuse of the package's derived operations; the only
+shared surface is reading the candidate's fields, and nothing here
+imports the package.  The one pruned search, the second census
+enumerator `oracle_dfs_count`, accepts only tables that pass the literal
+all-axiom test.  Scan orders mirror the documented validator contract so
+that first witnesses are comparable.
 """
 
 from __future__ import annotations
@@ -274,13 +276,19 @@ def oracle_posets_naturally_labeled(n: int):
     return out
 
 
-def _up_is_lattice(up: tuple[int, ...]) -> bool:
+def _down_masks(up: tuple[int, ...]) -> list[int]:
     n = len(up)
     dn = [0] * n
     for x in range(n):
         for y in range(n):
             if up[x] >> y & 1:
                 dn[y] |= 1 << x
+    return dn
+
+
+def _up_is_lattice(up: tuple[int, ...]) -> bool:
+    n = len(up)
+    dn = _down_masks(up)
     for x in range(n):
         for y in range(n):
             lb = dn[x] & dn[y]
@@ -373,25 +381,54 @@ def _oracle_is_cl_table(up, dn, mult, zero, one, bot_unchecked=None) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class PlainOrder:
+    up: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PlainAlgebra:
+    """The fields of an algebra that the oracles read, as plain data."""
+
+    order: PlainOrder
+    mult_table: tuple[tuple[int, ...], ...]
+    imp_table: tuple[tuple[int, ...], ...]
+    bot: int
+    zero: int
+    one: int
+
+    @property
+    def n(self) -> int:
+        return len(self.order.up)
+
+
+def _literal_imp(up, dn, mult):
+    """x -> y as the greatest z with x*z <= y, read literally."""
+    n = len(up)
+    rows = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            s = [z for z in range(n) if dn[y] >> mult[x][z] & 1]
+            row.append([g for g in s if all(up[z] >> g & 1 for z in s)][0])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def oracle_census(n: int):
     """Naive census: for each lattice class, every (zero, one) placement
     and every commutative table with the unit row fixed, validated
     literally and bucketed by isomorphism.
 
     Returns (lattice_reps, counts, algebras_per_lattice) where algebras
-    are (up, mult, imp, zero, one) tuples of the class representatives.
+    are PlainAlgebra records of the class representatives.
     """
-    from clalg.core import AlgebraCandidate, OrderRelation
-
     reps = oracle_lattice_classes(n)
     counts = []
     all_found = []
     for up in reps:
-        dn = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if up[x] >> y & 1:
-                    dn[y] |= 1 << x
+        dn = _down_masks(up)
+        bot = [x for x in range(n) if up[x] == (1 << n) - 1][0]
         found = []
         cells_base = [(x, y) for x in range(n) for y in range(x, n)]
         for one in range(n):
@@ -405,22 +442,109 @@ def oracle_census(n: int):
                         mult[x][y] = mult[y][x] = v
                     if not _oracle_is_cl_table(up, dn, mult, zero, one):
                         continue
-                    order = OrderRelation(n, tuple(up))
-                    imp = [[0] * n for _ in range(n)]
-                    for x in range(n):
-                        for y in range(n):
-                            s = [z for z in range(n) if dn[y] >> mult[x][z] & 1]
-                            imp[x][y] = [g for g in s if all(up[z] >> g & 1 for z in s)][0]
-                    cand = AlgebraCandidate(
-                        name=f"oracle{n}", elements=tuple(f"e{i}" for i in range(n)),
-                        order=order,
+                    cand = PlainAlgebra(
+                        order=PlainOrder(tuple(up)),
                         mult_table=tuple(tuple(r) for r in mult),
-                        imp_table=tuple(tuple(r) for r in imp),
-                        bot=[x for x in range(n) if up[x] == (1 << n) - 1][0],
-                        zero=zero, one=one,
+                        imp_table=_literal_imp(up, dn, mult),
+                        bot=bot, zero=zero, one=one,
                     )
                     if not any(algebras_isomorphic(cand, other) for other in found):
                         found.append(cand)
         counts.append(len(found))
         all_found.append(found)
     return reps, counts, all_found
+
+
+def oracle_order_maps(up: tuple[int, ...], reverse: bool) -> list[tuple[int, ...]]:
+    """Every permutation p, in lexicographic order, with x <= y iff
+    p(x) <= p(y), or iff p(y) <= p(x) when `reverse`."""
+    n = len(up)
+    return [p for p in permutations(range(n))
+            if all((up[x] >> y & 1) == (up[p[y]] >> p[x] & 1 if reverse else up[p[x]] >> p[y] & 1)
+                   for x in range(n) for y in range(n))]
+
+
+def oracle_dfs_count(up: tuple[int, ...]) -> int:
+    """Isomorphism classes of CL-algebras on one labeled lattice, by a
+    second enumerator that shares no code with the package's search.
+
+    Per unit, one backtracking search fills a commutative fusion table
+    (unit row fixed, bottom row bottom), pruned by monotonicity, partial
+    associativity and partial join-distribution.  Every finished table
+    is tried against every zero with the literal all-axiom test, and the
+    survivors are keyed by their least encoding over the lattice's
+    automorphisms (an isomorphism between two algebras on one labeled
+    lattice is one of them), found by scanning all permutations.
+    """
+    n = len(up)
+    dn = _down_masks(up)
+    bot = [x for x in range(n) if up[x] == (1 << n) - 1][0]
+    join = [[[g for g in bits_of(up[x] & up[y]) if up[x] & up[y] & ~up[g] == 0][0]
+             for y in range(n)] for x in range(n)]
+    autos = oracle_order_maps(up, reverse=False)
+    keys = set()
+    for one in range(n):
+        if n > 1 and one == bot:
+            continue
+        tab = [[None] * n for _ in range(n)]
+        for x in range(n):
+            tab[bot][x] = tab[x][bot] = bot
+            tab[one][x] = tab[x][one] = x
+        cells = [(x, y) for x in range(n) for y in range(x, n)
+                 if tab[x][y] is None]
+
+        def monotone(x, y, v):
+            for p, q in product(range(n), repeat=2):
+                w = tab[p][q]
+                if w is None:
+                    continue
+                if up[p] >> x & 1 and up[q] >> y & 1 and not up[w] >> v & 1:
+                    return False
+                if up[x] >> p & 1 and up[y] >> q & 1 and not up[v] >> w & 1:
+                    return False
+            return True
+
+        def consistent():
+            for p in range(n):
+                row = tab[p]
+                for q in range(n):
+                    pq = row[q]
+                    if pq is None:
+                        continue
+                    for r in range(n):
+                        qr, pr = tab[q][r], row[r]
+                        if qr is not None and None not in (tab[pq][r], row[qr]) \
+                                and tab[pq][r] != row[qr]:
+                            return False  # (p*q)*r != p*(q*r)
+                        pj = row[join[q][r]]
+                        if pr is not None and pj is not None and pj != join[pq][pr]:
+                            return False  # p*(q v r) != p*q v p*r
+            return True
+
+        def finish():
+            mult = tuple(tuple(row) for row in tab)
+            imp = _literal_imp(up, dn, mult)
+            for zero in range(n):
+                if any(imp[imp[x][zero]][zero] != x for x in range(n)):
+                    continue  # cheap involution filter before the literal test
+                if not _oracle_is_cl_table(up, dn, mult, zero, one):
+                    continue
+                keys.add(min(
+                    (p[zero], p[one], tuple(p[mult[x][y]] for x in inv for y in inv))
+                    for p in autos
+                    for inv in [sorted(range(n), key=p.__getitem__)]))
+
+        def dfs(k):
+            if k == len(cells):
+                finish()
+                return
+            x, y = cells[k]
+            for v in range(n):
+                if monotone(x, y, v):
+                    tab[x][y] = tab[y][x] = v
+                    if consistent():
+                        dfs(k + 1)
+                    tab[x][y] = tab[y][x] = None
+
+        dfs(0)
+    return len(keys)

@@ -1,13 +1,22 @@
 import hashlib
+from itertools import product
 
 import pytest
 
-from oracles import oracle_census, oracle_lattice_classes, orders_isomorphic
+from oracles import (
+    oracle_census,
+    oracle_dfs_count,
+    oracle_lattice_classes,
+    oracle_order_maps,
+    orders_isomorphic,
+)
 
-from clalg.core import OrderRelation
+from clalg.core import NotALattice, OrderRelation
 from clalg.search import (
     SearchConfig,
     SizeOutOfRange,
+    _involutions,
+    _order_maps,
     canonical_form,
     complete_to_cl,
     count_cl_algebras,
@@ -128,6 +137,35 @@ def test_canonical_form_equality_is_isomorphism(census):
             assert same == algebras_isomorphic(a, b), (a.name, b.name)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_census_rows_equal_second_enumerator(n):
+    # a stdlib-only DFS over every (zero, one) pair, with no negation
+    # first, no rotation law and no orbit reduction
+    rows = count_cl_algebras(SearchConfig(size=n))
+    assert [oracle_dfs_count(lat.up) for lat in enumerate_lattices(n)] == [
+        row.count for row in rows]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_order_maps_equal_permutation_scan(n):
+    for lat in enumerate_lattices(n):
+        assert _order_maps(lat, reverse=False) == oracle_order_maps(lat.up, reverse=False)
+        assert _involutions(lat) == [
+            s for s in oracle_order_maps(lat.up, reverse=True)
+            if all(s[s[x]] == x for x in range(n))]
+
+
+def test_rotation_law_holds_on_the_census(census):
+    # x*y <= ~w iff x*w <= ~y, with ~w = w -> zero read from the table
+    algebras = [a for algs in census.values() for a in algs]
+    algebras += run_search(SearchConfig(size=6)).algebras
+    for alg in algebras:
+        neg = [alg.imp_table[w][alg.zero] for w in range(alg.n)]
+        mult = alg.mult_table
+        for x, y, w in product(range(alg.n), repeat=3):
+            assert alg.leq(mult[x][y], neg[w]) == alg.leq(mult[x][w], neg[y]), (alg.name, x, y, w)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census_equals_naive_oracle(n):
     reps, counts, _ = oracle_census(n)
@@ -203,6 +241,8 @@ def test_fixed_lattice_config(linear5):
     assert result.rows[0].count == chain_rows[0].count == 8
     with pytest.raises(ValueError):
         run_search(SearchConfig(size=4, lattice=linear5.order))
+    with pytest.raises(NotALattice):  # two maximal elements, no top
+        run_search(SearchConfig(size=3, lattice=OrderRelation.from_covers(3, [(0, 1), (0, 2)])))
 
 
 def test_identity_and_quotient_mass_checks_run_in_search_tests(census):
@@ -221,6 +261,7 @@ CENSUS_SHA256 = {
     4: "62962bb0d87608855847237f22581c7772fec05362dbe90dcf674720bc257132",
     5: "021916b06b1240d01266a669607e7d770a3ae75663bc5f805de8d8e97889250a",
     6: "20359275cb302c5bffd9cfa63e5db0d09a2a3faf73368ae0168769a8e92270e7",
+    7: "db7bbef92736eaee5d50571d84f5b545a80785393efc69663c7a5a9dad2c1f7a",
 }
 
 
