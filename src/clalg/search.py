@@ -16,13 +16,16 @@ under conjugation by the automorphisms fixing that unit; a lattice
 without such a sigma has no completion.  Per (one, sigma) a
 backtracking search fills a commutative fusion table: the unit row is
 fixed, the bottom row is forced to bottom (residuation plus the least
-element leave no other choice), commutativity halves the table, and
-partial tables are pruned by monotonicity, partial associativity,
-partial join-distribution and the rotation law x*y <= sigma(w) iff
-x*w <= sigma(y) (both say x*y*w <= zero).  On a finished table the
-rotation law makes sigma the negation and x -> y = sigma(x *
-sigma(y)) the residual, so the implication is read off sigma and every
-survivor is sealed by the full validator.
+element leave no other choice) and commutativity halves the table.
+Each cell is checked once, when it is set, against the filled cells:
+by the rotation law x*y <= sigma(w) iff x*w <= sigma(y) (both say
+x*y*w <= zero) and by associativity on the filled triples that read
+it.  Monotonicity and join distribution need no check: with w =
+sigma(z) the law reads x*y <= z iff y <= sigma(x*sigma(z)), so each
+map y -> x*y is residuated, hence monotone and join-preserving.  On a
+finished table the rotation law makes sigma the negation and x -> y =
+sigma(x * sigma(y)) the residual, so the implication is read off sigma
+and every survivor is sealed by the full validator.
 
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
@@ -51,10 +54,13 @@ from .core import (
     iter_bits,
     popcount,
 )
-from .validator import seal, validate
+from .laws import first_violation
+from .validator import LATTICE, NotACLAlgebra, seal, validate
 
 SIZE_MIN = 2
 SIZE_MAX = 8
+
+_ANTISYMMETRY = tuple(law for law in LATTICE if law.kind == "antisymmetry")
 
 
 class SizeOutOfRange(AlgebraError):
@@ -293,15 +299,20 @@ def _orbit_reps(items, images) -> list:
 
 
 def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> list[Table]:
-    """Every commutative fusion table on the lattice with unit `one`
-    that is monotone, associative, distributes over joins and satisfies
-    the rotation law x*y <= sigma(w) iff x*w <= sigma(y), by
-    backtracking over the cells outside the unit and bottom rows."""
+    """Every commutative, associative fusion table on the lattice with
+    unit `one` that satisfies the rotation law x*y <= sigma(w) iff
+    x*w <= sigma(y), by backtracking over the cells outside the unit and
+    bottom rows.
+
+    Such a table is also monotone and distributes over joins, so neither
+    is checked: with w = sigma(z) the law reads x*y <= z iff
+    y <= sigma(x*sigma(z)), so each map y -> x*y has a residual, and a
+    residuated map is monotone and preserves joins.  Each cell is
+    checked once, when it is set, against the cells already filled.
+    """
     n = order.n
     bot = order.least()
-    join = order.lubs
     up = order.up
-    dn = order.dn
     # bit c of under_neg[v] is set iff v <= sigma(c)
     under_neg = [sum(1 << c for c in range(n) if up[v] >> sigma[c] & 1) for v in range(n)]
 
@@ -318,73 +329,35 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> li
     ]
     tables: list[Table] = []
 
-    def value_ok(x, y, v):
+    def cell_ok(x, y, v):
+        """Whether x*y = y*x = v, just written, agrees with the filled cells."""
         # rotation law against the filled cells of rows x and y: both
         # sides say x*y*c <= zero.  The preset rows satisfy it for every
         # order-reversing involution (one's row by x <= sigma(y) iff
         # y <= sigma(x), bot's row and column trivially), so checking
         # each new cell covers every pair of filled cells.
-        rowx = tab[x]
-        rowy = tab[y]
         vmask = under_neg[v]
-        for c in range(n):
-            w = rowx[c]
-            if w is not None and (vmask >> c & 1) != (under_neg[w] >> y & 1):
-                return False
-            w = rowy[c]
-            if w is not None and (vmask >> c & 1) != (under_neg[w] >> x & 1):
-                return False
-        # monotonicity of the partial table against every filled cell
-        for p in range(n):
+        for row, other in ((tab[x], y), (tab[y], x)):
+            for c, w in enumerate(row):
+                if w is not None and (vmask >> c & 1) != (under_neg[w] >> other & 1):
+                    return False
+        # associativity (p*q)*r = p*(q*r) on the filled triples that read
+        # the new cell.  The table is symmetric, so the triple (r, q, p)
+        # states the same equation, and the new cell is either the inner
+        # product p*q ...
+        rowv = tab[v]
+        for p, q in ((x, y), (y, x)):
             rowp = tab[p]
-            p_le_x = dn[x] >> p & 1
-            x_le_p = up[x] >> p & 1
-            for q in range(n):
-                w = rowp[q]
-                if w is None:
-                    continue
-                if p_le_x and dn[y] >> q & 1 and not up[w] >> v & 1:
+            for r, qr in enumerate(tab[q]):
+                a = rowv[r]
+                if a is not None and qr is not None and rowp[qr] not in (None, a):
                     return False
-                if x_le_p and up[y] >> q & 1 and not up[v] >> w & 1:
-                    return False
-        return True
-
-    def partial_ok():
-        for p in range(n):
-            tp = tab[p]
-            for q in range(n):
-                v1 = tp[q]
-                if v1 is None:
-                    continue
-                t1 = tab[v1]
-                tq = tab[q]
-                for r in range(n):
-                    a = t1[r]
-                    if a is None:
-                        continue
-                    w1 = tq[r]
-                    if w1 is None:
-                        continue
-                    b = tp[w1]
-                    if b is None:
-                        continue
-                    if a != b:
-                        return False
-        for p in range(n):
-            tp = tab[p]
-            for q in range(n):
-                v1 = tp[q]
-                if v1 is None:
-                    continue
-                jq = join[q]
-                for r in range(q, n):
-                    v2 = tp[r]
-                    if v2 is None:
-                        continue
-                    v3 = tp[jq[r]]
-                    if v3 is None:
-                        continue
-                    if v3 != join[v1][v2]:
+        # ... or the outer product: p*q is x or y, and r the other one
+        for rowp in tab:
+            for q, pq in enumerate(rowp):
+                if pq == x or pq == y:
+                    qr = tab[q][x + y - pq]
+                    if qr is not None and rowp[qr] not in (None, v):
                         return False
         return True
 
@@ -394,14 +367,10 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> li
             return
         x, y = cells[k]
         for v in range(n):
-            if value_ok(x, y, v):
-                tab[x][y] = v
-                tab[y][x] = v
-                if partial_ok():
-                    dfs(k + 1)
-                tab[x][y] = None
-                if x != y:
-                    tab[y][x] = None
+            tab[x][y] = tab[y][x] = v
+            if cell_ok(x, y, v):
+                dfs(k + 1)
+        tab[x][y] = tab[y][x] = None
 
     dfs(0)
     return tables
@@ -419,10 +388,18 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
     implication is read as x -> y = sigma(x * sigma(y)).  Returns raw
     completions (not deduplicated by isomorphism) in a deterministic
     order; every result is validator-sealed.
+
+    Raises ValueError for an order that is not antisymmetric or has no
+    least element, NotALattice for one without all joins, and
+    NotACLAlgebra if the validator rejects a finished table, which only
+    a search that prunes too little can produce.
     """
     n = order.n
     if not 0 <= one < n:
         raise ValueError(f"one index {one} out of range")
+    verdict = first_violation("antisymmetry", _ANTISYMMETRY, order)
+    if not verdict:
+        raise ValueError(f"order is not antisymmetric: {verdict.witness}")
     bot = order.least()
     if bot is None:
         raise ValueError("order has no least element")
@@ -464,8 +441,9 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
                 order=order, mult_table=mult, imp_table=imp,
                 bot=bot, zero=zero, one=one,
             ))
-            if report.algebra is not None:
-                results.append(report.algebra)
+            if report.algebra is None:
+                raise NotACLAlgebra(report)
+            results.append(report.algebra)
     return results
 
 

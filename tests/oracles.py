@@ -3,10 +3,11 @@
 Everything here expands quantifiers literally over raw table entries and
 order masks, with no reuse of the package's derived operations; the only
 shared surface is reading the candidate's fields, and nothing here
-imports the package.  The one pruned search, the second census
-enumerator `oracle_dfs_count`, accepts only tables that pass the literal
-all-axiom test.  Scan orders mirror the documented validator contract so
-that first witnesses are comparable.
+imports the package.  The one pruned search, `oracle_fusion_tables`,
+feeds the second census enumerator `oracle_dfs_count`, which accepts
+only tables that pass the literal all-axiom test.  Scan orders mirror
+the documented validator contract so that first witnesses are
+comparable.
 """
 
 from __future__ import annotations
@@ -464,65 +465,88 @@ def oracle_order_maps(up: tuple[int, ...], reverse: bool) -> list[tuple[int, ...
                    for x in range(n) for y in range(n))]
 
 
+def oracle_fusion_tables(up: tuple[int, ...], one: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every finished commutative fusion table on one labeled lattice
+    with the given unit, in the order a backtracking search finds them:
+    unit row fixed, bottom row bottom, the cells (x, y), x <= y, outside
+    those rows filled in turn with the values 0, 1, ..., pruned by
+    monotonicity, partial associativity and partial join-distribution.
+    """
+    n = len(up)
+    bot = [x for x in range(n) if up[x] == (1 << n) - 1][0]
+    join = [[[g for g in bits_of(up[x] & up[y]) if up[x] & up[y] & ~up[g] == 0][0]
+             for y in range(n)] for x in range(n)]
+    tab = [[None] * n for _ in range(n)]
+    for x in range(n):
+        tab[bot][x] = tab[x][bot] = bot
+        tab[one][x] = tab[x][one] = x
+    cells = [(x, y) for x in range(n) for y in range(x, n)
+             if tab[x][y] is None]
+    tables = []
+
+    def monotone(x, y, v):
+        for p, q in product(range(n), repeat=2):
+            w = tab[p][q]
+            if w is None:
+                continue
+            if up[p] >> x & 1 and up[q] >> y & 1 and not up[w] >> v & 1:
+                return False
+            if up[x] >> p & 1 and up[y] >> q & 1 and not up[v] >> w & 1:
+                return False
+        return True
+
+    def consistent():
+        for p in range(n):
+            row = tab[p]
+            for q in range(n):
+                pq = row[q]
+                if pq is None:
+                    continue
+                for r in range(n):
+                    qr, pr = tab[q][r], row[r]
+                    if qr is not None and None not in (tab[pq][r], row[qr]) \
+                            and tab[pq][r] != row[qr]:
+                        return False  # (p*q)*r != p*(q*r)
+                    pj = row[join[q][r]]
+                    if pr is not None and pj is not None and pj != join[pq][pr]:
+                        return False  # p*(q v r) != p*q v p*r
+        return True
+
+    def dfs(k):
+        if k == len(cells):
+            tables.append(tuple(tuple(row) for row in tab))
+            return
+        x, y = cells[k]
+        for v in range(n):
+            if monotone(x, y, v):
+                tab[x][y] = tab[y][x] = v
+                if consistent():
+                    dfs(k + 1)
+                tab[x][y] = tab[y][x] = None
+
+    dfs(0)
+    return tables
+
+
 def oracle_dfs_count(up: tuple[int, ...]) -> int:
     """Isomorphism classes of CL-algebras on one labeled lattice, by a
     second enumerator that shares no code with the package's search.
 
-    Per unit, one backtracking search fills a commutative fusion table
-    (unit row fixed, bottom row bottom), pruned by monotonicity, partial
-    associativity and partial join-distribution.  Every finished table
-    is tried against every zero with the literal all-axiom test, and the
-    survivors are keyed by their least encoding over the lattice's
+    Per unit, `oracle_fusion_tables` lists the finished tables.  Every
+    one is tried against every zero with the literal all-axiom test, and
+    the survivors are keyed by their least encoding over the lattice's
     automorphisms (an isomorphism between two algebras on one labeled
     lattice is one of them), found by scanning all permutations.
     """
     n = len(up)
     dn = _down_masks(up)
     bot = [x for x in range(n) if up[x] == (1 << n) - 1][0]
-    join = [[[g for g in bits_of(up[x] & up[y]) if up[x] & up[y] & ~up[g] == 0][0]
-             for y in range(n)] for x in range(n)]
     autos = oracle_order_maps(up, reverse=False)
     keys = set()
     for one in range(n):
         if n > 1 and one == bot:
             continue
-        tab = [[None] * n for _ in range(n)]
-        for x in range(n):
-            tab[bot][x] = tab[x][bot] = bot
-            tab[one][x] = tab[x][one] = x
-        cells = [(x, y) for x in range(n) for y in range(x, n)
-                 if tab[x][y] is None]
-
-        def monotone(x, y, v):
-            for p, q in product(range(n), repeat=2):
-                w = tab[p][q]
-                if w is None:
-                    continue
-                if up[p] >> x & 1 and up[q] >> y & 1 and not up[w] >> v & 1:
-                    return False
-                if up[x] >> p & 1 and up[y] >> q & 1 and not up[v] >> w & 1:
-                    return False
-            return True
-
-        def consistent():
-            for p in range(n):
-                row = tab[p]
-                for q in range(n):
-                    pq = row[q]
-                    if pq is None:
-                        continue
-                    for r in range(n):
-                        qr, pr = tab[q][r], row[r]
-                        if qr is not None and None not in (tab[pq][r], row[qr]) \
-                                and tab[pq][r] != row[qr]:
-                            return False  # (p*q)*r != p*(q*r)
-                        pj = row[join[q][r]]
-                        if pr is not None and pj is not None and pj != join[pq][pr]:
-                            return False  # p*(q v r) != p*q v p*r
-            return True
-
-        def finish():
-            mult = tuple(tuple(row) for row in tab)
+        for mult in oracle_fusion_tables(up, one):
             imp = _literal_imp(up, dn, mult)
             for zero in range(n):
                 if any(imp[imp[x][zero]][zero] != x for x in range(n)):
@@ -533,18 +557,4 @@ def oracle_dfs_count(up: tuple[int, ...]) -> int:
                     (p[zero], p[one], tuple(p[mult[x][y]] for x in inv for y in inv))
                     for p in autos
                     for inv in [sorted(range(n), key=p.__getitem__)]))
-
-        def dfs(k):
-            if k == len(cells):
-                finish()
-                return
-            x, y = cells[k]
-            for v in range(n):
-                if monotone(x, y, v):
-                    tab[x][y] = tab[y][x] = v
-                    if consistent():
-                        dfs(k + 1)
-                    tab[x][y] = tab[y][x] = None
-
-        dfs(0)
     return len(keys)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import (
     oracle_census,
     oracle_dfs_count,
+    oracle_fusion_tables,
     oracle_lattice_classes,
     oracle_order_maps,
     orders_isomorphic,
@@ -15,6 +17,7 @@ from clalg.core import NotALattice, OrderRelation
 from clalg.search import (
     SearchConfig,
     SizeOutOfRange,
+    _fusion_tables,
     _involutions,
     _order_maps,
     canonical_form,
@@ -24,7 +27,7 @@ from clalg.search import (
     render_search_result,
     run_search,
 )
-from clalg.validator import seal, validate
+from clalg.validator import NotACLAlgebra, seal, validate
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 5), (6, 15)])
@@ -146,6 +149,27 @@ def test_census_rows_equal_second_enumerator(n):
         row.count for row in rows]
 
 
+def _rotation_law_holds(up, mult, sigma):
+    n = len(up)
+    return all((up[mult[x][y]] >> sigma[w] & 1) == (up[mult[x][w]] >> sigma[y] & 1)
+               for x, y, w in product(range(n), repeat=3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fusion_tables_equal_oracle(n):
+    # the raw DFS output, before dedup could hide a lost table: the
+    # oracle's tables (pruned by monotonicity, associativity and join
+    # distribution) that satisfy the rotation law, in the same order
+    for lat in enumerate_lattices(n):
+        for one in range(n):
+            if one == lat.least():
+                continue
+            tables = oracle_fusion_tables(lat.up, one)
+            for sigma in _involutions(lat):
+                assert _fusion_tables(lat, one, sigma) == [
+                    t for t in tables if _rotation_law_holds(lat.up, t, sigma)], (lat.up, one, sigma)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_order_maps_equal_permutation_scan(n):
     for lat in enumerate_lattices(n):
@@ -208,6 +232,12 @@ def test_size_six_census_is_pinned():
     assert sum(row.count for row in rows) == 100
 
 
+def test_size_eight_census_is_pinned():
+    rows = count_cl_algebras(SearchConfig(size=8))
+    assert len(rows) == 222  # OEIS A006966
+    assert sum(row.count for row in rows) == 1392
+
+
 def test_max_results_caps_list():
     result = run_search(SearchConfig(size=4, max_results=3))
     assert len(result.algebras) == 3
@@ -243,6 +273,29 @@ def test_fixed_lattice_config(linear5):
         run_search(SearchConfig(size=4, lattice=linear5.order))
     with pytest.raises(NotALattice):  # two maximal elements, no top
         run_search(SearchConfig(size=3, lattice=OrderRelation.from_covers(3, [(0, 1), (0, 2)])))
+
+
+@pytest.mark.parametrize("up", [(3, 3), (5, 6, 7)])
+def test_order_that_is_not_antisymmetric_is_rejected(up):
+    # a 2-cycle, and a 3-element relation with 0 <= 2 <= 0
+    order = OrderRelation(len(up), up)
+    for one in range(order.n):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            complete_to_cl(order, one)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        run_search(SearchConfig(size=order.n, lattice=order))
+
+
+def test_rejected_completion_is_loud(monkeypatch):
+    # a finished table the validator rejects is an error, not a skip
+    monkeypatch.setattr("clalg.search.validate",
+                        lambda cand: validate(replace(cand, imp_table=cand.mult_table)))
+    chain = OrderRelation.from_covers(2, [(0, 1)])
+    with pytest.raises(NotACLAlgebra) as exc:
+        complete_to_cl(chain, 1)
+    assert not exc.value.report.residuation.ok
+    with pytest.raises(NotACLAlgebra):
+        run_search(SearchConfig(size=3))
 
 
 def test_identity_and_quotient_mass_checks_run_in_search_tests(census):
