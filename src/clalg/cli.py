@@ -264,8 +264,8 @@ def _cmd_quotient(run: _Run) -> None:
                                    ideal_bits=ideal.bits, class_index=cong.class_index)
     run.payload["congruence"] = {"classes": classes, "certificate": cert_entry}
     run.human.append(f"congruence modulo {ideal.subset.render(alg)}: {len(classes)} classes")
-    for i, cls in enumerate(classes):
-        run.human.append(f"  [{alg.name_of(cong.representatives()[i])}] = {cls}")
+    for r, cls in zip(cong.representatives(), classes):
+        run.human.append(f"  [{alg.name_of(r)}] = {cls}")
     run.human.append("certificate: " + cert_entry["status"]
                      + (f" witness={cert_entry['witness']}" if cert_entry["witness"] else "")
                      + (f" replay={cert_entry['replay']}" if cert_entry.get("replay") else ""))

@@ -252,6 +252,32 @@ def oracle_congruence(cand, ideal_mask: int):
     return rel, equivalence, classes
 
 
+def oracle_congruence_certificate(cand, ideal_mask: int):
+    """(ok, witness) of the literal compatibility scan: quads (x, x', y,
+    y') over related pairs, lexicographically, for meet, join, mult and
+    imp, then pairs (x, x') for neg.  Assumes the relation is an
+    equivalence."""
+    n = cand.n
+    rel = oracle_congruence(cand, ideal_mask)[0]
+    pairs = [(x, x1) for x in range(n) for x1 in range(n) if rel[x] >> x1 & 1]
+    ops = (
+        ("meet", [[_glb_scan(cand, x, y) for y in range(n)] for x in range(n)]),
+        ("join", [[_lub_scan(cand, x, y) for y in range(n)] for x in range(n)]),
+        ("mult", cand.mult_table),
+        ("imp", cand.imp_table),
+    )
+    for kind, table in ops:
+        for x, x1 in pairs:
+            for y, y1 in pairs:
+                if not rel[table[x][y]] >> table[x1][y1] & 1:
+                    return False, (kind, x, x1, y, y1)
+    imp, z = cand.imp_table, cand.zero
+    for x, x1 in pairs:
+        if not rel[imp[x][z]] >> imp[x1][z] & 1:
+            return False, ("neg", x, x1)
+    return True, None
+
+
 # --- naive model enumeration -------------------------------------------------
 
 def oracle_posets_naturally_labeled(n: int):

@@ -1,9 +1,12 @@
+import random
+from dataclasses import replace
+
 import pytest
 
-from oracles import oracle_congruence
+from oracles import oracle_congruence, oracle_congruence_certificate
 
-from clalg.core import AlgebraCandidate, OrderRelation
-from clalg.ideals import Subset, all_ideals, certify_ideal, zero_downset
+from clalg.core import AlgebraCandidate, NotALattice, OrderRelation
+from clalg.ideals import Ideal, Subset, all_ideals, certify_ideal, zero_downset
 from clalg.quotient import (
     NotACongruence,
     NotEquivalence,
@@ -14,7 +17,8 @@ from clalg.quotient import (
     congruence_from_ideal,
     theorem_suite,
 )
-from clalg.search import canonical_form
+from clalg.replay import confirm_witness
+from clalg.search import SearchConfig, canonical_form, run_search
 from clalg.validator import is_linear
 
 
@@ -202,3 +206,66 @@ def test_quotient_extremes_across_census(census):
             assert build_quotient(alg, universe).algebra.n == 1
             zd = build_quotient(alg, zero_downset(alg))
             assert canonical_form(zd.algebra) == canonical_form(alg)
+
+
+def _mutants(alg, rng, count=6):
+    """`count` copies of `alg`, each with one mult cell (and its mirror)
+    or one imp cell changed."""
+    n = alg.n
+    base = alg.as_candidate()
+    for _ in range(count):
+        which = rng.choice(("mult", "imp"))
+        rows = [list(r) for r in getattr(base, f"{which}_table")]
+        x, y = rng.randrange(n), rng.randrange(n)
+        v = rng.choice([v for v in range(n) if v != rows[x][y]])
+        rows[x][y] = v
+        if which == "mult":
+            rows[y][x] = v
+        yield replace(base, **{f"{which}_table": tuple(tuple(r) for r in rows)})
+
+
+def test_certificate_matches_oracle_on_mutants(census):
+    # every zero-containing down-set of seeded mutants of the census
+    # algebras of sizes 3..6, so that the certificate fails often
+    rng = random.Random(8)
+    algebras = [alg for n in (3, 4, 5) for alg in census[n]]
+    algebras += run_search(SearchConfig(size=6)).algebras
+    checked = failing = 0
+    for alg in algebras:
+        for cand in _mutants(alg, rng):
+            n, dn = cand.n, cand.order.dn
+            for bits in range(1 << n):
+                if not bits >> cand.zero & 1 or any(
+                        dn[y] & ~bits for y in range(n) if bits >> y & 1):
+                    continue
+                equivalence = oracle_congruence(cand, bits)[1]
+                try:
+                    cong = congruence_from_ideal(cand, Ideal(Subset(n, bits)))
+                except NotEquivalence:
+                    assert not equivalence, (cand.name, bits)
+                    continue
+                assert equivalence, (cand.name, bits)
+                ok, witness = oracle_congruence_certificate(cand, bits)
+                cert = cong.certificate
+                assert (cert.ok, cert.witness) == (ok, witness), (cand.mult_table,
+                                                                  cand.imp_table, bits)
+                assert confirm_witness(cand, cert, bits, cong.class_index)
+                checked += 1
+                failing += not ok
+    assert checked > 2000 and failing > 500
+
+
+def test_missing_join_is_raised_at_the_quad_scan_pair():
+    # the 3-element Lukasiewicz tables on the "V" order p0 < p1, p0 < p2:
+    # p1 and p2 have no join.  Modulo {p0, p2} the classes are {p0, p2}
+    # and {p1}; the scan of quads (x, x', y, y') asks for join(p2, p1) at
+    # (p0, p2, p1, p1) before its quads ever ask for join(p1, p2)
+    cand = AlgebraCandidate(
+        name="vee", elements=("p0", "p1", "p2"),
+        order=OrderRelation.from_covers(3, [(0, 1), (0, 2)]),
+        mult_table=((0, 0, 0), (0, 0, 1), (0, 1, 2)),
+        imp_table=((2, 2, 2), (1, 2, 2), (0, 1, 2)), bot=0, zero=0, one=2,
+    )
+    with pytest.raises(NotALattice) as exc:
+        congruence_from_ideal(cand, Ideal(Subset(3, 0b101)))
+    assert (exc.value.x, exc.value.y, exc.value.kind) == (2, 1, "join")
