@@ -2,7 +2,13 @@
 
 Subcommands: validate, derive-imp, identities, ideals, quotient,
 theorems, search, export-dot.  Exit codes: 0 all requested checks pass,
-1 a checked property fails (witnesses printed), 2 parse or usage error.
+1 a checked property fails (witnesses printed), 2 parse or usage error,
+including an input file that cannot be read or decoded as UTF-8 and an
+-o/--dot path that cannot be written.
+
+`run_command` builds its argument parser once per process, on first use
+(not at import); after that the parser is only read, so concurrent
+calls may share it.
 
 Machine-readable (--json) and human output are rendered from the same
 payload structure, so they cannot diverge; --replay re-checks every
@@ -12,6 +18,7 @@ printed witness against the tables before reporting it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -106,9 +113,16 @@ class _Run:
 def _read_candidate(path: str) -> AlgebraCandidate:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
     return parse_algebra(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc}") from exc
 
 
 def _ideal_subset(alg: AlgebraCandidate, names: str) -> Subset:
@@ -295,7 +309,7 @@ def _cmd_quotient(run: _Run) -> None:
     if run.args.verify:
         run.human.extend("  " + ln for ln in serialize_algebra(qalg).rstrip().splitlines())
     if run.args.dot:
-        Path(run.args.dot).write_text(export_dot(quot), encoding="utf-8")
+        _write_text(run.args.dot, export_dot(quot))
         run.human.append(f"DOT written to {run.args.dot}")
 
 
@@ -372,7 +386,7 @@ def _cmd_export_dot(run: _Run) -> None:
     text = export_dot(alg)
     run.payload["dot"] = text
     if run.args.output:
-        Path(run.args.output).write_text(text, encoding="utf-8")
+        _write_text(run.args.output, text)
         run.human.append(f"DOT written to {run.args.output}")
     else:
         run.human.extend(text.rstrip("\n").splitlines())
@@ -390,6 +404,9 @@ _HANDLERS = {
 }
 
 
+# built on the first run_command call, not at import: building costs far
+# more than a parse, and parse_args only reads the parser
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clalg",

@@ -1,8 +1,13 @@
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from clalg.cli import run_command
+import clalg
+from clalg.cli import _build_parser, run_command
 from clalg.core import ImplicationAbsent
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
 
@@ -183,6 +188,27 @@ def test_missing_file_message(capsys):
     assert "cannot read" in err
 
 
+def test_undecodable_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin.cla"
+    bad.write_bytes(b"\xff\xfe algebra x\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-dot", "{file}", "-o", "{target}"],
+    ["quotient", "{file}", "--ideal", "bot,0", "--dot", "{target}"],
+], ids=["export-dot", "quotient"])
+def test_unwritable_output_is_usage_error(capsys, ex1_path, tmp_path, argv):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, *(a.format(file=ex1_path, target=target) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_empty_ideal_list_is_usage_error(capsys, ex1_path):
     code, _, err = run(capsys, "quotient", str(ex1_path), "--ideal", "")
     assert code == 2
@@ -270,3 +296,69 @@ def test_every_subcommand_reports_on_every_variant(capsys, tmp_path, variant, co
     assert code in (0, 1, 2)
     if out:
         assert all(r == "confirmed" for r in _replays(json.loads(out)))
+
+
+def _outcome(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    if "--json" in argv and code != 2:
+        payload = json.loads(out)
+        payload.pop("timing_ms")
+        out = payload
+    return code, out, err
+
+
+@pytest.mark.parametrize("steps", [
+    [(["ideals", "{nonlinear}", "--classify", "--generate", "b", "--json"], 0),
+     (["ideals", "{nonlinear}", "--json"], 0)],
+    [(["quotient", "{linear}"], 2),
+     (["quotient", "{linear}", "--ideal", "bot,0", "--verify"], 0)],
+    [(["--help"], 0),
+     (["search", "--size", "3", "--count-only", "--json"], 0)],
+], ids=["generate-then-list", "usage-error-then-quotient", "help-then-search"])
+def test_shared_parser_leaks_nothing_between_calls(capsys, ex1_path, ex2_path, steps):
+    calls = [[a.format(linear=ex1_path, nonlinear=ex2_path) for a in argv] for argv, _ in steps]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    assert [code for code, _out, _err in alone] == [code for _, code in steps]
+    _build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in calls] == alone
+    if calls[0][0] == "ideals":
+        assert "generated" in alone[0][1]
+        assert "generated" not in alone[1][1]
+
+
+def test_parser_is_built_once(monkeypatch, ex1_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run_command(["validate", str(ex1_path)])
+    built.clear()
+    for _ in range(10):
+        run_command(["validate", str(ex1_path), "--json"])
+    assert built == []
+
+
+def test_importing_cli_builds_no_parser():
+    src = str(Path(clalg.__file__).resolve().parents[1])
+    probe = (
+        "import argparse, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import clalg.cli\n"
+        "print(len(built))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "0\n"
