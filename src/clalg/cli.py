@@ -3,8 +3,9 @@
 Subcommands: validate, derive-imp, identities, ideals, quotient,
 theorems, search, export-dot.  Exit codes: 0 all requested checks pass,
 1 a checked property fails (witnesses printed), 2 parse or usage error,
-including an input file that cannot be read or decoded as UTF-8 and an
--o/--dot path that cannot be written.
+including an input file that cannot be read or decoded as UTF-8 (a
+leading byte-order mark is skipped) and an -o/--dot path that cannot be
+written.
 
 `run_command` builds its argument parser once per process, on first use
 (not at import); after that the parser is only read, so concurrent
@@ -36,7 +37,6 @@ from .ideals import (
     certify_ideal,
     classify,
     generated_ideal,
-    is_ideal,
 )
 from .quotient import (
     NotACongruence,
@@ -112,7 +112,7 @@ class _Run:
 
 def _read_candidate(path: str) -> AlgebraCandidate:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
     return parse_algebra(text)
@@ -248,15 +248,15 @@ def _cmd_ideals(run: _Run) -> None:
 
 def _certified(run: _Run, alg: AlgebraCandidate, names: str):
     subset = _ideal_subset(alg, names)
-    verdict = is_ideal(alg, subset)
-    if not verdict:
-        entry = run.verdict_entry(alg, verdict, ideal_bits=subset.bits)
-        run.payload["ideal_check"] = entry
-        run.human.append(f"{subset.render(alg)} is not an ideal")
-        run.human.append(run.render_verdict_line(entry))
-        run.fail()
-        return None
-    return certify_ideal(alg, subset)
+    try:
+        return certify_ideal(alg, subset)
+    except NotAnIdeal as exc:
+        entry = run.verdict_entry(alg, exc.verdict, ideal_bits=subset.bits)
+    run.payload["ideal_check"] = entry
+    run.human.append(f"{subset.render(alg)} is not an ideal")
+    run.human.append(run.render_verdict_line(entry))
+    run.fail()
+    return None
 
 
 def _cmd_quotient(run: _Run) -> None:

@@ -15,7 +15,7 @@ every subset fits in one machine word.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterator
 
 from .laws import Law, ascending_pairs, first_violation
@@ -135,12 +135,6 @@ class OrderRelation:
         return tuple(tuple(self.least_in(up[x] & up[y]) for y in range(self.n))
                      for x in range(self.n))
 
-    def glb(self, x: int, y: int) -> int | None:
-        return self.glbs[x][y]
-
-    def lub(self, x: int, y: int) -> int | None:
-        return self.lubs[x][y]
-
     def maximal_in(self, mask: int) -> tuple[int, ...]:
         """Elements of `mask` with nothing of `mask` strictly above them."""
         return tuple(m for m in iter_bits(mask) if self.up[m] & mask == 1 << m)
@@ -204,7 +198,9 @@ class AlgebraCandidate:
     """An unvalidated finite algebra: universe, order, tables, designations.
 
     `imp_table` may be None; the validator derives it from residuation
-    when possible.  Instances are immutable and all operations are pure.
+    when possible.  Instances are immutable and all operations are pure;
+    what is cached on an instance (`negs`, `memo`) is a function of its
+    fields.
     """
 
     name: str
@@ -240,6 +236,13 @@ class AlgebraCandidate:
     def n(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Results of pure functions of this algebra and one ideal, keyed
+        by (function, ideal bits); see `per_ideal`.  Not a field, so it
+        is not compared, hashed or carried over by `replace`."""
+        return {}
+
     def index(self, name: str) -> int:
         try:
             return self.elements.index(name)
@@ -250,17 +253,17 @@ class AlgebraCandidate:
         return self.elements[x]
 
     def leq(self, x: int, y: int) -> bool:
-        return self.order.leq(x, y)
+        return bool(self.order.up[x] >> y & 1)
 
     def meet(self, x: int, y: int) -> int:
-        g = self.order.glb(x, y)
+        g = self.order.glbs[x][y]
         if g is None:
             lb = self.order.dn[x] & self.order.dn[y]
             raise NotALattice(x, y, "meet", self.order.maximal_in(lb))
         return g
 
     def join(self, x: int, y: int) -> int:
-        g = self.order.lub(x, y)
+        g = self.order.lubs[x][y]
         if g is None:
             ub = self.order.up[x] & self.order.up[y]
             raise NotALattice(x, y, "join", self.order.minimal_in(ub))
@@ -274,8 +277,14 @@ class AlgebraCandidate:
             raise ImplicationAbsent("implication table neither supplied nor derived")
         return self.imp_table[x][y]
 
+    @cached_property
+    def negs(self) -> tuple[int, ...]:
+        """negs[x] is ~x = x -> zero; raises ImplicationAbsent (and
+        caches nothing) without an implication table."""
+        return tuple(self.imp(x, self.zero) for x in range(self.n))
+
     def neg(self, x: int) -> int:
-        return self.imp(x, self.zero)
+        return self.negs[x]
 
     def plus(self, x: int, y: int) -> int:
         return self.neg(self.mult(self.neg(x), self.neg(y)))
@@ -325,6 +334,21 @@ class FiniteCLAlgebra(AlgebraCandidate):
             raise ValueError("a sealed algebra requires an implication table")
         if not 0 <= self.top < self.n:
             raise ValueError("top index out of range")
+
+
+def per_ideal(fn):
+    """`fn(alg, ideal)` computed once per (algebra, ideal bits) and kept
+    in `alg.memo`.  A call that raises stores nothing, so it raises
+    afresh every time.  Two threads may both compute a missing entry;
+    both get the same value."""
+    @wraps(fn)
+    def remembered(alg, ideal):
+        key = (fn, ideal.bits)
+        memo = alg.memo
+        if key not in memo:
+            memo[key] = fn(alg, ideal)
+        return memo[key]
+    return remembered
 
 
 def residual(order: OrderRelation, mult_table: Table, x: int, y: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import AlgebraCandidate, AlgebraError, iter_bits, popcount
+from .core import AlgebraCandidate, AlgebraError, iter_bits, per_ideal, popcount
 from .laws import Law, Verdict, cube, first_violation, rising_pairs
 
 
@@ -241,6 +241,7 @@ DISTRIBUTIVE_IDEAL = (Law(None, lambda c: cube(3)(c[0]), _distributive),)
 IMPLICATIVE = (Law(None, lambda c: cube(3)(c[0]), _implicative),)
 
 
+@per_ideal
 def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """For every pair, ~(x->y) or ~(y->x) must land in the ideal.
 
@@ -250,6 +251,7 @@ def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     return first_violation("prime", PRIME, (alg, ideal.bits))
 
 
+@per_ideal
 def is_distributive_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """((x|y) & (x|z)) * ~(x | (y&z)) must land in the ideal, all triples."""
     return first_violation("distributive_ideal", DISTRIBUTIVE_IDEAL, (alg, ideal.bits))

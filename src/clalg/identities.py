@@ -5,10 +5,11 @@ validator promoted the whole suite must pass; a failure here means the
 validator itself is broken.  That cross-check is wired into the tests.
 
 Guarded laws (P2_3, P2_4, P2_7, P2_10) are checked as implications and
-hold vacuously where the guard fails.  P2_1 is the binary form of join
-distribution; the finite n-ary case folds out of it.  P2_10 is the
-antitone law x <= y implies neg(y) <= neg(x), the (y, 0)-instance of
-P2_7's implication part.
+hold vacuously where the guard fails; P2_7 is scanned only where its
+guard holds, which gives the same first witness.  P2_1 is the binary
+form of join distribution; the finite n-ary case folds out of it.
+P2_10 is the antitone law x <= y implies neg(y) <= neg(x), the
+(y, 0)-instance of P2_7's implication part.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import wraps
 
-from .core import AlgebraError, FiniteCLAlgebra
+from .core import AlgebraError, FiniteCLAlgebra, iter_bits
 from .laws import Law, Verdict, cube, first_violation
 
 
@@ -159,10 +160,23 @@ def _violation(pred):
     return violation
 
 
+def _p2_7_points(A):
+    """(x, x1, y, y1) with x <= x1 and y <= y1, lexicographically: the
+    points where P2_7's guard holds, so its first violation is the same
+    as over all of cube(4)."""
+    up = A.order.up
+    rising = [(x, x1) for x in range(A.n) for x1 in iter_bits(up[x])]
+    return (p + q for p in rising for q in rising)
+
+
+# identities scanned over fewer points than all tuples of their arity
+_DOMAINS = {IdentityId.P2_7: _p2_7_points}
+
 # law -> (context from the algebra, ideal bits and class index; entries):
-# each identity is one untagged law over all tuples of its arity
+# each identity is one untagged law over the tuples of its arity
 LAWS = {
-    ident.value: (lambda alg, *_: alg, (Law(None, cube(arity), _violation(pred)),))
+    ident.value: (lambda alg, *_: alg,
+                  (Law(None, _DOMAINS.get(ident, cube(arity)), _violation(pred)),))
     for ident, (arity, pred, _formula) in IDENTITIES.items()
 }
 

@@ -20,6 +20,13 @@ witness.
 
 Classes are named after their minimal-index representative in brackets,
 and quotient elements are ordered by ascending representative index.
+
+The congruence and the quotient by an ideal are kept in the algebra's
+memo (`core.per_ideal`), as are the prime and distributive verdicts
+they are checked with, so `theorem_suite`, `check_order_criterion` and
+the ideal classification compute each of them once per algebra and
+ideal.  A construction that fails (NotEquivalence, NotACongruence,
+QuotientInvalid) is not kept: every call raises it afresh.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .core import (
     NotALattice,
     OrderRelation,
     iter_bits,
+    per_ideal,
 )
 from .ideals import Ideal, Subset, is_affine, is_distributive_ideal, is_prime
 from .laws import Law, Verdict, cube, first_violation
@@ -87,13 +95,14 @@ class Congruence:
         return tuple(cls.members()[0] for cls in self.classes)
 
 
+@per_ideal
 def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
     """Compute the relation, verify it is an equivalence (reflexivity,
     symmetry, transitivity, in that scan order), partition the universe,
     and certify compatibility of all five operations."""
     n = alg.n
     ibits = ideal.bits
-    neg = [alg.neg(x) for x in range(n)]
+    neg = alg.negs
 
     rel = []
     for x in range(n):
@@ -225,12 +234,21 @@ def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
     Raises NotACongruence when the compatibility certificate fails,
     and QuotientInvalid when the class order disagrees with the
     membership criterion or the class tables fail full validation.
+    The quotient is kept in `alg.memo` for the congruence it was built
+    from; a `cong` other than the ideal's own is built afresh.
     """
     if cong is None:
         cong = congruence_from_ideal(alg, ideal)
     if not cong.certificate:
         raise NotACongruence(cong.certificate)
+    key = (_sealed_quotient, ideal.bits)
+    quot = alg.memo.get(key)
+    if quot is None or quot.congruence != cong:
+        quot = alg.memo[key] = _sealed_quotient(alg, ideal, cong)
+    return quot
 
+
+def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> QuotientAlgebra:
     cidx = cong.class_index
     reps = cong.representatives()
     k = len(reps)

@@ -197,6 +197,19 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {bad}: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["ideals"], ["quotient", "--ideal", "bot,0,1,a"], ["export-dot"],
+])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, ex1_path, command):
+    # some editors start a UTF-8 file with a byte-order mark
+    bom = tmp_path / "linear5_bom.cla"
+    bom.write_bytes(b"\xef\xbb\xbf" + LINEAR_CLA.encode("utf-8"))
+    name, *options = command
+    result = run(capsys, name, str(bom), *options)
+    assert result == run(capsys, name, str(ex1_path), *options)
+    assert result[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["export-dot", "{file}", "-o", "{target}"],
     ["quotient", "{file}", "--ideal", "bot,0", "--dot", "{target}"],

@@ -116,9 +116,7 @@ def _m3_candidate():
     # bot, three atoms, top: a lattice with no residual for meet-fusion
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
     order = OrderRelation.from_covers(5, covers)
-    meet = tuple(
-        tuple(order.glb(x, y) for y in range(5)) for x in range(5)
-    )
+    meet = order.glbs
     return AlgebraCandidate(
         name="m3", elements=("o", "p", "q", "r", "i"), order=order,
         mult_table=meet, imp_table=None, bot=0, zero=0, one=4,

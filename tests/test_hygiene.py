@@ -1,6 +1,7 @@
 """Source rules for the package: internal invariants raise exceptions
-(an `assert` vanishes under `python -O`), and the runtime needs nothing
-beyond the standard library."""
+(an `assert` vanishes under `python -O`), the runtime needs nothing
+beyond the standard library, and results are cached on the immutable
+values they belong to, never in a module-level cache."""
 
 import ast
 import sys
@@ -38,4 +39,34 @@ def test_oracles_are_independent_of_the_package():
     tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
     problems = [f"line {line}: imports {root}" for line, root in _imported_roots(tree)
                 if root not in sys.stdlib_module_names]
+    assert not problems, problems
+
+
+# the one process-wide cache: the CLI's argument parser, built on first use
+CACHE_ALLOWED = {("cli.py", "_build_parser")}
+
+
+def _cache_uses(tree):
+    """(line, name of the function it decorates or None) of each use of
+    functools.cache or lru_cache."""
+    decorates = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                decorates[id(dec.func if isinstance(dec, ast.Call) else dec)] = node.name
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else (
+            node.id if isinstance(node, ast.Name) else None)
+        if name in ("cache", "lru_cache"):
+            yield node.lineno, decorates.get(id(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    # a module-level cache outlives the values it was computed from;
+    # per-value results belong in cached_property or AlgebraCandidate.memo
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = [f"line {line}: functools cache on {name or 'an expression'}"
+                for line, name in _cache_uses(tree)
+                if (path.name, name) not in CACHE_ALLOWED]
     assert not problems, problems

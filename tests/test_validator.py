@@ -135,7 +135,7 @@ def test_validate_derives_missing_implication(linear5_candidate):
 def test_validate_underivable_marks_involution_skipped():
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
     order = OrderRelation.from_covers(5, covers)
-    meet = tuple(tuple(order.glb(x, y) for y in range(5)) for x in range(5))
+    meet = order.glbs
     cand = AlgebraCandidate(
         name="m3", elements=("o", "p", "q", "r", "i"), order=order,
         mult_table=meet, imp_table=None, bot=0, zero=0, one=4,
@@ -221,7 +221,7 @@ def test_no_residual_witness_replays():
 
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
     order = OrderRelation.from_covers(5, covers)
-    meet = tuple(tuple(order.glb(x, y) for y in range(5)) for x in range(5))
+    meet = order.glbs
     cand = AlgebraCandidate(
         name="m3", elements=("o", "p", "q", "r", "i"), order=order,
         mult_table=meet, imp_table=None, bot=0, zero=0, one=4,
