@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, wraps
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .laws import Law, ascending_pairs, first_violation
+from .laws import Law, ascending_pairs, compose, first_violation
 
 MAX_UNIVERSE = 64
 
@@ -120,6 +120,29 @@ class OrderRelation:
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """matrix[x][y] is 1 if x <= y, else 0."""
+        return tuple(tuple(u >> y & 1 for y in range(self.n)) for u in self.up)
+
+    def all_leq(self, lhs: Iterable[int], rhs: Iterable[int]) -> bool:
+        """lhs[i] <= rhs[i] at every i (up to the shorter of the two)."""
+        return 0 not in map(tuple.__getitem__, compose(self.matrix, lhs), rhs)
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The pairs (x, y) with x <= y, lexicographically."""
+        full = (1 << self.n) - 1
+        return ((x, y) for x in range(self.n) for y in iter_bits(self.up[x] & full))
+
+    def is_transitive(self) -> bool:
+        full = (1 << self.n) - 1
+        return all(self.up[y] & full & ~self.up[x] == 0 for x, y in self.pairs())
+
+    @cached_property
+    def has_meets_and_joins(self) -> bool:
+        """Every pair has a unique meet and a unique join."""
+        return not any(None in row for row in self.glbs + self.lubs)
 
     @cached_property
     def glbs(self) -> tuple[tuple[int | None, ...], ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .core import AlgebraCandidate, AlgebraError, iter_bits, per_ideal, popcount
-from .laws import Law, Verdict, cube, first_violation, rising_pairs
+from .laws import Law, Unless, Verdict, compose, cube, first_violation, rising_pairs
 
 
 class EmptySubset(AlgebraError):
@@ -234,11 +234,48 @@ def _implicative(c, x, y, z):
     return None if bits >> w & 1 else (w,)
 
 
+# the exact whole-table tests of the laws below (laws.Unless), row by
+# row; neg_in[v] is 1 where ~v is in the subset
+
+def _prime_holds(c) -> bool:
+    alg, bits = c
+    if alg.imp_table is None:
+        return False
+    neg_in = tuple(bits >> v & 1 for v in alg.negs)
+    rows = [compose(neg_in, row) for row in alg.imp_table]  # ~(x->y) in
+    return all((0, 0) not in zip(row, col) for row, col in zip(rows, zip(*rows)))
+
+
+def _distributive_holds(c) -> bool:
+    alg, bits = c
+    if alg.imp_table is None or not alg.order.has_meets_and_joins:
+        return False
+    meets, negs = alg.order.glbs, alg.negs
+    member = tuple(bits >> v & 1 for v in range(alg.n))
+    product_in = tuple(compose(member, row) for row in alg.mult_table)  # a*b in
+    # per (x, y), over z: (x|y) & (x|z) times ~(x | (y&z))
+    return all(0 not in map(tuple.__getitem__, compose(product_in, compose(meets[v], row)),
+                            compose(negs, compose(row, meets[y])))
+               for row in alg.order.lubs for y, v in enumerate(row))
+
+
+def _implicative_holds(c) -> bool:
+    alg, bits = c
+    imp = alg.imp_table
+    if imp is None:
+        return False
+    neg_in = tuple(bits >> v & 1 for v in alg.negs)
+    detached = [compose(neg_in, row) for row in imp]  # ~(x->z) in
+    return not any(neg_in[v] and (1, 0) in zip(compose(neg_in, compose(row, imp[y])), detached[x])
+                   for x, row in enumerate(imp) for y, v in enumerate(row))
+
+
 # read on (algebra, ideal bits); witnesses carry the point and the
 # computed values that miss the ideal
-PRIME = (Law(None, lambda c: rising_pairs(c[0]), _prime),)
-DISTRIBUTIVE_IDEAL = (Law(None, lambda c: cube(3)(c[0]), _distributive),)
-IMPLICATIVE = (Law(None, lambda c: cube(3)(c[0]), _implicative),)
+PRIME = (Law(None, Unless(_prime_holds, lambda c: rising_pairs(c[0])), _prime),)
+DISTRIBUTIVE_IDEAL = (Law(None, Unless(_distributive_holds, lambda c: cube(3)(c[0])),
+                          _distributive),)
+IMPLICATIVE = (Law(None, Unless(_implicative_holds, lambda c: cube(3)(c[0])), _implicative),)
 
 
 @per_ideal

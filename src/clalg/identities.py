@@ -5,11 +5,16 @@ validator promoted the whole suite must pass; a failure here means the
 validator itself is broken.  That cross-check is wired into the tests.
 
 Guarded laws (P2_3, P2_4, P2_7, P2_10) are checked as implications and
-hold vacuously where the guard fails; P2_7 is scanned only where its
-guard holds, which gives the same first witness.  P2_1 is the binary
-form of join distribution; the finite n-ary case folds out of it.
-P2_10 is the antitone law x <= y implies neg(y) <= neg(x), the
-(y, 0)-instance of P2_7's implication part.
+hold vacuously where the guard fails.  P2_1 is the binary form of join
+distribution; the finite n-ary case folds out of it.  P2_10 is the
+antitone law x <= y implies neg(y) <= neg(x), the (y, 0)-instance of
+P2_7's implication part.
+
+Every identity of arity 2 or more is scanned only where an exact
+whole-table test (laws.Unless) fails, so a witness is always the first
+of the full scan.  P2_7's test is monotonicity of mult in each argument
+and of imp (antitone in the first) on a transitive order: then x*y <=
+x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 from enum import Enum
 from functools import wraps
 
-from .core import AlgebraError, FiniteCLAlgebra, iter_bits
-from .laws import Law, Verdict, cube, first_violation
+from .core import AlgebraError, FiniteCLAlgebra
+from .laws import Law, Unless, Verdict, compose, cube, distributes, first_violation
 
 
 class UnknownIdentity(AlgebraError):
@@ -160,23 +165,76 @@ def _violation(pred):
     return violation
 
 
-def _p2_7_points(A):
-    """(x, x1, y, y1) with x <= x1 and y <= y1, lexicographically: the
-    points where P2_7's guard holds, so its first violation is the same
-    as over all of cube(4)."""
-    up = A.order.up
-    rising = [(x, x1) for x in range(A.n) for x1 in iter_bits(up[x])]
-    return (p + q for p in rising for q in rising)
+def _negated(row, negs):
+    """y -> ~row[~y]."""
+    return compose(negs, compose(row, negs))
 
 
-# identities scanned over fewer points than all tuples of their arity
-_DOMAINS = {IdentityId.P2_7: _p2_7_points}
+def _monotone(A) -> bool:
+    """P2_7 at every point, given a transitive order (module docstring)."""
+    if not A.order.is_transitive():
+        return False
+    mult, imp, leq = A.mult_table, A.imp_table, A.order.all_leq
+    mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))
+    return all(leq(mult[x], mult[x1]) and leq(mult_cols[x], mult_cols[x1])
+               and leq(imp[x1], imp[x]) and leq(imp_cols[x], imp_cols[x1])
+               for x, x1 in A.order.pairs())
+
+
+def _leq_on(A, members, lhs, rhs) -> bool:
+    """lhs(x, y) <= rhs(x, y) for x, y in `members`."""
+    return all(A.order.all_leq(compose(lhs[x], members), compose(rhs[x], members))
+               for x in members)
+
+
+def _bounded(holds):
+    """`holds`, undecided without every meet and join."""
+    return lambda A: A.order.has_meets_and_joins and holds(A)
+
+
+# identity -> its exact whole-table test, row by row, run only on an
+# algebra with an implication table
+_HOLDS = {
+    IdentityId.P2_1: _bounded(lambda A: distributes(A.mult_table, A.order.lubs)),
+    IdentityId.P2_3: _bounded(lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
+    IdentityId.P2_4: _bounded(lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
+    IdentityId.P2_5: lambda A: all(
+        A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
+        for row in A.imp_table for y, v in enumerate(row)),
+    IdentityId.P2_7: _monotone,
+    IdentityId.P2_8: lambda A: all(
+        compose(A.imp_table[x], A.imp_table[y]) == A.imp_table[v]
+        for x, row in enumerate(A.mult_table) for y, v in enumerate(row)),
+    IdentityId.P2_9: lambda A: all(
+        A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
+        for x, row in enumerate(A.imp_table)),
+    IdentityId.P2_10: lambda A: all(
+        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.pairs()),
+    IdentityId.P2_11: _bounded(lambda A: all(
+        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
+    IdentityId.P2_12: _bounded(lambda A: all(
+        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs))),
+    IdentityId.P2_13: lambda A: all(
+        row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table)),
+    IdentityId.P2_14: lambda A: all(
+        A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs),
+    IdentityId.LEMMA_MEET_IMP: _bounded(lambda A: distributes(A.imp_table, A.order.glbs)),
+}
+
+
+def _domain(ident: IdentityId, arity: int):
+    holds = _HOLDS.get(ident)
+    if holds is None:
+        return cube(arity)
+    return Unless(lambda A: A.imp_table is not None and holds(A), cube(arity))
+
 
 # law -> (context from the algebra, ideal bits and class index; entries):
 # each identity is one untagged law over the tuples of its arity
 LAWS = {
-    ident.value: (lambda alg, *_: alg,
-                  (Law(None, _DOMAINS.get(ident, cube(arity)), _violation(pred)),))
+    ident.value: (lambda alg, *_: alg, (Law(None, _domain(ident, arity), _violation(pred)),))
     for ident, (arity, pred, _formula) in IDENTITIES.items()
 }
 

@@ -7,6 +7,15 @@ or else the extra witness values (a computed value, a frontier, or
 nothing).  The witness of the first violation is the kind tag (when
 the entry has one), the point and the extra values, so replay can
 re-evaluate the same violation function at the same point.
+
+A domain may first run an exact test on the whole structure (`Unless`).
+The test returns True only where no point of the domain violates, on
+any context, sealed algebra or not, and False wherever it cannot decide
+(a missing meet, join or implication table; an order that is not
+transitive).  When it passes the domain yields no points; otherwise it
+yields all its points in scan order.  So a scan that runs finds the
+same first witness, or raises the same exception at the same point, as
+a scan without the test.
 """
 
 from __future__ import annotations
@@ -69,6 +78,35 @@ def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Ver
                 note = entry.detail(ctx, *point) if callable(entry.detail) else entry.detail
                 return Verdict(law, False, witness, note or detail)
     return Verdict(law, True, None, detail)
+
+
+class Unless:
+    """A domain that is empty where `holds(ctx)`, an exact whole-table
+    test, shows that the law holds at every point of `domain(ctx)`, and
+    is `domain(ctx)` otherwise (module docstring).  A plain class: a
+    NamedTuple would compile code at import."""
+
+    __slots__ = ("holds", "domain")
+
+    def __init__(self, holds: Callable[[object], bool],
+                 domain: Callable[[object], Iterable[tuple]]):
+        self.holds = holds
+        self.domain = domain
+
+    def __call__(self, ctx) -> Iterable[tuple]:
+        return () if self.holds(ctx) else self.domain(ctx)
+
+
+def compose(row: tuple, idx: Iterable[int]) -> tuple:
+    """(row[i] for i in idx) as a tuple: one table row read through
+    another, the inner loop of the whole-table tests."""
+    return tuple(map(row.__getitem__, idx))
+
+
+def distributes(f, g) -> bool:
+    """f(x, g(y, z)) == g(f(x, y), f(x, z)) for all x, y, z, for tables
+    f and g given as rows; row by row over z."""
+    return all(compose(row, g[y]) == compose(g[v], row) for row in f for y, v in enumerate(row))
 
 
 def ascending_pairs(ctx) -> Iterable[tuple]:

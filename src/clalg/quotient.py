@@ -45,7 +45,7 @@ from .core import (
     per_ideal,
 )
 from .ideals import Ideal, Subset, is_affine, is_distributive_ideal, is_prime
-from .laws import Law, Verdict, cube, first_violation
+from .laws import Law, Unless, Verdict, compose, cube, first_violation
 from .validator import DISTRIBUTIVE_LATTICE, ValidationReport, validate
 
 
@@ -156,25 +156,26 @@ def _classes(alg, ideal_bits, class_index) -> _Classes:
     return _Classes(alg, ideal_bits, class_index, pairs)
 
 
-def _quads(op: str):
-    """Quads (x, x', y, y') over related pairs, lexicographically, or
-    none when `op` passes the class-level test (module docstring), which
-    is exact because the relation is already checked to be an
-    equivalence.  The quads are generated lazily, only to find the
-    first violating one."""
-    def domain(c: _Classes):
+def _class_level(op: str):
+    """The class-level test of `op` (module docstring), exact because
+    a class index is an equivalence."""
+    def holds(c: _Classes) -> bool:
         fn = getattr(c.alg, op)
         cidx = c.class_index
         rep = [cidx.index(i) for i in cidx]  # least member of each class
         n = len(cidx)
         try:
-            if all(cidx[fn(x, y)] == cidx[fn(rep[x], rep[y])]
-                   for x in range(n) for y in range(n)):
-                return ()
+            return all(cidx[fn(x, y)] == cidx[fn(rep[x], rep[y])]
+                       for x in range(n) for y in range(n))
         except NotALattice:
-            pass  # not a lattice: the quad scan raises at its first pair without one
-        return (p + q for p in c.pairs for q in c.pairs)
-    return domain
+            return False  # the quad scan raises at its first pair without one
+    return holds
+
+
+def _quads(c: _Classes):
+    """Quads (x, x', y, y') over related pairs, lexicographically,
+    generated lazily, only to find the first violating one."""
+    return (p + q for p in c.pairs for q in c.pairs)
 
 
 def _compatible(op: str):
@@ -186,7 +187,8 @@ def _compatible(op: str):
 
 
 CONGRUENCE = tuple(
-    Law(op, _quads(op), _compatible(op)) for op in ("meet", "join", "mult", "imp")
+    Law(op, Unless(_class_level(op), _quads), _compatible(op))
+    for op in ("meet", "join", "mult", "imp")
 ) + (
     Law("neg", lambda c: c.pairs, lambda c, x, x1: None
         if c.class_index[c.alg.neg(x)] == c.class_index[c.alg.neg(x1)] else ()),
@@ -204,7 +206,20 @@ def _order_mismatch(c, x, y):
     return None if sides[0] == sides[1] else sides
 
 
-ORDER_CRITERION = (Law("order_criterion", lambda c: cube(2)(c.alg), _order_mismatch),)
+def _order_agrees(c: _Classes) -> bool:
+    """Row by row: the class of meet(x, y) is x's exactly where ~(x->y)
+    is in the ideal; undecided without an implication table or a meet."""
+    alg, cidx = c.alg, c.class_index
+    if alg.imp_table is None or not alg.order.has_meets_and_joins:
+        return False
+    neg_in = tuple(c.ideal_bits >> v & 1 for v in alg.negs)
+    return all(compose(tuple(int(k == cidx[x]) for k in cidx), meets) == compose(neg_in, imp)
+               for x, (meets, imp) in enumerate(zip(alg.order.glbs, alg.imp_table)))
+
+
+ORDER_CRITERION = (
+    Law("order_criterion", Unless(_order_agrees, lambda c: cube(2)(c.alg)), _order_mismatch),
+)
 
 
 def class_of(cong: Congruence, x: int) -> Subset:

@@ -17,14 +17,19 @@ witness agreement):
   involution: x on neg(neg(x)) == x.
 
 Each law is declared once below as a list of laws.Law entries; the
-checks and replay.confirm_witness both read those declarations.  Checks
-never mutate the candidate; a derived implication table is attached to
-the returned report/algebra only.
+checks and replay.confirm_witness both read those declarations.  The
+entries transitivity, no_join, no_meet, commutativity, associativity
+and adjunction, and the integral and distributive-lattice flags, scan
+only where an exact whole-table test (laws.Unless) fails, so their
+witnesses are those of the full scan.  Checks never mutate the
+candidate; a derived implication table is attached to the returned
+report/algebra only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import (
     AlgebraCandidate,
@@ -34,7 +39,17 @@ from .core import (
     derive_implication,
     residual,
 )
-from .laws import Law, Verdict, ascending_pairs, cube, first_violation, rising_pairs
+from .laws import (
+    Law,
+    Unless,
+    Verdict,
+    ascending_pairs,
+    compose,
+    cube,
+    distributes,
+    first_violation,
+    rising_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -117,9 +132,9 @@ LATTICE = (
     Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else ()),
     Law("antisymmetry", ascending_pairs,
         lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None),
-    Law("transitivity", cube(3), _intransitive),
-    Law("no_join", rising_pairs, _no_bound("join")),
-    Law("no_meet", rising_pairs, _no_bound("meet")),
+    Law("transitivity", Unless(lambda A: A.order.is_transitive(), cube(3)), _intransitive),
+    Law("no_join", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("join")),
+    Law("no_meet", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("meet")),
     Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else ()),
 )
 
@@ -129,18 +144,36 @@ def _nonassociative(A, x, y, z):
     return None if t[t[x][y]][z] == t[x][t[y][z]] else ()
 
 
+def _associative(A) -> bool:
+    """Row by row: t[t[x][y]] == (t[x][t[y][z]] for z)."""
+    t = A.mult_table
+    return all(t[v] == compose(row, col) for row in t for v, col in zip(row, t))
+
+
 MONOID = (
-    Law("commutativity", ascending_pairs,
+    Law("commutativity", Unless(lambda A: A.mult_table == tuple(zip(*A.mult_table)),
+                                ascending_pairs),
         lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else ()),
     Law("unit", cube(1),
         lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else ()),
-    Law("associativity", cube(3), _nonassociative),
+    Law("associativity", Unless(_associative, cube(3)), _nonassociative),
 )
 
 
 def _nonadjoint(A, x, y, z):
     up = A.order.up
     return None if up[A.mult_table[x][y]] >> z & 1 == up[x] >> A.imp_table[y][z] & 1 else ()
+
+
+def _adjoint(A) -> bool:
+    """Row by row over z, reading <= as 0/1 rows: mult(x, y) <= z
+    exactly where x <= imp(y, z)."""
+    imp = A.imp_table
+    if imp is None:
+        return False
+    leq = A.order.matrix
+    return all(leq[v] == compose(leq[x], imp[y])
+               for x, row in enumerate(A.mult_table) for y, v in enumerate(row))
 
 
 def _adjunction_detail(A, x, y, z) -> str:
@@ -162,7 +195,7 @@ def _no_residual(A, x, y):
 RESIDUATION = (
     Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
         "no implication table can satisfy residuation"),
-    Law("adjunction", cube(3), _nonadjoint, _adjunction_detail),
+    Law("adjunction", Unless(_adjoint, cube(3)), _nonadjoint, _adjunction_detail),
 )
 
 INVOLUTION = (Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else ()),)
@@ -243,7 +276,11 @@ def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:
 
 
 # mult is integral: x * y <= x for all (x, y)
-INTEGRAL = (Law(None, cube(2), lambda A, x, y: None if A.leq(A.mult(x, y), x) else ()),)
+INTEGRAL = (
+    Law(None, Unless(lambda A: all(A.order.all_leq(row, repeat(x))
+                                   for x, row in enumerate(A.mult_table)), cube(2)),
+        lambda A, x, y: None if A.leq(A.mult(x, y), x) else ()),
+)
 
 
 def is_residuated_lattice(alg: FiniteCLAlgebra) -> bool:
@@ -276,7 +313,8 @@ def is_linear(alg: AlgebraCandidate) -> bool:
 
 # meet distributes over join; the witness is the first failing (x, y, z)
 DISTRIBUTIVE_LATTICE = (
-    Law(None, cube(3), lambda A, x, y, z:
+    Law(None, Unless(lambda A: A.order.has_meets_and_joins
+                     and distributes(A.order.glbs, A.order.lubs), cube(3)), lambda A, x, y, z:
         None if A.meet(x, A.join(y, z)) == A.join(A.meet(x, y), A.meet(x, z)) else ()),
 )
 

@@ -278,6 +278,121 @@ def oracle_congruence_certificate(cand, ideal_mask: int):
     return True, None
 
 
+# --- derived identities and special ideals ----------------------------------
+
+class _Literal:
+    """The operations of a candidate read literally off its fields: the
+    order masks, the two tables and zero; meet and join by scanning
+    bounds, once per pair (None where there is no unique one)."""
+
+    def __init__(self, cand):
+        self.c = cand
+        self.n = cand.n
+        self.bot, self.zero, self.one = cand.bot, cand.zero, cand.one
+        self.top = cand.imp_table[cand.bot][cand.bot]
+        pairs = list(product(range(cand.n), repeat=2))
+        self.meets = {p: _glb_scan(cand, *p) for p in pairs}
+        self.joins = {p: _lub_scan(cand, *p) for p in pairs}
+
+    def leq(self, x, y):
+        return _leq(self.c, x, y)
+
+    def meet(self, x, y):
+        return self.meets[x, y]
+
+    def join(self, x, y):
+        return self.joins[x, y]
+
+    def mult(self, x, y):
+        return self.c.mult_table[x][y]
+
+    def imp(self, x, y):
+        return self.c.imp_table[x][y]
+
+    def neg(self, x):
+        return self.c.imp_table[x][self.zero]
+
+
+def _implies(guard, claim):
+    return not guard or claim()
+
+
+# tag -> (arity, the law at one point); a guarded law holds where its
+# guard fails
+ORACLE_IDENTITIES = {
+    "P2_1": (3, lambda o, x, y, z:
+             o.mult(x, o.join(y, z)) == o.join(o.mult(x, y), o.mult(x, z))),
+    "P2_2": (1, lambda o, y: o.leq(y, o.imp(o.bot, o.bot))),
+    "P2_3": (2, lambda o, x, y: _implies(
+        o.leq(x, o.one) and o.leq(y, o.one), lambda: o.leq(o.mult(x, y), o.meet(x, y)))),
+    "P2_4": (2, lambda o, x, y: _implies(
+        o.leq(o.one, x) and o.leq(o.one, y), lambda: o.leq(o.join(x, y), o.mult(x, y)))),
+    "P2_5": (3, lambda o, x, y, z: o.leq(o.mult(o.imp(x, y), o.imp(y, z)), o.imp(x, z))),
+    "P2_6": (1, lambda o, x: o.imp(o.one, x) == x),
+    "P2_7": (4, lambda o, x, x1, y, y1: _implies(
+        o.leq(x, x1) and o.leq(y, y1),
+        lambda: o.leq(o.mult(x, y), o.mult(x1, y1)) and o.leq(o.imp(x1, y), o.imp(x, y1)))),
+    "P2_8": (3, lambda o, x, y, z: o.imp(x, o.imp(y, z)) == o.imp(o.mult(x, y), z)),
+    "P2_9": (2, lambda o, x, y: o.leq(o.mult(x, o.imp(x, y)), y)),
+    "P2_10": (2, lambda o, x, y: _implies(o.leq(x, y), lambda: o.leq(o.neg(y), o.neg(x)))),
+    "P2_11": (2, lambda o, x, y: o.join(x, y) == o.neg(o.meet(o.neg(x), o.neg(y)))),
+    "P2_12": (2, lambda o, x, y: o.meet(x, y) == o.neg(o.join(o.neg(x), o.neg(y)))),
+    "P2_13": (2, lambda o, x, y: o.imp(x, y) == o.neg(o.mult(x, o.neg(y)))),
+    "P2_14": (2, lambda o, x, y: o.imp(o.neg(x), y) == o.neg(o.mult(o.neg(x), o.neg(y)))),
+    "P2_15": (0, lambda o: o.neg(o.top) == o.bot),
+    "P2_16": (0, lambda o: o.mult(o.neg(o.top), o.top) == o.bot),
+    "LEMMA_MEET_IMP": (3, lambda o, x, y, z:
+                       o.meet(o.imp(z, x), o.imp(z, y)) == o.imp(z, o.meet(x, y))),
+}
+
+
+def oracle_identity(cand, tag):
+    """(ok, first failing point) of one identity over all tuples of its
+    arity, lexicographically; top is imp(bot, bot).  Needs a lattice
+    order (a missing meet or join reads as None)."""
+    arity, law = ORACLE_IDENTITIES[tag]
+    o = _Literal(cand)
+    for point in product(range(cand.n), repeat=arity):
+        if not law(o, *point):
+            return False, point
+    return True, None
+
+
+def oracle_prime(cand, mask: int):
+    """(ok, (x, y, ~(x->y), ~(y->x))) at the first x <= y (by index)
+    where neither value lies in `mask`."""
+    o = _Literal(cand)
+    for x in range(cand.n):
+        for y in range(x, cand.n):
+            nxy, nyx = o.neg(o.imp(x, y)), o.neg(o.imp(y, x))
+            if not (mask >> nxy & 1 or mask >> nyx & 1):
+                return False, (x, y, nxy, nyx)
+    return True, None
+
+
+def oracle_distributive_ideal(cand, mask: int):
+    """(ok, (x, y, z, w)) at the first triple whose value
+    w = ((x|y) & (x|z)) * ~(x | (y&z)) is outside `mask`."""
+    o = _Literal(cand)
+    for x, y, z in product(range(cand.n), repeat=3):
+        w = o.mult(o.meet(o.join(x, y), o.join(x, z)), o.neg(o.join(x, o.meet(y, z))))
+        if not mask >> w & 1:
+            return False, (x, y, z, w)
+    return True, None
+
+
+def oracle_implicative(cand, mask: int):
+    """(ok, (x, y, z, ~(x->z))) at the first triple with ~(x->(y->z))
+    and ~(x->y) in `mask` and ~(x->z) outside it."""
+    o = _Literal(cand)
+    for x, y, z in product(range(cand.n), repeat=3):
+        w = o.neg(o.imp(x, z))
+        if (mask >> o.neg(o.imp(x, o.imp(y, z))) & 1 and mask >> o.neg(o.imp(x, y)) & 1
+                and not mask >> w & 1):
+            return False, (x, y, z, w)
+    return True, None
+
+
 # --- naive model enumeration -------------------------------------------------
 
 def oracle_posets_naturally_labeled(n: int):

@@ -1,0 +1,280 @@
+"""The whole-table tests that let a law skip its point scan (laws.Unless)
+change no result: every verdict and witness matches an independent
+oracle, the fast domain answers exactly as the plain one (the same
+exception at the same pair where the order is no lattice or not
+transitive), and on census algebras no scan runs behind a passing
+verdict, the cubic ones included."""
+
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from oracles import (
+    ORACLE_IDENTITIES,
+    oracle_distributive_ideal,
+    oracle_identity,
+    oracle_implicative,
+    oracle_prime,
+)
+from test_identities import _force_seal
+
+import clalg.core
+import clalg.ideals
+import clalg.identities
+import clalg.quotient
+import clalg.validator
+from clalg.core import AlgebraCandidate, OrderRelation
+from clalg.ideals import (
+    DISTRIBUTIVE_IDEAL,
+    IMPLICATIVE,
+    PRIME,
+    Ideal,
+    Subset,
+    all_ideals,
+    is_distributive_ideal,
+    is_implicative,
+    is_prime,
+)
+from clalg.identities import IdentityId, check_identity, run_identity_suite
+from clalg.laws import Law, Unless, first_violation
+from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _classes, theorem_suite
+from clalg.validator import (
+    DISTRIBUTIVE_LATTICE,
+    INTEGRAL,
+    LATTICE,
+    MONOID,
+    RESIDUATION,
+    _imp_or_derive,
+    is_distributive_lattice,
+    is_residuated_lattice,
+    validate,
+)
+
+
+def _mutants(alg, rng, count=6):
+    """`count` copies of `alg` with one change each: a mult cell and its
+    mirror, a mult cell alone, an imp cell, zero or one."""
+    n = alg.n
+    base = alg.as_candidate()
+    for _ in range(count):
+        which = rng.choice(("mult", "mult_one_cell", "imp", "zero", "one"))
+        if which in ("zero", "one"):
+            yield replace(base, **{which: rng.choice([v for v in range(n)
+                                                       if v != getattr(base, which)])})
+            continue
+        table = "imp" if which == "imp" else "mult"
+        rows = [list(r) for r in getattr(base, f"{table}_table")]
+        x, y = rng.randrange(n), rng.randrange(n)
+        rows[x][y] = v = rng.choice([v for v in range(n) if v != rows[x][y]])
+        if which == "mult":
+            rows[y][x] = v
+        yield replace(base, **{f"{table}_table": tuple(tuple(r) for r in rows)})
+
+
+@pytest.fixture(scope="module")
+def sealed_and_mutants(census):
+    rng = random.Random(11)
+    algebras = [alg for n in sorted(census) for alg in census[n]]
+    return algebras + [_force_seal(m) for alg in algebras for m in _mutants(alg, rng)]
+
+
+def _zero_subsets(alg):
+    return [bits for bits in range(1 << alg.n) if bits >> alg.zero & 1]
+
+
+def test_identities_match_the_oracle_on_mutants(sealed_and_mutants):
+    failing = Counter()
+    for alg in sealed_and_mutants:
+        for ident in IdentityId:
+            verdict = check_identity(alg, ident)
+            expected = oracle_identity(alg, ident.value)
+            assert (verdict.ok, verdict.witness) == expected, (alg.mult_table, alg.imp_table,
+                                                               alg.zero, alg.one, ident)
+            failing[ident] += not verdict.ok
+    assert set(ORACLE_IDENTITIES) == {ident.value for ident in IdentityId}
+    # every identity of arity >= 2 fails somewhere, so its scan is compared too
+    assert all(failing[ident] for ident, (arity, *_) in clalg.identities.IDENTITIES.items()
+               if arity >= 2), failing
+
+
+def test_special_ideals_match_the_oracle_on_mutants(sealed_and_mutants):
+    checks = (
+        (lambda alg, s: is_prime(alg, Ideal(s)), oracle_prime),
+        (lambda alg, s: is_distributive_ideal(alg, Ideal(s)), oracle_distributive_ideal),
+        (is_implicative, oracle_implicative),
+    )
+    outcomes = Counter()
+    for alg in sealed_and_mutants:
+        dn = alg.order.dn
+        for bits in _zero_subsets(alg):
+            if any(dn[y] & ~bits for y in Subset(alg.n, bits)):
+                continue  # down-sets only, as ideals are
+            for index, (check, oracle) in enumerate(checks):
+                verdict = check(alg, Subset(alg.n, bits))
+                assert (verdict.ok, verdict.witness) == oracle(alg, bits), (
+                    alg.mult_table, alg.imp_table, alg.zero, bits, verdict.law)
+                outcomes[index, verdict.ok] += 1
+    assert all(outcomes[index, ok] for index in range(3) for ok in (True, False)), outcomes
+
+
+# --- the fast domain against the plain one -------------------------------
+
+def _orders(n):
+    """Orders on which the whole-table tests must fall through: an
+    antichain, a cyclic relation (x <= x+1 mod n, not transitive), a
+    chain without its transitive pairs, and a "V" with no joins."""
+    yield OrderRelation(n, tuple(1 << x for x in range(n)))
+    yield OrderRelation(n, tuple(1 << x | 1 << (x + 1) % n for x in range(n)))
+    yield OrderRelation(n, tuple(1 << x | (1 << x + 1 if x + 1 < n else 0) for x in range(n)))
+    yield OrderRelation.from_covers(n, [(0, x) for x in range(1, n)])
+
+
+def _partitions(n, rng):
+    """Class indexes: all singletons, one class, and two seeded ones."""
+    yield tuple(range(n))
+    yield (0,) * n
+    for _ in range(2):
+        labels = [rng.randrange(n) for _ in range(n)]
+        yield tuple(sorted(set(labels), key=labels.index).index(v) for v in labels)
+
+
+def _contexts(cand, rng):
+    """(entries, context) for each law with a whole-table test."""
+    yield from ((entries, cand) for entries in (LATTICE, MONOID, INTEGRAL, DISTRIBUTIVE_LATTICE))
+    yield RESIDUATION, _imp_or_derive(cand)
+    yield RESIDUATION, _imp_or_derive(cand.with_imp(None))
+    forced = _force_seal(cand)
+    yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
+    subsets = _zero_subsets(cand)
+    for bits in rng.sample(subsets, min(6, len(subsets))):
+        yield from ((entries, (cand, bits)) for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE))
+    for class_index in _partitions(cand.n, rng):
+        bits = rng.choice(_zero_subsets(cand))
+        yield CONGRUENCE + ORDER_CRITERION, _classes(cand, bits, class_index)
+
+
+def _declared_laws():
+    """Every tuple of law entries a package module declares."""
+    for module in (clalg.core, clalg.validator, clalg.identities, clalg.ideals, clalg.quotient):
+        for value in vars(module).values():
+            if isinstance(value, tuple) and value and all(isinstance(e, Law) for e in value):
+                yield value
+    yield from (entries for _ctx, entries in clalg.identities.LAWS.values())
+
+
+def _outcome(entry, domain, ctx):
+    try:
+        verdict = first_violation("law", (entry._replace(domain=domain),), ctx)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc), vars(exc)
+    return verdict.ok, verdict.witness, verdict.detail
+
+
+def test_fast_domains_answer_as_the_plain_scan(census):
+    rng = random.Random(12)
+    bases = [alg for n in (3, 4, 5) for alg in census[n]]
+    candidates = []
+    for alg in bases:
+        candidates.append(alg.as_candidate())
+        candidates += _mutants(alg, rng, count=3)
+        candidates += [replace(alg.as_candidate(), order=order) for order in _orders(alg.n)]
+    # the 3-element Lukasiewicz tables on 0 <= 1 <= 2 without 0 <= 2: mult
+    # and imp are monotone in each argument, yet P2_7 fails at (1, 2, 1, 2)
+    candidates.append(AlgebraCandidate(
+        "l3_intransitive", ("p0", "p1", "p2"), OrderRelation(3, (0b011, 0b110, 0b100)),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 2)), ((2, 2, 2), (1, 2, 2), (0, 1, 2)), 0, 0, 2))
+    taken = Counter()
+    for cand in candidates:
+        for entries, ctx in _contexts(cand, rng):
+            for entry in entries:
+                if not isinstance(entry.domain, Unless):
+                    continue
+                fast = _outcome(entry, entry.domain, ctx)
+                assert fast == _outcome(entry, entry.domain.domain, ctx), (
+                    cand.name, entry.kind, cand.order.up, cand.mult_table)
+                taken[entry.domain.holds, entry.domain.holds(ctx)] += 1
+    # every whole-table test the package declares is compared, and each
+    # both passed and fell through somewhere
+    unless = {entry.domain.holds for entries in _declared_laws() for entry in entries
+              if isinstance(entry.domain, Unless)}
+    assert {holds for holds, _passed in taken} == unless and len(unless) == 29
+    assert all(taken[holds, True] and taken[holds, False] for holds in unless)
+
+
+def test_missing_meet_is_raised_at_the_scan_pair(census):
+    # the tables of a 4-element algebra on a "V" order: the whole-table
+    # tests cannot decide, and the scans raise where they always did
+    alg = census[4][0]
+    cand = replace(alg.as_candidate(), order=OrderRelation.from_covers(4, [(0, 1), (0, 2), (0, 3)]))
+    for entries, ctx in ((DISTRIBUTIVE_LATTICE, cand),
+                         (DISTRIBUTIVE_IDEAL, (cand, 1 << cand.zero))):
+        plain = _outcome(entries[0], entries[0].domain.domain, ctx)
+        assert plain[0].__name__ == "NotALattice"
+        assert _outcome(entries[0], entries[0].domain, ctx) == plain
+
+
+# --- the fast path is taken -------------------------------------------------
+
+# (module, name) of every tuple of entries with a whole-table test, as
+# its callers read it
+PATCHED = (
+    (clalg.validator, "LATTICE"), (clalg.validator, "MONOID"),
+    (clalg.validator, "RESIDUATION"), (clalg.validator, "INTEGRAL"),
+    (clalg.validator, "DISTRIBUTIVE_LATTICE"), (clalg.quotient, "DISTRIBUTIVE_LATTICE"),
+    (clalg.ideals, "PRIME"), (clalg.ideals, "DISTRIBUTIVE_IDEAL"), (clalg.ideals, "IMPLICATIVE"),
+    (clalg.quotient, "CONGRUENCE"), (clalg.quotient, "ORDER_CRITERION"),
+)
+
+
+def _count_violations(monkeypatch, calls):
+    """Count the violation calls of every entry with a whole-table test,
+    by (name, kind)."""
+    def counted(entry, name):
+        if not isinstance(entry.domain, Unless):
+            return entry
+
+        def violation(ctx, *point):
+            calls[name, entry.kind] += 1
+            return entry.violation(ctx, *point)
+        return entry._replace(violation=violation)
+
+    for module, name in PATCHED:
+        monkeypatch.setattr(module, name, tuple(counted(e, name) for e in getattr(module, name)))
+    for tag, (ctx, entries) in list(clalg.identities.LAWS.items()):
+        monkeypatch.setitem(clalg.identities.LAWS, tag,
+                            (ctx, tuple(counted(e, tag) for e in entries)))
+
+
+def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, monkeypatch):
+    calls = Counter()
+    _count_violations(monkeypatch, calls)
+    algebras = [replace(alg) for n in sorted(census) for alg in census[n]]  # empty memos
+    ideals = 0
+    checks = (is_prime, is_distributive_ideal,
+              lambda alg, ideal: is_implicative(alg, ideal.subset))
+    for alg in algebras:
+        # validate and the identity suite, cubic scans included
+        assert validate(alg.as_candidate()).algebra == alg
+        assert all(run_identity_suite(alg).values())
+        assert not calls, (alg.name, calls)
+        for flag in (is_residuated_lattice, is_distributive_lattice):
+            holds = flag(alg)
+            assert bool(calls) != holds, (alg.name, flag.__name__, calls)
+            calls.clear()
+        for ideal in all_ideals(alg):
+            for check in checks:
+                verdict = check(alg, ideal)
+                assert bool(calls) != verdict.ok, (alg.name, ideal.bits, verdict, calls)
+                calls.clear()
+            # the congruence certificate, the order criterion, the
+            # quotient's validation and the distributive-quotient claim
+            assert theorem_suite(alg, ideal).ok
+            assert not calls, (alg.name, ideal.bits, calls)
+            ideals += 1
+    assert (len(algebras), ideals) == (33, 75)
+    # the counting reaches the scans: a defective table set runs them
+    validate(nonlinear6)
+    run_identity_suite(_force_seal(nonlinear6))
+    assert calls["RESIDUATION", "adjunction"] and calls["P2_7", None] and calls["P2_1", None]
