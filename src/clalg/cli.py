@@ -331,10 +331,12 @@ def _cmd_theorems(run: _Run) -> None:
     ]
 
     def claim_witness(c):
-        # claim witnesses index quotient classes, not base elements,
-        # except the singleton claim which carries a base subset mask
+        # claim witnesses index quotient classes, except a blocked claim's
+        # order-criterion mismatch and the singleton claim's subset mask
         if c.witness is None:
             return None
+        if c.status == "blocked":
+            return _render_index(alg, c.witness)
         if c.claim == "zero_downset_singleton_classes":
             return [c.witness[0], alg.render_subset(c.witness[1])]
         return [class_names[i] if isinstance(i, int) else i for i in c.witness]
@@ -469,10 +471,7 @@ def run_command(argv: list[str]) -> int:
     t0 = time.perf_counter()
     try:
         _HANDLERS[args.cmd](run)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (_Usage, EmptySubset) as exc:
+    except (ParseError, _Usage, EmptySubset) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotAnIdeal as exc:

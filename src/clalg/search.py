@@ -1,19 +1,22 @@
 """Exhaustive enumeration of CL-algebras up to isomorphism.
 
 Lattices are generated with a naturally-labeled DFS: element 0 is the
-bottom, element n-1 the top, labels form a linear extension, and every
-prefix must already be a meet-semilattice (prefixes of lattices are
-meet-closed, and a finite meet-semilattice with a top is a lattice, so
-the incremental meet check loses nothing).  Each lattice is then
-canonically relabeled and deduplicated.
+bottom, element n-1 the top, and each element's key (longest chain
+from the bottom, down-set size) is at least its predecessor's.  Sorting
+a lattice's elements by key is a linear extension, since x < y makes
+both parts larger, so every lattice has such a labeling, and each of
+its prefixes is a down-set, hence meet-closed; a finite
+meet-semilattice with a top is a lattice, so the incremental meet check
+loses nothing.  Each lattice is then canonically relabeled and
+deduplicated.
 
 Completions are involution-first.  A CL-algebra's negation x -> zero
 is an order-reversing involution sigma of the lattice with zero =
-sigma(one), so the lattice's automorphisms and its order-reversing
-involutions are listed first, by backtracking.  run_search takes one
-unit per automorphism orbit, and complete_to_cl one sigma per class
-under conjugation by the automorphisms fixing that unit; a lattice
-without such a sigma has no completion.  Per (one, sigma) a
+sigma(one), so run_search lists each lattice's order-reversing
+involutions once, and a lattice without one counts 0 and costs nothing
+more.  Otherwise its automorphisms are listed once, for one unit per
+automorphism orbit and, per unit, one sigma per class under
+conjugation by the automorphisms fixing it.  Per (one, sigma) a
 backtracking search fills a commutative fusion table: the unit row is
 fixed, the bottom row is forced to bottom (residuation plus the least
 element leave no other choice) and commutativity halves the table.
@@ -24,8 +27,10 @@ it.  Monotonicity and join distribution need no check: with w =
 sigma(z) the law reads x*y <= z iff y <= sigma(x*sigma(z)), so each
 map y -> x*y is residuated, hence monotone and join-preserving.  On a
 finished table the rotation law makes sigma the negation and x -> y =
-sigma(x * sigma(y)) the residual, so the implication is read off sigma
-and every survivor is sealed by the full validator.
+sigma(x * sigma(y)) the residual, so the implication is read off
+sigma.  complete_to_cl seals every such completion; run_search keys
+them and runs the full validator once per key, on the algebra rebuilt
+from it, which checks every isomorphism class it counts.
 
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
@@ -42,7 +47,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 from .core import (
     AlgebraCandidate,
@@ -103,16 +108,8 @@ class SearchResult:
 def _color_consistent_perms(colors):
     """Permutations pi (new index -> old element) listing elements in
     nondecreasing color, all arrangements within equal-color blocks."""
-    n = len(colors)
-    ordered = sorted(range(n), key=lambda i: (colors[i], i))
-    blocks = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and colors[ordered[j]] == colors[ordered[i]]:
-            j += 1
-        blocks.append(ordered[i:j])
-        i = j
+    ordered = sorted(range(len(colors)), key=lambda i: (colors[i], i))
+    blocks = [tuple(b) for _c, b in groupby(ordered, key=colors.__getitem__)]
     for parts in product(*[permutations(b) for b in blocks]):
         yield tuple(x for part in parts for x in part)
 
@@ -172,51 +169,47 @@ def enumerate_lattices(n: int) -> list[OrderRelation]:
     _check_size(n)
     seen = set()
     for dnmasks in _natural_lattice_downmasks(n):
-        up = [0] * n
-        for y in range(n):
-            for x in iter_bits(dnmasks[y]):
-                up[x] |= 1 << y
-        seen.add(_least_encoding(OrderRelation(n, tuple(up))))
+        up = OrderRelation(n, dnmasks).dn  # the transpose of the down masks
+        seen.add(_least_encoding(OrderRelation(n, up)))
     return [OrderRelation(n, masks) for _n, masks in sorted(seen)]
 
 
 def _natural_lattice_downmasks(n: int):
-    """Yield dn-mask tuples of all naturally labeled lattices on n elements."""
-    out = []
+    """Yield dn-mask tuples of the naturally labeled lattices on n
+    elements whose labels ascend by key (height, down-set size).  No
+    lattice is lost: sorting its elements by key lists each x before
+    every y > x (both parts of the key grow), a labeling yielded.  The
+    top needs no test: its key is the largest, and it adds no meet."""
     dn = [1]
+    keys = [(0, 1)]
 
-    def choices(i):
-        res = []
-        for mask in range(1, 1 << i, 2):  # bottom always below: bit 0 set
-            if all(dn[j] & ~mask == 0 for j in iter_bits(mask)):
-                res.append(mask)
-        return res
-
-    def meets_ok(i, dmask):
-        my = dmask | (1 << i)
-        for x in range(i):
+    def meets_ok(my):
+        for x in range(len(dn)):
             lb = dn[x] & my
             if not any(lb & ~dn[g] == 0 for g in iter_bits(lb)):
                 return False
         return True
 
     def rec(i):
-        if i == n:
-            out.append(tuple(dn))
+        if i == n - 1:
+            yield (*dn, (1 << n) - 1)
             return
-        opts = [(1 << i) - 1] if i == n - 1 else choices(i)
-        for dmask in opts:
-            if meets_ok(i, dmask):
-                dn.append(dmask | (1 << i))
-                rec(i + 1)
+        for mask in range(1, 1 << i, 2):  # bottom always below: bit 0 set
+            if any(dn[j] & ~mask for j in iter_bits(mask)):
+                continue  # not a down-set
+            key = (1 + max(keys[j][0] for j in iter_bits(mask)), popcount(mask) + 1)
+            if key >= keys[-1] and meets_ok(mask | 1 << i):
+                dn.append(mask | 1 << i)
+                keys.append(key)
+                yield from rec(i + 1)
+                keys.pop()
                 dn.pop()
 
-    rec(1)
-    return out
+    yield from rec(1)
 
 
-def canonical_form(alg: FiniteCLAlgebra) -> tuple:
-    """Isomorphism-invariant key of a sealed algebra:
+def canonical_form(alg: AlgebraCandidate) -> tuple:
+    """Isomorphism-invariant key of a (sealed or unvalidated) algebra:
     (n, up masks, bot, zero, one, mult, imp), tables row-major.
 
     Equal keys mean there is a bijection preserving order, mult, imp,
@@ -227,22 +220,22 @@ def canonical_form(alg: FiniteCLAlgebra) -> tuple:
                            (alg.mult_table, alg.imp_table))
 
 
-def _algebra_from_key(key: tuple, name: str,
-                      orders: dict[tuple, OrderRelation]) -> FiniteCLAlgebra:
-    """The sealed algebra a canonical key encodes, in that labeling;
-    `orders` shares one OrderRelation (and its meet/join tables) per
-    order encoding."""
+def _candidate_from_key(key: tuple, name: str,
+                        orders: dict[tuple, OrderRelation]) -> AlgebraCandidate:
+    """The unvalidated algebra a canonical key encodes, in that
+    labeling; `orders` shares one OrderRelation (and its meet/join
+    tables) per order encoding."""
     n, up, bot, zero, one, mult, imp = key
 
     def rows(flat):
         return tuple(flat[i:i + n] for i in range(0, n * n, n))
 
-    return seal(AlgebraCandidate(
+    return AlgebraCandidate(
         name=name, elements=tuple(f"e{i}" for i in range(n)),
         order=orders.setdefault(up, OrderRelation(n, up)),
         mult_table=rows(mult), imp_table=rows(imp),
         bot=bot, zero=zero, one=one,
-    ))
+    )
 
 
 def _order_maps(order: OrderRelation, reverse: bool) -> list[tuple[int, ...]]:
@@ -376,6 +369,45 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> li
     return tables
 
 
+def _check_lattice(order: OrderRelation) -> None:
+    """Raise ValueError for an order that is not antisymmetric or has no
+    least element, NotALattice for one without all joins."""
+    verdict = first_violation("antisymmetry", _ANTISYMMETRY, order)
+    if not verdict:
+        raise ValueError(f"order is not antisymmetric: {verdict.witness}")
+    if order.least() is None:
+        raise ValueError("order has no least element")
+    for x, row in enumerate(order.lubs):
+        if None in row:
+            raise NotALattice(x, row.index(None), "join")
+
+
+def _completions(order: OrderRelation, one: int, involutions: list[tuple[int, ...]],
+                 autos: list[tuple[int, ...]]):
+    """Yield an unvalidated candidate per fusion table with unit `one`
+    and sigma, for one sigma per class of `involutions` under
+    conjugation by the `autos` fixing one; x -> y = sigma(x * sigma(y))."""
+    n = order.n
+    bot = order.least()
+    if one == bot and n > 1:
+        return  # the unit row must be the identity, the bottom row constant
+    # each automorphism p fixing one, with p's inverse listed as a sequence
+    stabilizer = [(p, sorted(range(n), key=p.__getitem__)) for p in autos if p[one] == one]
+
+    def conjugates(sigma):  # p sigma p^-1
+        return [tuple(p[sigma[x]] for x in inverse) for p, inverse in stabilizer]
+
+    elements = tuple(f"e{i}" for i in range(n))
+    k = 0
+    for sigma in _orbit_reps(involutions, conjugates):
+        zero = sigma[one]
+        for mult in _fusion_tables(order, one, sigma):
+            imp = tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n)) for x in range(n))
+            yield AlgebraCandidate(f"cl{n}_z{zero}_u{one}_{k}", elements, order,
+                                   mult, imp, bot, zero, one)
+            k += 1
+
+
 def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
     """CL-algebras on a labeled lattice with the given one: at least one
     from each isomorphism class, over every zero.
@@ -387,75 +419,33 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
     finished table that law makes x -> zero = sigma(x), so the
     implication is read as x -> y = sigma(x * sigma(y)).  Returns raw
     completions (not deduplicated by isomorphism) in a deterministic
-    order; every result is validator-sealed.
+    order, the same search run_search keys; every result is
+    validator-sealed.
 
     Raises ValueError for an order that is not antisymmetric or has no
     least element, NotALattice for one without all joins, and
     NotACLAlgebra if the validator rejects a finished table, which only
     a search that prunes too little can produce.
     """
-    n = order.n
-    if not 0 <= one < n:
+    if not 0 <= one < order.n:
         raise ValueError(f"one index {one} out of range")
-    verdict = first_violation("antisymmetry", _ANTISYMMETRY, order)
-    if not verdict:
-        raise ValueError(f"order is not antisymmetric: {verdict.witness}")
-    bot = order.least()
-    if bot is None:
-        raise ValueError("order has no least element")
-
-    join = order.lubs
-    for x, y in product(range(n), repeat=2):
-        if join[x][y] is None:
-            raise NotALattice(x, y, "join")
-
-    elements = tuple(f"e{i}" for i in range(n))
-
-    if n == 1:
-        return [seal(AlgebraCandidate(
-            name="cl1_z0_u0_0", elements=elements, order=order,
-            mult_table=((0,),), imp_table=None, bot=0, zero=0, one=0,
-        ))]
-
-    if one == bot:
-        return []  # the unit row must be the identity, the bottom row constant
-
-    stabilizer = [p for p in _order_maps(order, reverse=False) if p[one] == one]
-
-    def conjugates(sigma):
-        out = []
-        for p in stabilizer:
-            image = [0] * n
-            for x in range(n):
-                image[p[x]] = p[sigma[x]]
-            out.append(tuple(image))
-        return out
-
-    results: list[FiniteCLAlgebra] = []
-    for sigma in _orbit_reps(_involutions(order), conjugates):
-        zero = sigma[one]
-        for mult in _fusion_tables(order, one, sigma):
-            imp = tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n)) for x in range(n))
-            report = validate(AlgebraCandidate(
-                name=f"cl{n}_z{zero}_u{one}_{len(results)}", elements=elements,
-                order=order, mult_table=mult, imp_table=imp,
-                bot=bot, zero=zero, one=one,
-            ))
-            if report.algebra is None:
-                raise NotACLAlgebra(report)
-            results.append(report.algebra)
-    return results
+    _check_lattice(order)
+    return [seal(cand) for cand in _completions(
+        order, one, _involutions(order), _order_maps(order, reverse=False))]
 
 
 def run_search(config: SearchConfig) -> SearchResult:
     """Census over all lattices of the configured size (or the fixed
     one): per lattice, the sorted set of canonical keys of its
-    completions, each emitted as the algebra the key encodes."""
+    completions.  The algebra each key encodes is fully validated once:
+    the first max_results are sealed and emitted, and the rest checked
+    by `validate`, so every counted class is a CL-algebra."""
     n = config.size
     _check_size(n)
     if config.lattice is not None:
         if config.lattice.n != n:
             raise ValueError("fixed lattice size does not match config size")
+        _check_lattice(config.lattice)
         lattices = [config.lattice]
     else:
         lattices = enumerate_lattices(n)
@@ -464,14 +454,21 @@ def run_search(config: SearchConfig) -> SearchResult:
     named: list[tuple[str, tuple]] = []
     for li, lat in enumerate(lattices):
         keys: set[tuple] = set()
-        autos = _order_maps(lat, reverse=False)
-        for one in _orbit_reps(range(n), lambda u: [p[u] for p in autos]):
-            keys.update(canonical_form(alg) for alg in complete_to_cl(lat, one))
+        involutions = _involutions(lat)
+        if involutions:
+            autos = _order_maps(lat, reverse=False)
+            for one in _orbit_reps(range(n), lambda u: [p[u] for p in autos]):
+                keys.update(canonical_form(cand)
+                            for cand in _completions(lat, one, involutions, autos))
         rows.append(CensusRow(n, li, len(keys)))
         named += [(f"cl{n}_l{li}_{k}", key) for k, key in enumerate(sorted(keys))]
     orders: dict[tuple, OrderRelation] = {}
-    algebras = tuple(_algebra_from_key(key, name, orders)
+    algebras = tuple(seal(_candidate_from_key(key, name, orders))
                      for name, key in named[:config.max_results])
+    for name, key in named[len(algebras):]:
+        report = validate(_candidate_from_key(key, name, orders))
+        if report.algebra is None:
+            raise NotACLAlgebra(report)
     return SearchResult(rows=tuple(rows), algebras=algebras)
 
 

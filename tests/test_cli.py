@@ -9,7 +9,9 @@ import pytest
 import clalg
 from clalg.cli import _build_parser, run_command
 from clalg.core import ImplicationAbsent
+from clalg.fileformat import serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
+from clalg.search import SearchConfig, run_search
 
 
 def run(capsys, *argv):
@@ -248,6 +250,23 @@ def test_underivable_implication_is_property_failure(capsys, tmp_path):
     code, _, err = run(capsys, "ideals", str(f))
     assert code == 1
     assert "property failure" in err
+
+
+def test_theorems_blocked_witness_names_base_elements(capsys, tmp_path):
+    # the order-criterion mismatch (x, y, left, right) names base
+    # elements and keeps its two bools; x and y are not quotient classes
+    alg = next(a for a in run_search(SearchConfig(size=6)).algebras if a.name == "cl6_l4_0")
+    text = serialize_algebra(alg).replace("mult:", "cover: e1 e2\nmult:", 1)
+    path = tmp_path / "mutant.cla"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "theorems", str(path), "--ideal", "e0,e1", "--json")
+    assert code == 1
+    claim = json.loads(out)["theorems"]["claims"][0]
+    assert claim["status"] == "blocked"
+    assert claim["witness"] == ["order_criterion", "e1", "e2", True, False]
+    code, out, _ = run(capsys, "theorems", str(path), "--ideal", "e0,e1")
+    assert code == 1
+    assert "witness=['order_criterion', 'e1', 'e2', True, False]" in out
 
 
 def _without_imp(text):

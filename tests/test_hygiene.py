@@ -1,7 +1,8 @@
 """Source rules for the package: internal invariants raise exceptions
 (an `assert` vanishes under `python -O`), the runtime needs nothing
-beyond the standard library, and results are cached on the immutable
-values they belong to, never in a module-level cache."""
+beyond the standard library, results are cached on the immutable
+values they belong to, never in a module-level cache, and only the
+validator builds sealed algebras."""
 
 import ast
 import sys
@@ -70,3 +71,21 @@ def test_no_module_level_cache(path):
                 for line, name in _cache_uses(tree)
                 if (path.name, name) not in CACHE_ALLOWED]
     assert not problems, problems
+
+
+def _calls_named(tree, name):
+    """Whether the module calls `name`, plain or as a module attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                return True
+    return False
+
+
+def test_sealed_algebras_are_built_only_by_the_validator():
+    # FiniteCLAlgebra's fields are trusted downstream, so every instance
+    # must come out of validator.validate
+    builders = {path.name for path in MODULES
+                if _calls_named(ast.parse(path.read_text(encoding="utf-8")), "FiniteCLAlgebra")}
+    assert builders == {"validator.py"}

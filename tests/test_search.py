@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import clalg.search
 from oracles import (
     oracle_census,
     oracle_dfs_count,
@@ -35,13 +36,28 @@ def test_lattice_counts(n, count):
     assert len(enumerate_lattices(n)) == count
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_lattices_match_poset_filter_oracle(n):
     ours = enumerate_lattices(n)
     reps = oracle_lattice_classes(n)
     assert len(ours) == len(reps)
     for rep in reps:
         assert sum(1 for lat in ours if orders_isomorphic(rep, lat.up)) == 1
+
+
+# sha256 of the up masks of enumerate_lattices(n), in order: the
+# key-ordered labeling must find the same lattices in the same order
+LATTICES_SHA256 = {
+    6: "1d0de6b8ba1572854d2cc81976ee09580e3f1c33828d6c691ba7fa92409d003f",
+    7: "c2b296ea54eba0ce0685b9fc631dbc4bc52512715626e23e4e6c00d12157c261",
+    8: "21fd938549890067d838ffd93e26ec3bf03faace669c03bdf26558616d265db1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LATTICES_SHA256))
+def test_lattice_list_is_pinned(n):
+    ups = repr([lat.up for lat in enumerate_lattices(n)])
+    assert hashlib.sha256(ups.encode()).hexdigest() == LATTICES_SHA256[n]
 
 
 def test_size_bounds():
@@ -259,6 +275,63 @@ def test_max_results_seals_only_what_it_returns(monkeypatch):
     assert result.total == 21
 
 
+@pytest.mark.parametrize("max_results", [None, 0, 1])
+def test_one_full_validation_per_key(monkeypatch, max_results):
+    # seal reaches validate through the validator module, the keys
+    # beyond max_results through the search module
+    calls = []
+
+    def counting_validate(cand):
+        calls.append(cand.name)
+        return validate(cand)
+
+    monkeypatch.setattr("clalg.validator.validate", counting_validate)
+    monkeypatch.setattr("clalg.search.validate", counting_validate)
+    result = run_search(SearchConfig(size=5, max_results=max_results))
+    assert result.total == 21
+    assert sorted(calls) == sorted(f"cl5_l{row.lattice_index}_{k}"
+                                   for row in result.rows for k in range(row.count))
+
+
+def _counting(monkeypatch, name, record):
+    """Wrap clalg.search.<name>, recording the order's up masks and the
+    other arguments of each call."""
+    fn = getattr(clalg.search, name)
+
+    def counted(order, *args, **kwargs):
+        record.append((order.up, *args, *kwargs.values()))
+        return fn(order, *args, **kwargs)
+
+    monkeypatch.setattr(clalg.search, name, counted)
+
+
+def test_lattice_symmetries_are_computed_once(monkeypatch):
+    lattices = enumerate_lattices(6)
+    with_sigma = [lat.up for lat in lattices if _involutions(lat)]
+    assert 0 < len(with_sigma) < len(lattices)
+    maps, involutions = [], []
+    _counting(monkeypatch, "_order_maps", maps)
+    _counting(monkeypatch, "_involutions", involutions)
+    assert run_search(SearchConfig(size=6)).total == 100
+    assert [up for up, reverse in maps if not reverse] == with_sigma
+    assert [up for (up,) in involutions] == [lat.up for lat in lattices]
+
+
+def test_lattice_without_involution_costs_nothing_more(monkeypatch):
+    # bottom, two atoms, their join and a top above it: the dual has a
+    # single atom, so no order-reversing involution exists
+    lat = OrderRelation.from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    assert _involutions(lat) == []
+    maps, dfs = [], []
+    _counting(monkeypatch, "_order_maps", maps)
+    _counting(monkeypatch, "_fusion_tables", dfs)
+    result = run_search(SearchConfig(size=5, lattice=lat))
+    assert [row.count for row in result.rows] == [0]
+    assert result.algebras == ()
+    assert [reverse for _up, reverse in maps] == [True]  # listing the involutions only
+    assert dfs == []
+
+
 def test_fixed_lattice_config(linear5):
     result = run_search(SearchConfig(size=5, lattice=linear5.order))
     assert len(result.rows) == 1
@@ -288,7 +361,7 @@ def test_order_that_is_not_antisymmetric_is_rejected(up):
 
 def test_rejected_completion_is_loud(monkeypatch):
     # a finished table the validator rejects is an error, not a skip
-    monkeypatch.setattr("clalg.search.validate",
+    monkeypatch.setattr("clalg.validator.validate",
                         lambda cand: validate(replace(cand, imp_table=cand.mult_table)))
     chain = OrderRelation.from_covers(2, [(0, 1)])
     with pytest.raises(NotACLAlgebra) as exc:
