@@ -294,7 +294,7 @@ def _cmd_quotient(run: _Run) -> None:
         if exc.witness is not None:
             detail["witness"] = _render_index(alg, exc.witness)
         if exc.report is not None:
-            detail["verdicts"] = [run.verdict_entry(alg, v) for v in exc.report.verdicts]
+            detail["verdicts"] = [run.verdict_entry(exc.candidate, v) for v in exc.report.verdicts]
         run.payload["quotient"] = detail
         run.human.append(f"quotient invalid: {exc}")
         run.fail()

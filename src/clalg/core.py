@@ -135,6 +135,7 @@ class OrderRelation:
         full = (1 << self.n) - 1
         return ((x, y) for x in range(self.n) for y in iter_bits(self.up[x] & full))
 
+    @cached_property
     def is_transitive(self) -> bool:
         full = (1 << self.n) - 1
         return all(self.up[y] & full & ~self.up[x] == 0 for x, y in self.pairs())
@@ -147,16 +148,28 @@ class OrderRelation:
     @cached_property
     def glbs(self) -> tuple[tuple[int | None, ...], ...]:
         """glbs[x][y] is the greatest lower bound, or None when it does
-        not exist uniquely."""
-        dn = self.dn
-        return tuple(tuple(self.greatest_in(dn[x] & dn[y]) for y in range(self.n))
-                     for x in range(self.n))
+        not exist uniquely.
+
+        On a reflexive, transitive relation it is looked up: if g lies
+        in dn[x] & dn[y], transitivity puts dn[g] inside that set, so g
+        is above all of it exactly when dn[g] equals it, and the
+        greatest is the least-index g with that down-set.  Any other
+        relation scans each pair's lower bounds."""
+        return self._bounds(self.dn, self.greatest_in)
 
     @cached_property
     def lubs(self) -> tuple[tuple[int | None, ...], ...]:
-        up = self.up
-        return tuple(tuple(self.least_in(up[x] & up[y]) for y in range(self.n))
-                     for x in range(self.n))
+        """Least upper bounds, as `glbs` with the order reversed."""
+        return self._bounds(self.up, self.least_in)
+
+    def _bounds(self, masks: tuple[int, ...], pick) -> tuple[tuple[int | None, ...], ...]:
+        """pick(masks[x] & masks[y]) at every pair; see `glbs`."""
+        if self.is_transitive and all(m >> x & 1 for x, m in enumerate(masks)):
+            at: dict[int, int] = {}
+            for g, m in enumerate(masks):
+                at.setdefault(m, g)
+            return tuple(tuple(at.get(mx & my) for my in masks) for mx in masks)
+        return tuple(tuple(pick(mx & my) for my in masks) for mx in masks)
 
     def maximal_in(self, mask: int) -> tuple[int, ...]:
         """Elements of `mask` with nothing of `mask` strictly above them."""
@@ -261,9 +274,11 @@ class AlgebraCandidate:
 
     @cached_property
     def memo(self) -> dict:
-        """Results of pure functions of this algebra and one ideal, keyed
-        by (function, ideal bits); see `per_ideal`.  Not a field, so it
-        is not compared, hashed or carried over by `replace`."""
+        """Results of pure functions of this algebra alone, keyed by
+        (function, None), and of this algebra and one ideal, keyed by
+        (function, ideal bits); see `per_algebra` and `per_ideal`.  Not a
+        field, so it is not compared, hashed or carried over by
+        `replace`."""
         return {}
 
     def index(self, name: str) -> int:
@@ -357,6 +372,19 @@ class FiniteCLAlgebra(AlgebraCandidate):
             raise ValueError("a sealed algebra requires an implication table")
         if not 0 <= self.top < self.n:
             raise ValueError("top index out of range")
+
+
+def per_algebra(fn):
+    """`fn(alg)` computed once per algebra and kept in `alg.memo` under
+    (fn, None), as `per_ideal` keeps its entries."""
+    @wraps(fn)
+    def remembered(alg):
+        key = (fn, None)
+        memo = alg.memo
+        if key not in memo:
+            memo[key] = fn(alg)
+        return memo[key]
+    return remembered
 
 
 def per_ideal(fn):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import AlgebraCandidate, AlgebraError, iter_bits, per_ideal, popcount
+from .core import AlgebraCandidate, AlgebraError, iter_bits, per_algebra, per_ideal, popcount
 from .laws import Law, Unless, Verdict, compose, cube, first_violation, rising_pairs
 
 
@@ -234,40 +234,78 @@ def _implicative(c, x, y, z):
     return None if bits >> w & 1 else (w,)
 
 
-# the exact whole-table tests of the laws below (laws.Unless), row by
-# row; neg_in[v] is 1 where ~v is in the subset
+# the exact whole-table tests of the laws below (laws.Unless).  Each
+# reads a table of the values its law needs, built once per algebra
+# (core.per_algebra) as bit masks, so a test is a few mask lookups per
+# ideal; a table is None where the test cannot decide (no implication
+# table, a pair without a meet or join)
+
+@per_algebra
+def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...] | None:
+    """partners[a]: the mask of ~(y->x) over the pairs with ~(x->y) == a."""
+    if alg.imp_table is None:
+        return None
+    negs = alg.negs
+    partners = [0] * alg.n
+    for row, col in zip(alg.imp_table, zip(*alg.imp_table)):
+        for a, b in zip(compose(negs, row), compose(negs, col)):
+            partners[a] |= 1 << b
+    return tuple(partners)
+
 
 def _prime_holds(c) -> bool:
     alg, bits = c
-    if alg.imp_table is None:
-        return False
-    neg_in = tuple(bits >> v & 1 for v in alg.negs)
-    rows = [compose(neg_in, row) for row in alg.imp_table]  # ~(x->y) in
-    return all((0, 0) not in zip(row, col) for row, col in zip(rows, zip(*rows)))
+    partners = _prime_partners(alg)
+    return partners is not None and not any(
+        p & ~bits for a, p in enumerate(partners) if not bits >> a & 1)
+
+
+@per_algebra
+def _distributive_values(alg: AlgebraCandidate) -> int | None:
+    """The mask of every value of ((x|y) & (x|z)) * ~(x | (y&z))."""
+    if alg.imp_table is None or not alg.order.has_meets_and_joins:
+        return None
+    meets, negs = alg.order.glbs, alg.negs
+    factors = set()
+    for row in alg.order.lubs:  # row[z] = x|z
+        for y, v in enumerate(row):  # v = x|y
+            factors.update(zip(compose(meets[v], row), compose(negs, compose(row, meets[y]))))
+    values = 0
+    for a, b in factors:
+        values |= 1 << alg.mult_table[a][b]
+    return values
 
 
 def _distributive_holds(c) -> bool:
     alg, bits = c
-    if alg.imp_table is None or not alg.order.has_meets_and_joins:
-        return False
-    meets, negs = alg.order.glbs, alg.negs
-    member = tuple(bits >> v & 1 for v in range(alg.n))
-    product_in = tuple(compose(member, row) for row in alg.mult_table)  # a*b in
-    # per (x, y), over z: (x|y) & (x|z) times ~(x | (y&z))
-    return all(0 not in map(tuple.__getitem__, compose(product_in, compose(meets[v], row)),
-                            compose(negs, compose(row, meets[y])))
-               for row in alg.order.lubs for y, v in enumerate(row))
+    values = _distributive_values(alg)
+    return values is not None and not values & ~bits
+
+
+@per_algebra
+def _implicative_values(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...] | None:
+    """values[a][b]: the mask of ~(x->z) over the triples with
+    ~(x->(y->z)) == a and ~(x->y) == b."""
+    imp = alg.imp_table
+    if imp is None:
+        return None
+    negs = alg.negs
+    values = [[0] * alg.n for _ in range(alg.n)]
+    for row in imp:  # row[z] = x->z
+        detached = compose(negs, row)
+        for y, v in enumerate(row):  # v = x->y
+            for a, w in zip(compose(negs, compose(row, imp[y])), detached):
+                values[a][negs[v]] |= 1 << w
+    return tuple(map(tuple, values))
 
 
 def _implicative_holds(c) -> bool:
     alg, bits = c
-    imp = alg.imp_table
-    if imp is None:
+    values = _implicative_values(alg)
+    if values is None:
         return False
-    neg_in = tuple(bits >> v & 1 for v in alg.negs)
-    detached = [compose(neg_in, row) for row in imp]  # ~(x->z) in
-    return not any(neg_in[v] and (1, 0) in zip(compose(neg_in, compose(row, imp[y])), detached[x])
-                   for x, row in enumerate(imp) for y, v in enumerate(row))
+    members = tuple(iter_bits(bits))
+    return not any(values[a][b] & ~bits for a in members for b in members)
 
 
 # read on (algebra, ideal bits); witnesses carry the point and the

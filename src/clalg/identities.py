@@ -172,7 +172,7 @@ def _negated(row, negs):
 
 def _monotone(A) -> bool:
     """P2_7 at every point, given a transitive order (module docstring)."""
-    if not A.order.is_transitive():
+    if not A.order.is_transitive:
         return False
     mult, imp, leq = A.mult_table, A.imp_table, A.order.all_leq
     mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))

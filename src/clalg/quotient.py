@@ -66,12 +66,14 @@ class NotACongruence(AlgebraError):
 
 class QuotientInvalid(AlgebraError):
     """The quotient construction failed; carries either the failing
-    validation report or an order-criterion mismatch witness."""
+    validation report with the class-level candidate it is about, or an
+    order-criterion mismatch witness."""
 
     def __init__(self, detail: str, report: ValidationReport | None = None,
-                 witness: tuple | None = None):
+                 witness: tuple | None = None, candidate: AlgebraCandidate | None = None):
         self.report = report
         self.witness = witness
+        self.candidate = candidate
         super().__init__(detail)
 
 
@@ -303,7 +305,7 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
     )
     report = validate(q_cand)
     if report.algebra is None:
-        raise QuotientInvalid("quotient tables fail validation", report=report)
+        raise QuotientInvalid("quotient tables fail validation", report=report, candidate=q_cand)
     return QuotientAlgebra(base=alg, congruence=cong, algebra=report.algebra)
 
 

@@ -132,7 +132,7 @@ LATTICE = (
     Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else ()),
     Law("antisymmetry", ascending_pairs,
         lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None),
-    Law("transitivity", Unless(lambda A: A.order.is_transitive(), cube(3)), _intransitive),
+    Law("transitivity", Unless(lambda A: A.order.is_transitive, cube(3)), _intransitive),
     Law("no_join", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("join")),
     Law("no_meet", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("meet")),
     Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else ()),

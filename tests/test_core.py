@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import _glb_scan, _lub_scan
+from test_whole_table import _orders
 
 from clalg.core import (
     MAX_UNIVERSE,
@@ -11,6 +15,7 @@ from clalg.core import (
     derive_implication,
     iter_bits,
 )
+from clalg.search import enumerate_lattices
 
 # element indices in the fixtures (declaration order)
 B, Z, U, A, T = 0, 1, 2, 3, 4  # linear5: bot 0 1 a top
@@ -174,3 +179,22 @@ def test_cover_closure_is_reflexive_transitive(args):
     for x in range(n):
         for y in range(n):
             assert order.leq(x, y) == bool(order.dn[y] >> x & 1)
+
+
+def _bounds_by_scan(order):
+    cand = SimpleNamespace(n=order.n, order=order)
+    pairs = [(x, y) for x in range(order.n) for y in range(order.n)]
+    return ([_glb_scan(cand, x, y) for x, y in pairs], [_lub_scan(cand, x, y) for x, y in pairs])
+
+
+def test_looked_up_bounds_match_the_scan():
+    orders = [lat for n in range(2, 9) for lat in enumerate_lattices(n)]
+    orders += [order for n in range(2, 7) for order in _orders(n)]
+    # a cyclic preorder (1 and 2 above each other, a back edge), and a
+    # transitive relation that is not reflexive (0 is not below itself)
+    orders.append(OrderRelation.from_covers(4, [(0, 1), (1, 2), (2, 1), (2, 3)]))
+    orders.append(OrderRelation(3, (0b110, 0b110, 0b100)))
+    for order in orders:
+        glbs, lubs = _bounds_by_scan(order)
+        assert [g for row in order.glbs for g in row] == glbs, order.up
+        assert [g for row in order.lubs for g in row] == lubs, order.up

@@ -12,6 +12,7 @@ import pytest
 
 import clalg.ideals
 import clalg.quotient
+from clalg.core import per_algebra
 from clalg.ideals import all_ideals, classify, is_distributive_ideal, is_prime, zero_downset
 from clalg.quotient import (
     QuotientInvalid,
@@ -121,3 +122,22 @@ def test_threads_sharing_an_algebra_agree(census):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors and results == [expected] * 4
+
+
+def test_value_tables_are_built_once_per_algebra(census_2_6, monkeypatch):
+    builds = Counter()
+    for name in ("_prime_partners", "_distributive_values", "_implicative_values"):
+        build = getattr(clalg.ideals, name).__wrapped__
+
+        def counted(alg, build=build, name=name):
+            builds[name, alg.name] += 1
+            return build(alg)
+        monkeypatch.setattr(clalg.ideals, name, per_algebra(counted))
+    algebras = list(map(replace, census_2_6))  # fresh copies: empty memos
+    for alg in algebras:
+        for ideal in all_ideals(alg):
+            classify(alg, ideal)
+            theorem_suite(alg, ideal)
+    # every algebra has an ideal, and classifying it reads all three tables
+    assert len(builds) == 3 * len({alg.name for alg in algebras}) == 3 * 133
+    assert set(builds.values()) == {1}

@@ -278,3 +278,29 @@ def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, mon
     validate(nonlinear6)
     run_identity_suite(_force_seal(nonlinear6))
     assert calls["RESIDUATION", "adjunction"] and calls["P2_7", None] and calls["P2_1", None]
+
+
+def _plain_scan_candidates(census):
+    """The candidates of `test_fast_domains_answer_as_the_plain_scan`:
+    census algebras of sizes 3..5, seeded mutants, fall-through orders
+    and the intransitive Lukasiewicz tables."""
+    rng = random.Random(12)
+    for alg in (alg for n in (3, 4, 5) for alg in census[n]):
+        yield alg.as_candidate()
+        yield from _mutants(alg, rng, count=3)
+        yield from (replace(alg.as_candidate(), order=order) for order in _orders(alg.n))
+    yield AlgebraCandidate(
+        "l3_intransitive", ("p0", "p1", "p2"), OrderRelation(3, (0b011, 0b110, 0b100)),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 2)), ((2, 2, 2), (1, 2, 2), (0, 1, 2)), 0, 0, 2)
+
+
+def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
+    taken = Counter()
+    for cand in _plain_scan_candidates(census):
+        for bits in _zero_subsets(cand):
+            for entry in PRIME + DISTRIBUTIVE_IDEAL + IMPLICATIVE:
+                fast = _outcome(entry, entry.domain, (cand, bits))
+                assert fast == _outcome(entry, entry.domain.domain, (cand, bits)), (
+                    cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
+                taken[entry.domain.holds, entry.domain.holds((cand, bits))] += 1
+    assert len(taken) == 6, taken  # each test both passed and fell through
