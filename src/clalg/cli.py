@@ -293,10 +293,12 @@ def _cmd_quotient(run: _Run) -> None:
         detail: dict = {"error": str(exc)}
         if exc.witness is not None:
             detail["witness"] = _render_index(alg, exc.witness)
+        run.human.append(f"quotient invalid: {exc}")
         if exc.report is not None:
             detail["verdicts"] = [run.verdict_entry(exc.candidate, v) for v in exc.report.verdicts]
+            run.human.extend("  " + run.render_verdict_line(entry)
+                             for entry in detail["verdicts"] if entry["status"] != "pass")
         run.payload["quotient"] = detail
-        run.human.append(f"quotient invalid: {exc}")
         run.fail()
         return
     qalg = quot.algebra

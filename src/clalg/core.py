@@ -73,15 +73,23 @@ def popcount(mask: int) -> int:
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """A reflexive relation stored as per-element up-set bit masks.
+    """A relation stored as per-element up-set bit masks.
 
-    up[x] has bit y set iff x <= y.  The relation is not required to be
-    a partial order, let alone a lattice; defective relations are kept
-    representable so the validator can report them with witnesses.
+    up[x] has bit y set iff x <= y; there must be n masks, each a subset
+    of the n elements (ValueError otherwise).  The relation is not
+    required to be a partial order, let alone a lattice; defective
+    relations are kept representable so the validator can report them
+    with witnesses.
     """
 
     n: int
     up: tuple[int, ...]
+
+    def __post_init__(self):
+        up = self.up
+        if len(up) != self.n or up and (min(up) < 0 or max(up) >> self.n):
+            raise ValueError(f"order needs {self.n} up masks, each a subset of "
+                             f"{self.n} elements: {up}")
 
     @classmethod
     def from_covers(cls, n: int, covers: list[tuple[int, int]] | tuple) -> "OrderRelation":
@@ -130,15 +138,15 @@ class OrderRelation:
         """lhs[i] <= rhs[i] at every i (up to the shorter of the two)."""
         return 0 not in map(tuple.__getitem__, compose(self.matrix, lhs), rhs)
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """The pairs (x, y) with x <= y, lexicographically."""
-        full = (1 << self.n) - 1
-        return ((x, y) for x in range(self.n) for y in iter_bits(self.up[x] & full))
-
     @cached_property
     def is_transitive(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self.up[y] & full & ~self.up[x] == 0 for x, y in self.pairs())
+        up = self.up
+        return all(up[y] & ~ux == 0 for ux in up for y in iter_bits(ux))
+
+    @cached_property
+    def is_preorder(self) -> bool:
+        """Reflexive and transitive."""
+        return all(u >> x & 1 for x, u in enumerate(self.up)) and self.is_transitive
 
     @cached_property
     def has_meets_and_joins(self) -> bool:
@@ -164,7 +172,7 @@ class OrderRelation:
 
     def _bounds(self, masks: tuple[int, ...], pick) -> tuple[tuple[int | None, ...], ...]:
         """pick(masks[x] & masks[y]) at every pair; see `glbs`."""
-        if self.is_transitive and all(m >> x & 1 for x, m in enumerate(masks)):
+        if self.is_preorder:
             at: dict[int, int] = {}
             for g, m in enumerate(masks):
                 at.setdefault(m, g)

@@ -13,8 +13,11 @@ P2_7's implication part.
 Every identity of arity 2 or more is scanned only where an exact
 whole-table test (laws.Unless) fails, so a witness is always the first
 of the full scan.  P2_7's test is monotonicity of mult in each argument
-and of imp (antitone in the first) on a transitive order: then x*y <=
-x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.
+and of imp (antitone in the first) on a preorder: then x*y <= x1*y <=
+x1*y1 and x1->y <= x->y <= x->y1 chain.  The tests of P2_7 and P2_10
+read only the cover pairs: on a preorder every x <= x1 is reflexive or
+a chain of covers (OrderRelation.covers), and comparisons of whole rows
+chain along it.
 """
 
 from __future__ import annotations
@@ -171,14 +174,14 @@ def _negated(row, negs):
 
 
 def _monotone(A) -> bool:
-    """P2_7 at every point, given a transitive order (module docstring)."""
-    if not A.order.is_transitive:
+    """P2_7 at every point, given a preorder (module docstring)."""
+    if not A.order.is_preorder:
         return False
     mult, imp, leq = A.mult_table, A.imp_table, A.order.all_leq
     mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))
     return all(leq(mult[x], mult[x1]) and leq(mult_cols[x], mult_cols[x1])
                and leq(imp[x1], imp[x]) and leq(imp_cols[x], imp_cols[x1])
-               for x, x1 in A.order.pairs())
+               for x, x1 in A.order.covers())
 
 
 def _leq_on(A, members, lhs, rhs) -> bool:
@@ -210,8 +213,8 @@ _HOLDS = {
     IdentityId.P2_9: lambda A: all(
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
         for x, row in enumerate(A.imp_table)),
-    IdentityId.P2_10: lambda A: all(
-        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.pairs()),
+    IdentityId.P2_10: lambda A: A.order.is_preorder and all(
+        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers()),
     IdentityId.P2_11: _bounded(lambda A: all(
         A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
     IdentityId.P2_12: _bounded(lambda A: all(

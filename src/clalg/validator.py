@@ -28,7 +28,7 @@ report/algebra only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 from .core import (
@@ -265,6 +265,14 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
         resolved.imp_table, cand.bot, cand.zero, cand.one, top,
     )
     return ValidationReport(lattice, monoid, residuation, involution, sealed)
+
+
+def renamed(alg: FiniteCLAlgebra, name: str, elements: tuple[str, ...]) -> FiniteCLAlgebra:
+    """The sealed `alg` under a new name and element names, sharing its
+    order; no verdict reads a name, so it stays sealed."""
+    if not isinstance(alg, FiniteCLAlgebra):
+        raise TypeError(f"{alg.name} is not a sealed algebra")
+    return replace(alg, name=name, elements=elements)
 
 
 def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:

@@ -396,29 +396,31 @@ def test_importing_cli_builds_no_parser():
     assert out == "0\n"
 
 
+# census algebra cl4_l1_2 with mult(e0, e0) changed from e0 to e1:
+# modulo {e0,e1,e2} the classes are [e0], [e1] = {e1,e2} and [e3],
+# and the class tables fail associativity and adjunction
+_CL4_MUTANT = (
+    "algebra cl4_l1_2\n"
+    "elements: e0 e1 e2 e3\n"
+    "bot: e0\nzero: e1\none: e2\n"
+    "cover: e0 e1\ncover: e1 e2\ncover: e2 e3\n"
+    "mult:\n"
+    "e1 e0 e0 e0\n"
+    "e0 e1 e1 e3\n"
+    "e0 e1 e2 e3\n"
+    "e0 e3 e3 e3\n"
+    "imp:\n"
+    "e3 e3 e3 e3\n"
+    "e0 e2 e2 e3\n"
+    "e0 e1 e2 e3\n"
+    "e0 e0 e0 e3\n"
+    "end\n"
+)
+
+
 def test_failing_quotient_is_reported_and_replayed_on_its_classes(capsys, tmp_path):
-    # census algebra cl4_l1_2 with mult(e0, e0) changed from e0 to e1:
-    # modulo {e0,e1,e2} the classes are [e0], [e1] = {e1,e2} and [e3],
-    # and the class tables fail associativity and adjunction
-    text = (
-        "algebra cl4_l1_2\n"
-        "elements: e0 e1 e2 e3\n"
-        "bot: e0\nzero: e1\none: e2\n"
-        "cover: e0 e1\ncover: e1 e2\ncover: e2 e3\n"
-        "mult:\n"
-        "e1 e0 e0 e0\n"
-        "e0 e1 e1 e3\n"
-        "e0 e1 e2 e3\n"
-        "e0 e3 e3 e3\n"
-        "imp:\n"
-        "e3 e3 e3 e3\n"
-        "e0 e2 e2 e3\n"
-        "e0 e1 e2 e3\n"
-        "e0 e0 e0 e3\n"
-        "end\n"
-    )
     path = tmp_path / "mutant.cla"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(_CL4_MUTANT, encoding="utf-8")
     code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0,e1,e2",
                        "--verify", "--replay", "--json")
     assert code == 1
@@ -427,3 +429,20 @@ def test_failing_quotient_is_reported_and_replayed_on_its_classes(capsys, tmp_pa
     failed = [(v["witness"], v["replay"]) for v in quotient["verdicts"] if v["status"] == "fail"]
     assert failed == [(["associativity", "[e0]", "[e0]", "[e3]"], "confirmed"),
                       (["adjunction", "[e0]", "[e0]", "[e0]"], "confirmed")]
+
+
+def test_failing_quotient_verdicts_are_printed(capsys, tmp_path):
+    path = tmp_path / "mutant.cla"
+    path.write_text(_CL4_MUTANT, encoding="utf-8")
+    code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0,e1,e2",
+                       "--verify", "--replay")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("quotient invalid: quotient tables fail validation")
+    assert lines[at + 1:] == [
+        "  check monoid: FAIL  witness=['associativity', '[e0]', '[e0]', '[e3]']"
+        "  replay=confirmed",
+        "  check residuation: FAIL  witness=['adjunction', '[e0]', '[e0]', '[e0]']"
+        "  [x <= imp(y,z) but not mult(x,y) <= z]  replay=confirmed",
+        "exit: 1",
+    ]

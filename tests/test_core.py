@@ -154,6 +154,14 @@ def test_universe_cap():
         )
 
 
+def test_up_masks_outside_the_universe_are_rejected():
+    # a bit at or beyond n, a negative mask, too few masks, too many
+    for n, up in ((2, (0b101, 0b10)), (2, (0b01, -1)), (2, (0b01,)), (1, (0b1, 0b1))):
+        with pytest.raises(ValueError):
+            OrderRelation(n, up)
+    assert OrderRelation(2, (0b11, 0b10)).dn == (0b01, 0b11)
+
+
 def test_duplicate_names_rejected():
     order = OrderRelation.from_covers(2, [(0, 1)])
     with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
     monkeypatch.setattr(clalg.quotient, "validate",
                         lambda cand: scans.update(["validate"]) or validate(cand))
 
-    pairs = 0
+    pairs = zero_downsets = 0
     for alg in map(replace, census_2_6):  # fresh copies: empty memos
         for ideal in all_ideals(alg):
             classify(alg, ideal)
@@ -73,8 +73,13 @@ def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
             build_quotient(alg, ideal)
             theorem_suite(alg, ideal)
             pairs += 1
-    for fact in ("congruence", "validate", "prime", "distributive_ideal"):
+            zero_downsets += ideal.bits == alg.order.dn[alg.zero]
+    for fact in ("congruence", "prime", "distributive_ideal"):
         assert scans[fact] == pairs, (fact, scans)
+    # the zero-downset quotient of a sealed algebra is that algebra
+    # renamed, not validated again
+    assert (pairs, zero_downsets) == (318, 133)
+    assert scans["validate"] == pairs - zero_downsets, scans
 
 
 def test_failed_quotient_is_raised_afresh(nonlinear6, monkeypatch):

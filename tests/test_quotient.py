@@ -5,7 +5,9 @@ import pytest
 
 from oracles import oracle_congruence, oracle_congruence_certificate
 
-from clalg.core import AlgebraCandidate, NotALattice, OrderRelation
+import clalg.quotient
+import clalg.validator
+from clalg.core import AlgebraCandidate, FiniteCLAlgebra, NotALattice, OrderRelation
 from clalg.ideals import Ideal, Subset, all_ideals, certify_ideal, zero_downset
 from clalg.quotient import (
     NotACongruence,
@@ -206,6 +208,28 @@ def test_quotient_extremes_across_census(census):
             assert build_quotient(alg, universe).algebra.n == 1
             zd = build_quotient(alg, zero_downset(alg))
             assert canonical_form(zd.algebra) == canonical_form(alg)
+
+
+def test_zero_downset_quotient_of_a_sealed_algebra_is_it_renamed(census, monkeypatch):
+    # equal to the quotient validated from scratch, which the unsealed
+    # copy still builds, and sharing the base's order and its bound tables
+    calls = []
+    validate = clalg.quotient.validate
+    monkeypatch.setattr(clalg.quotient, "validate",
+                        lambda cand: calls.append(cand) or validate(cand))
+    algebras = [alg for n in sorted(census) for alg in census[n]]
+    for alg in algebras + list(run_search(SearchConfig(size=6)).algebras):
+        alg = replace(alg)  # an empty memo
+        ideal = zero_downset(alg)
+        renamed = build_quotient(alg, ideal).algebra
+        assert calls == [], alg.name
+        validated = build_quotient(alg.as_candidate(), ideal).algebra
+        assert len(calls) == 1 and calls.pop().elements == renamed.elements
+        assert renamed == validated and type(renamed) is FiniteCLAlgebra, alg.name
+        assert renamed.order is alg.order and renamed.elements == tuple(
+            f"[{name}]" for name in alg.elements)
+    with pytest.raises(TypeError):
+        clalg.validator.renamed(alg.as_candidate(), "copy", alg.elements)
 
 
 def _mutants(alg, rng, count=6):

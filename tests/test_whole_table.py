@@ -124,10 +124,12 @@ def test_special_ideals_match_the_oracle_on_mutants(sealed_and_mutants):
 def _orders(n):
     """Orders on which the whole-table tests must fall through: an
     antichain, a cyclic relation (x <= x+1 mod n, not transitive), a
-    chain without its transitive pairs, and a "V" with no joins."""
+    chain without its transitive pairs, a chain whose top is not below
+    itself (transitive, not reflexive) and a "V" with no joins."""
     yield OrderRelation(n, tuple(1 << x for x in range(n)))
     yield OrderRelation(n, tuple(1 << x | 1 << (x + 1) % n for x in range(n)))
     yield OrderRelation(n, tuple(1 << x | (1 << x + 1 if x + 1 < n else 0) for x in range(n)))
+    yield OrderRelation(n, tuple((1 << n) - (1 << x) for x in range(n - 1)) + (0,))
     yield OrderRelation.from_covers(n, [(0, x) for x in range(1, n)])
 
 
