@@ -14,7 +14,7 @@ every subset fits in one machine word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from typing import Iterable, Iterator
 
@@ -243,8 +243,8 @@ class AlgebraCandidate:
 
     `imp_table` may be None; the validator derives it from residuation
     when possible.  Instances are immutable and all operations are pure;
-    what is cached on an instance (`negs`, `memo`) is a function of its
-    fields.
+    what is cached on an instance (`negs`, `lattice_with_imp`, `memo`)
+    is a function of its fields.
     """
 
     name: str
@@ -282,11 +282,9 @@ class AlgebraCandidate:
 
     @cached_property
     def memo(self) -> dict:
-        """Results of pure functions of this algebra alone, keyed by
-        (function, None), and of this algebra and one ideal, keyed by
-        (function, ideal bits); see `per_algebra` and `per_ideal`.  Not a
-        field, so it is not compared, hashed or carried over by
-        `replace`."""
+        """Results of pure functions of this algebra and its ideals, keyed
+        by (function, *ideal bits); see `memoised`.  Not a field, so it is
+        not compared, hashed or carried over by `replace`."""
         return {}
 
     def index(self, name: str) -> int:
@@ -332,6 +330,19 @@ class AlgebraCandidate:
     def neg(self, x: int) -> int:
         return self.negs[x]
 
+    @cached_property
+    def lattice_with_imp(self) -> bool:
+        """The order is a preorder with every meet and join, and an
+        implication table is present: where every whole-table test outside
+        the validator can decide (laws.Unless)."""
+        return (self.imp_table is not None and self.order.is_preorder
+                and self.order.has_meets_and_joins)
+
+    def tables(self) -> tuple:
+        """Every field a verdict reads: up masks, both tables, bot, zero
+        and one."""
+        return (self.order.up, self.mult_table, self.imp_table, self.bot, self.zero, self.one)
+
     def plus(self, x: int, y: int) -> int:
         return self.neg(self.mult(self.neg(x), self.neg(y)))
 
@@ -369,10 +380,14 @@ class FiniteCLAlgebra(AlgebraCandidate):
     """A candidate that passed all four axiom checks, plus its top element.
 
     Construct these through validator.validate / validator.seal only;
-    the extra field is trusted by every downstream module.
+    the extra field is trusted by every downstream module.  `validated`
+    is the `tables()` that validate passed, None on an instance it did
+    not build; `replace` copies it unchanged, so a copy with other
+    tables no longer matches it.  It is not compared or hashed.
     """
 
     top: int = 0
+    validated: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -382,30 +397,17 @@ class FiniteCLAlgebra(AlgebraCandidate):
             raise ValueError("top index out of range")
 
 
-def per_algebra(fn):
-    """`fn(alg)` computed once per algebra and kept in `alg.memo` under
-    (fn, None), as `per_ideal` keeps its entries."""
+def memoised(fn):
+    """`fn(alg, *ideals)` computed once per algebra and ideal bits, kept
+    in `alg.memo` under (fn, *ideal bits).  A call that raises stores
+    nothing, so it raises afresh every time.  Two threads may both
+    compute a missing entry; both get the same value."""
     @wraps(fn)
-    def remembered(alg):
-        key = (fn, None)
+    def remembered(alg, *ideals):
+        key = (fn, *[ideal.bits for ideal in ideals])
         memo = alg.memo
         if key not in memo:
-            memo[key] = fn(alg)
-        return memo[key]
-    return remembered
-
-
-def per_ideal(fn):
-    """`fn(alg, ideal)` computed once per (algebra, ideal bits) and kept
-    in `alg.memo`.  A call that raises stores nothing, so it raises
-    afresh every time.  Two threads may both compute a missing entry;
-    both get the same value."""
-    @wraps(fn)
-    def remembered(alg, ideal):
-        key = (fn, ideal.bits)
-        memo = alg.memo
-        if key not in memo:
-            memo[key] = fn(alg, ideal)
+            memo[key] = fn(alg, *ideals)
         return memo[key]
     return remembered
 

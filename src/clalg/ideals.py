@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import AlgebraCandidate, AlgebraError, iter_bits, per_algebra, per_ideal, popcount
+from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised, popcount
 from .laws import Law, Unless, Verdict, compose, cube, first_violation, rising_pairs
 
 
@@ -234,17 +234,14 @@ def _implicative(c, x, y, z):
     return None if bits >> w & 1 else (w,)
 
 
-# the exact whole-table tests of the laws below (laws.Unless).  Each
-# reads a table of the values its law needs, built once per algebra
-# (core.per_algebra) as bit masks, so a test is a few mask lookups per
-# ideal; a table is None where the test cannot decide (no implication
-# table, a pair without a meet or join)
+# the exact whole-table tests of the laws below (laws.Unless), run only
+# where `lattice_with_imp` holds.  Each reads a table of the values its
+# law needs, built once per algebra (core.memoised) as bit masks, so a
+# test is a few mask lookups per ideal
 
-@per_algebra
-def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...] | None:
+@memoised
+def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...]:
     """partners[a]: the mask of ~(y->x) over the pairs with ~(x->y) == a."""
-    if alg.imp_table is None:
-        return None
     negs = alg.negs
     partners = [0] * alg.n
     for row, col in zip(alg.imp_table, zip(*alg.imp_table)):
@@ -255,16 +252,13 @@ def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...] | None:
 
 def _prime_holds(c) -> bool:
     alg, bits = c
-    partners = _prime_partners(alg)
-    return partners is not None and not any(
-        p & ~bits for a, p in enumerate(partners) if not bits >> a & 1)
+    return alg.lattice_with_imp and not any(
+        p & ~bits for a, p in enumerate(_prime_partners(alg)) if not bits >> a & 1)
 
 
-@per_algebra
-def _distributive_values(alg: AlgebraCandidate) -> int | None:
+@memoised
+def _distributive_values(alg: AlgebraCandidate) -> int:
     """The mask of every value of ((x|y) & (x|z)) * ~(x | (y&z))."""
-    if alg.imp_table is None or not alg.order.has_meets_and_joins:
-        return None
     meets, negs = alg.order.glbs, alg.negs
     factors = set()
     for row in alg.order.lubs:  # row[z] = x|z
@@ -278,18 +272,14 @@ def _distributive_values(alg: AlgebraCandidate) -> int | None:
 
 def _distributive_holds(c) -> bool:
     alg, bits = c
-    values = _distributive_values(alg)
-    return values is not None and not values & ~bits
+    return alg.lattice_with_imp and not _distributive_values(alg) & ~bits
 
 
-@per_algebra
-def _implicative_values(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...] | None:
+@memoised
+def _implicative_values(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...]:
     """values[a][b]: the mask of ~(x->z) over the triples with
     ~(x->(y->z)) == a and ~(x->y) == b."""
-    imp = alg.imp_table
-    if imp is None:
-        return None
-    negs = alg.negs
+    imp, negs = alg.imp_table, alg.negs
     values = [[0] * alg.n for _ in range(alg.n)]
     for row in imp:  # row[z] = x->z
         detached = compose(negs, row)
@@ -301,10 +291,9 @@ def _implicative_values(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...] | 
 
 def _implicative_holds(c) -> bool:
     alg, bits = c
-    values = _implicative_values(alg)
-    if values is None:
+    if not alg.lattice_with_imp:
         return False
-    members = tuple(iter_bits(bits))
+    values, members = _implicative_values(alg), tuple(iter_bits(bits))
     return not any(values[a][b] & ~bits for a in members for b in members)
 
 
@@ -316,7 +305,7 @@ DISTRIBUTIVE_IDEAL = (Law(None, Unless(_distributive_holds, lambda c: cube(3)(c[
 IMPLICATIVE = (Law(None, Unless(_implicative_holds, lambda c: cube(3)(c[0])), _implicative),)
 
 
-@per_ideal
+@memoised
 def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """For every pair, ~(x->y) or ~(y->x) must land in the ideal.
 
@@ -326,7 +315,7 @@ def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     return first_violation("prime", PRIME, (alg, ideal.bits))
 
 
-@per_ideal
+@memoised
 def is_distributive_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """((x|y) & (x|z)) * ~(x | (y&z)) must land in the ideal, all triples."""
     return first_violation("distributive_ideal", DISTRIBUTIVE_IDEAL, (alg, ideal.bits))

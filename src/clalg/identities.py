@@ -12,12 +12,14 @@ P2_7's implication part.
 
 Every identity of arity 2 or more is scanned only where an exact
 whole-table test (laws.Unless) fails, so a witness is always the first
-of the full scan.  P2_7's test is monotonicity of mult in each argument
-and of imp (antitone in the first) on a preorder: then x*y <= x1*y <=
-x1*y1 and x1->y <= x->y <= x->y1 chain.  The tests of P2_7 and P2_10
-read only the cover pairs: on a preorder every x <= x1 is reflexive or
-a chain of covers (OrderRelation.covers), and comparisons of whole rows
-chain along it.
+of the full scan.  Each test runs only where `lattice_with_imp` holds
+(a preorder with every meet and join, and an implication table), and
+falls through to the scan elsewhere.  P2_7's test is monotonicity of
+mult in each argument and of imp (antitone in the first): then x*y <=
+x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.  The tests of P2_7 and
+P2_10 read only the cover pairs: on a preorder every x <= x1 is
+reflexive or a chain of covers (OrderRelation.covers), and comparisons
+of whole rows chain along it.
 """
 
 from __future__ import annotations
@@ -174,9 +176,7 @@ def _negated(row, negs):
 
 
 def _monotone(A) -> bool:
-    """P2_7 at every point, given a preorder (module docstring)."""
-    if not A.order.is_preorder:
-        return False
+    """P2_7 at every point (module docstring)."""
     mult, imp, leq = A.mult_table, A.imp_table, A.order.all_leq
     mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))
     return all(leq(mult[x], mult[x1]) and leq(mult_cols[x], mult_cols[x1])
@@ -190,19 +190,14 @@ def _leq_on(A, members, lhs, rhs) -> bool:
                for x in members)
 
 
-def _bounded(holds):
-    """`holds`, undecided without every meet and join."""
-    return lambda A: A.order.has_meets_and_joins and holds(A)
-
-
-# identity -> its exact whole-table test, row by row, run only on an
-# algebra with an implication table
+# identity -> its exact whole-table test, row by row, run only where
+# `lattice_with_imp` holds
 _HOLDS = {
-    IdentityId.P2_1: _bounded(lambda A: distributes(A.mult_table, A.order.lubs)),
-    IdentityId.P2_3: _bounded(lambda A: _leq_on(
-        A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
-    IdentityId.P2_4: _bounded(lambda A: _leq_on(
-        A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
+    IdentityId.P2_1: lambda A: distributes(A.mult_table, A.order.lubs),
+    IdentityId.P2_3: lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs),
+    IdentityId.P2_4: lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table),
     IdentityId.P2_5: lambda A: all(
         A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
         for row in A.imp_table for y, v in enumerate(row)),
@@ -213,17 +208,17 @@ _HOLDS = {
     IdentityId.P2_9: lambda A: all(
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
         for x, row in enumerate(A.imp_table)),
-    IdentityId.P2_10: lambda A: A.order.is_preorder and all(
+    IdentityId.P2_10: lambda A: all(
         A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers()),
-    IdentityId.P2_11: _bounded(lambda A: all(
-        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
-    IdentityId.P2_12: _bounded(lambda A: all(
-        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs))),
+    IdentityId.P2_11: lambda A: all(
+        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs)),
+    IdentityId.P2_12: lambda A: all(
+        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs)),
     IdentityId.P2_13: lambda A: all(
         row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table)),
     IdentityId.P2_14: lambda A: all(
         A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs),
-    IdentityId.LEMMA_MEET_IMP: _bounded(lambda A: distributes(A.imp_table, A.order.glbs)),
+    IdentityId.LEMMA_MEET_IMP: lambda A: distributes(A.imp_table, A.order.glbs),
 }
 
 
@@ -231,7 +226,7 @@ def _domain(ident: IdentityId, arity: int):
     holds = _HOLDS.get(ident)
     if holds is None:
         return cube(arity)
-    return Unless(lambda A: A.imp_table is not None and holds(A), cube(arity))
+    return Unless(lambda A: A.lattice_with_imp and holds(A), cube(arity))
 
 
 # law -> (context from the algebra, ideal bits and class index; entries):

@@ -10,12 +10,15 @@ re-evaluate the same violation function at the same point.
 
 A domain may first run an exact test on the whole structure (`Unless`).
 The test returns True only where no point of the domain violates, on
-any context, sealed algebra or not, and False wherever it cannot decide
-(a missing meet, join or implication table; an order that is not
-transitive).  When it passes the domain yields no points; otherwise it
-yields all its points in scan order.  So a scan that runs finds the
-same first witness, or raises the same exception at the same point, as
-a scan without the test.
+any context, sealed algebra or not, and False wherever it cannot decide.
+The validator's tests decide the structures it checks (a transitive
+order, every meet and join); every other test first asks
+`AlgebraCandidate.lattice_with_imp` (a preorder with every meet and
+join, and an implication table) and returns False where it fails.
+When the test passes the domain yields no points; otherwise it yields
+all its points in scan order.  So a scan that runs finds the same first
+witness, or raises the same exception at the same point, as a scan
+without the test.
 """
 
 from __future__ import annotations

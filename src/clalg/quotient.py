@@ -8,9 +8,10 @@ scratch, and the class order derived from meets is cross-checked
 against the membership criterion ~(x->y) in I.  Each of those
 verifications can fail on defective candidates, and each failure is a
 first-class reported result rather than an internal error.  Only a
-sealed base's quotient with the base's own tables (every class a
-singleton, as modulo the zero down-set) is not re-validated: no verdict
-reads a name, so it is the base renamed (validator.renamed).
+quotient whose tables are the ones a sealed base passed validation with
+(every class a singleton, as modulo the zero down-set, and the base's
+tables unchanged since; FiniteCLAlgebra.validated) is not re-validated:
+no verdict reads a name, so it is the base renamed (validator.renamed).
 
 A binary operation is compatible exactly when cls(op(x, y)) ==
 cls(op(r x, r y)) for all (x, y), r the class representative: given
@@ -19,15 +20,17 @@ op(r x, r y) = op(r x', r y') ~ op(x', y'), and the test is itself
 compatibility at x' = r x, y' = r y.  So this O(n^2) test decides pass
 or fail, and the O(n^4) scan of related quads runs only on a failing
 operation, to find the lexicographically first violating quad as the
-witness.  On a lattice with an implication table no call raises, so
-the test skips the pairs of representatives, where both sides are the
-same call, and passes at once on a single class.
+witness.  The test runs only where `lattice_with_imp` holds; there no
+call raises, so it skips the pairs of representatives, where both sides
+are the same call, and passes at once on a single class.  Compatibility
+with ~x = x -> 0 follows from that of imp at y = y' = 0, so neg needs
+no entry of its own.
 
 Classes are named after their minimal-index representative in brackets,
 and quotient elements are ordered by ascending representative index.
 
 The congruence and the quotient by an ideal are kept in the algebra's
-memo (`core.per_ideal`), as are the prime and distributive verdicts
+memo (`core.memoised`), as are the prime and distributive verdicts
 they are checked with, so `theorem_suite`, `check_order_criterion` and
 the ideal classification compute each of them once per algebra and
 ideal.  A construction that fails (NotEquivalence, NotACongruence,
@@ -44,10 +47,9 @@ from .core import (
     AlgebraCandidate,
     AlgebraError,
     FiniteCLAlgebra,
-    NotALattice,
     OrderRelation,
     iter_bits,
-    per_ideal,
+    memoised,
 )
 from .ideals import Ideal, Subset, is_affine, is_distributive_ideal, is_prime
 from .laws import Law, Unless, Verdict, compose, cube, first_violation
@@ -86,12 +88,12 @@ class QuotientInvalid(AlgebraError):
 class Congruence:
     """Partition induced by an ideal, plus its compatibility certificate.
 
-    The certificate takes operations in the order meet, join, mult, imp,
-    neg.  A binary operation passes or fails by the class-level test
-    cls(op(x, y)) == cls(op(r x, r y)) over all (x, y); on a failure,
-    argument tuples (x, x', y, y') are scanned lexicographically over
-    related pairs, and the first incompatibility is the witness.  neg
-    scans the related pairs (x, x') directly.
+    The certificate takes the operations in the order meet, join, mult,
+    imp.  Each passes or fails by the class-level test cls(op(x, y)) ==
+    cls(op(r x, r y)) over all (x, y); on a failure, argument tuples (x,
+    x', y, y') are scanned lexicographically over related pairs, and the
+    first incompatibility is the witness.  neg = imp(-, zero) is
+    compatible wherever imp is (module docstring).
     """
 
     classes: tuple[Subset, ...]
@@ -102,11 +104,11 @@ class Congruence:
         return tuple(cls.members()[0] for cls in self.classes)
 
 
-@per_ideal
+@memoised
 def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
     """Compute the relation, verify it is an equivalence (reflexivity,
     symmetry, transitivity, in that scan order), partition the universe,
-    and certify compatibility of all five operations."""
+    and certify compatibility of the four binary operations."""
     n = alg.n
     ibits = ideal.bits
     neg = alg.negs
@@ -139,7 +141,7 @@ def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
             for y in iter_bits(rel[x]):
                 class_index[y] = idx
 
-    certificate = first_violation("congruence", CONGRUENCE, _classes(alg, ibits, class_index))
+    certificate = first_violation("congruence", CONGRUENCE, _Classes(alg, ibits, class_index))
     return Congruence(
         classes=tuple(classes), class_index=tuple(class_index), certificate=certificate,
     )
@@ -147,49 +149,36 @@ def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
 
 class _Classes(NamedTuple):
     """What the compatibility and order laws read: the algebra, the
-    ideal, the class of each element and the related pairs (x, x') in
-    ascending order."""
+    ideal and the class of each element."""
 
     alg: AlgebraCandidate
     ideal_bits: int
     class_index: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
-def _classes(alg, ideal_bits, class_index) -> _Classes:
-    n = alg.n
-    pairs = tuple((x, x1) for x in range(n) for x1 in range(n)
-                  if class_index[x] == class_index[x1])
-    return _Classes(alg, ideal_bits, class_index, pairs)
 
 
 def _class_level(op: str):
     """The class-level test of `op` (module docstring), exact because
     a class index is an equivalence."""
     def holds(c: _Classes) -> bool:
-        fn = getattr(c.alg, op)
+        if not c.alg.lattice_with_imp:
+            return False
         cidx = c.class_index
+        if max(cidx) == 0:
+            return True  # a single class
+        fn = getattr(c.alg, op)
         rep = [cidx.index(i) for i in cidx]  # least member of each class
-        n = len(cidx)
-        moved = range(n)
-        if c.alg.order.has_meets_and_joins and c.alg.has_imp:
-            # no call raises, so skip the pairs of representatives,
-            # where both sides are the same call
-            if max(cidx) == 0:
-                return True
-            moved = [x for x in moved if rep[x] != x]
-        try:
-            return all(cidx[fn(x, y)] == cidx[fn(rep[x], rep[y])]
-                       for x in range(n) for y in (moved if rep[x] == x else range(n)))
-        except NotALattice:
-            return False  # the quad scan raises at its first pair without one
+        moved = [x for x, r in enumerate(rep) if r != x]
+        return all(cidx[fn(x, y)] == cidx[fn(r, rep[y])]
+                   for x, r in enumerate(rep) for y in (moved if r == x else range(len(rep))))
     return holds
 
 
 def _quads(c: _Classes):
     """Quads (x, x', y, y') over related pairs, lexicographically,
     generated lazily, only to find the first violating one."""
-    return (p + q for p in c.pairs for q in c.pairs)
+    cidx = c.class_index
+    pairs = [(x, x1) for x, k in enumerate(cidx) for x1, k1 in enumerate(cidx) if k == k1]
+    return (p + q for p in pairs for q in pairs)
 
 
 def _compatible(op: str):
@@ -203,9 +192,6 @@ def _compatible(op: str):
 CONGRUENCE = tuple(
     Law(op, Unless(_class_level(op), _quads), _compatible(op))
     for op in ("meet", "join", "mult", "imp")
-) + (
-    Law("neg", lambda c: c.pairs, lambda c, x, x1: None
-        if c.class_index[c.alg.neg(x)] == c.class_index[c.alg.neg(x1)] else ()),
 )
 
 
@@ -222,9 +208,9 @@ def _order_mismatch(c, x, y):
 
 def _order_agrees(c: _Classes) -> bool:
     """Row by row: the class of meet(x, y) is x's exactly where ~(x->y)
-    is in the ideal; undecided without an implication table or a meet."""
+    is in the ideal; run only where `lattice_with_imp` holds."""
     alg, cidx = c.alg, c.class_index
-    if alg.imp_table is None or not alg.order.has_meets_and_joins:
+    if not alg.lattice_with_imp:
         return False
     neg_in = tuple(c.ideal_bits >> v & 1 for v in alg.negs)
     return all(compose(tuple(int(k == cidx[x]) for k in cidx), meets) == compose(neg_in, imp)
@@ -259,7 +245,7 @@ class QuotientAlgebra:
 def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
                    cong: Congruence | None = None) -> QuotientAlgebra:
     """Construct and re-validate the quotient by a certified ideal (a
-    sealed base with singleton classes is renamed instead; module
+    sealed base whose validated tables it has is renamed instead; module
     docstring).
 
     Raises NotACongruence when the compatibility certificate fails,
@@ -291,7 +277,7 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
 
     # cross-check the meet-derived order against the membership criterion
     mismatch = first_violation("order_criterion", ORDER_CRITERION,
-                               _classes(alg, ideal.bits, cidx))
+                               _Classes(alg, ideal.bits, cidx))
     if not mismatch:
         x, y = mismatch.witness[1:3]
         raise QuotientInvalid(
@@ -317,9 +303,7 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
         zero=cidx[alg.zero],
         one=cidx[alg.one],
     )
-    if isinstance(alg, FiniteCLAlgebra) and k == alg.n and (
-            (q_cand.order.up, q_mult, q_imp, q_cand.bot, q_cand.zero, q_cand.one)
-            == (alg.order.up, alg.mult_table, alg.imp_table, alg.bot, alg.zero, alg.one)):
+    if q_cand.tables() == getattr(alg, "validated", None):
         # the tables the sealed base passed with: it is the quotient renamed
         return QuotientAlgebra(base=alg, congruence=cong,
                                algebra=renamed(alg, q_cand.name, q_cand.elements))
@@ -337,7 +321,7 @@ def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal, x: int, y: int,
     """
     if cong is None:
         cong = congruence_from_ideal(alg, ideal)
-    return _order_sides(_classes(alg, ideal.bits, cong.class_index), x, y)
+    return _order_sides(_Classes(alg, ideal.bits, cong.class_index), x, y)
 
 
 @dataclass(frozen=True)
@@ -433,4 +417,4 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
 
 
 # law -> (context from the algebra, ideal bits and class index; entries)
-LAWS = {"congruence": (_classes, CONGRUENCE)}
+LAWS = {"congruence": (_Classes, CONGRUENCE)}

@@ -262,7 +262,7 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
             raise EquivalenceBroken(x, top, f"{x} is not below imp(bot, bot) = {top}")
     sealed = FiniteCLAlgebra(
         cand.name, cand.elements, cand.order, cand.mult_table,
-        resolved.imp_table, cand.bot, cand.zero, cand.one, top,
+        resolved.imp_table, cand.bot, cand.zero, cand.one, top, resolved.tables(),
     )
     return ValidationReport(lattice, monoid, residuation, involution, sealed)
 

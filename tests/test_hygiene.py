@@ -1,8 +1,9 @@
 """Source rules for the package: internal invariants raise exceptions
 (an `assert` vanishes under `python -O`), the runtime needs nothing
 beyond the standard library, results are cached on the immutable
-values they belong to, never in a module-level cache, and only the
-validator builds sealed algebras."""
+values they belong to, never in a module-level cache, only the
+validator builds sealed algebras, and every whole-table test outside
+the validator asks `lattice_with_imp` alone whether it can decide."""
 
 import ast
 import sys
@@ -89,3 +90,30 @@ def test_sealed_algebras_are_built_only_by_the_validator():
     builders = {path.name for path in MODULES
                 if _calls_named(ast.parse(path.read_text(encoding="utf-8")), "FiniteCLAlgebra")}
     assert builders == {"validator.py"}
+
+
+# what `AlgebraCandidate.lattice_with_imp` decides once per algebra
+PRECONDITION_PARTS = {"has_meets_and_joins", "is_preorder", "is_transitive", "has_imp"}
+
+
+def _precondition_parts(tree):
+    """(line, what) of each read of a part of `lattice_with_imp` and each
+    comparison of `imp_table` with None."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id
+            if name in PRECONDITION_PARTS:
+                yield node.lineno, name
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(s, ast.Attribute) and s.attr == "imp_table" for s in sides)
+                    and any(isinstance(s, ast.Constant) and s.value is None for s in sides)):
+                yield node.lineno, "imp_table compared with None"
+
+
+@pytest.mark.parametrize("name", ["identities.py", "ideals.py", "quotient.py"])
+def test_whole_table_tests_read_one_precondition(name):
+    # a guard of its own in one test would drift from the others
+    path = Path(clalg.__file__).parent / name
+    problems = list(_precondition_parts(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, problems

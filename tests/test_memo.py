@@ -12,7 +12,7 @@ import pytest
 
 import clalg.ideals
 import clalg.quotient
-from clalg.core import per_algebra
+from clalg.core import memoised
 from clalg.ideals import all_ideals, classify, is_distributive_ideal, is_prime, zero_downset
 from clalg.quotient import (
     QuotientInvalid,
@@ -137,7 +137,7 @@ def test_value_tables_are_built_once_per_algebra(census_2_6, monkeypatch):
         def counted(alg, build=build, name=name):
             builds[name, alg.name] += 1
             return build(alg)
-        monkeypatch.setattr(clalg.ideals, name, per_algebra(counted))
+        monkeypatch.setattr(clalg.ideals, name, memoised(counted))
     algebras = list(map(replace, census_2_6))  # fresh copies: empty memos
     for alg in algebras:
         for ideal in all_ideals(alg):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import oracle_congruence, oracle_congruence_certificate
+from test_identities import _force_seal
 
 import clalg.quotient
 import clalg.validator
@@ -231,6 +232,27 @@ def test_zero_downset_quotient_of_a_sealed_algebra_is_it_renamed(census, monkeyp
     with pytest.raises(TypeError):
         clalg.validator.renamed(alg.as_candidate(), "copy", alg.elements)
 
+
+
+def test_a_sealed_copy_with_other_tables_is_validated_again(linear5, monkeypatch):
+    # replace() carries over the record of the tables validate passed,
+    # so a copy with other tables is validated like any candidate: with
+    # mult(1, 1) set to the top it fails, and a seal forced by the tests
+    # passes but is validated all the same
+    calls = []
+    validate = clalg.quotient.validate
+    monkeypatch.setattr(clalg.quotient, "validate",
+                        lambda cand: calls.append(cand) or validate(cand))
+    rows = [list(row) for row in linear5.mult_table]
+    rows[1][1] = linear5.top
+    forged = replace(linear5, mult_table=tuple(map(tuple, rows)))
+    with pytest.raises(QuotientInvalid) as exc:
+        build_quotient(forged, zero_downset(forged))
+    assert not exc.value.report.monoid and not exc.value.report.residuation
+    forced, copy = _force_seal(linear5), replace(linear5)
+    assert (build_quotient(forced, zero_downset(forced)).algebra
+            == build_quotient(copy, zero_downset(copy)).algebra)
+    assert len(calls) == 2 and calls[1].mult_table == linear5.mult_table
 
 def _mutants(alg, rng, count=6):
     """`count` copies of `alg`, each with one mult cell (and its mirror)

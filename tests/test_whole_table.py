@@ -39,7 +39,8 @@ from clalg.ideals import (
 )
 from clalg.identities import IdentityId, check_identity, run_identity_suite
 from clalg.laws import Law, Unless, first_violation
-from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _classes, theorem_suite
+from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
+from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
     INTEGRAL,
@@ -132,6 +133,23 @@ def _orders(n):
     yield OrderRelation(n, tuple((1 << n) - (1 << x) for x in range(n - 1)) + (0,))
     yield OrderRelation.from_covers(n, [(0, x) for x in range(1, n)])
 
+
+
+def test_lattice_with_imp_holds_on_census_algebras_and_fixtures(census, linear5, nonlinear6):
+    algebras = [alg for n in sorted(census) for alg in census[n]]
+    algebras += run_search(SearchConfig(size=6)).algebras
+    assert len(algebras) == 133
+    assert all(alg.lattice_with_imp for alg in algebras + [linear5, nonlinear6])
+
+
+def test_lattice_with_imp_fails_where_the_tests_fall_through(census):
+    # the orders above, the chain whose top is not below itself among
+    # them, and a candidate without an implication table
+    for alg in (alg for n in (3, 4, 5) for alg in census[n]):
+        cand = alg.as_candidate()
+        assert cand.lattice_with_imp and not replace(cand, imp_table=None).lattice_with_imp
+        for order in _orders(alg.n):
+            assert not replace(cand, order=order).lattice_with_imp, order.up
 
 def _partitions(n, rng):
     """Class indexes: all singletons, one class, and two seeded ones."""
