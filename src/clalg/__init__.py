@@ -54,10 +54,10 @@ from .search import (
     CensusRow,
     SearchConfig,
     SearchResult,
+    SearchStats,
     SizeOutOfRange,
     canonical_form,
     complete_to_cl,
-    count_cl_algebras,
     enumerate_lattices,
     run_search,
 )

@@ -379,6 +379,7 @@ def _cmd_search(run: _Run) -> None:
         for r in result.rows
     ]
     run.payload["total"] = result.total
+    run.payload["stats"] = {**result.stats._asdict(), "dedup_hits": result.stats.dedup_hits}
     if not run.args.count_only:
         run.payload["algebras"] = [serialize_algebra(a) for a in result.algebras]
     run.human.extend(text.rstrip("\n").splitlines())

@@ -20,13 +20,20 @@ conjugation by the automorphisms fixing it.  Per (one, sigma) a
 backtracking search fills a commutative fusion table: the unit row is
 fixed, the bottom row is forced to bottom (residuation plus the least
 element leave no other choice) and commutativity halves the table.
-Each cell is checked once, when it is set, against the filled cells:
-by the rotation law x*y <= sigma(w) iff x*w <= sigma(y) (both say
-x*y*w <= zero) and by associativity on the filled triples that read
-it.  Monotonicity and join distribution need no check: with w =
-sigma(z) the law reads x*y <= z iff y <= sigma(x*sigma(z)), so each
-map y -> x*y is residuated, hence monotone and join-preserving.  On a
-finished table the rotation law makes sigma the negation and x -> y =
+Each cell is checked once, when it is set, against the filled cells.
+The rotation law x*y <= sigma(w) iff x*w <= sigma(y) (both say
+x*y*w <= zero) against a filled x*w bounds the new value alone: it
+must lie in the down-set of sigma(w) or outside it.  So the law is one
+mask of allowed values per cell, an AND of down-set masks built before
+any value is tried.  Each allowed value is then checked for
+associativity on the filled triples that read it; those in which the
+new cell is the outer product (p*q)*r, with p*q one of its indices,
+are found through an index of the filled cells by value.
+Monotonicity and join distribution need no check: every finished
+table satisfies the rotation law, and with w = sigma(z) the law reads
+x*y <= z iff y <= sigma(x*sigma(z)), so each map y -> x*y is
+residuated, hence monotone and join-preserving.  On a finished table
+the rotation law makes sigma the negation and x -> y =
 sigma(x * sigma(y)) the residual, so the implication is read off
 sigma.  complete_to_cl seals every such completion; run_search keys
 them and runs the full validator once per key, on the algebra rebuilt
@@ -46,8 +53,10 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from itertools import groupby, permutations, product
+from typing import NamedTuple
 
 from .core import (
     AlgebraCandidate,
@@ -95,10 +104,34 @@ class CensusRow:
     count: int
 
 
+class SearchStats(NamedTuple):
+    """What one run_search did, in counts that repeat exactly: the
+    lattices listed and those with an order-reversing involution, the
+    (one, sigma) roots of the fusion-table DFS, its nodes (partial
+    tables that passed every check so far, full ones included) and the
+    values the rotation law allowed and associativity then checked,
+    the raw tables found and the canonical keys they gave.  A
+    NamedTuple: a frozen dataclass would cost more at import."""
+
+    lattices: int = 0
+    with_involution: int = 0
+    roots: int = 0
+    nodes: int = 0
+    values_checked: int = 0
+    tables: int = 0
+    keys: int = 0
+
+    @property
+    def dedup_hits(self) -> int:
+        """Raw tables whose key an earlier table of the lattice gave."""
+        return self.tables - self.keys
+
+
 @dataclass(frozen=True)
 class SearchResult:
     rows: tuple[CensusRow, ...]
     algebras: tuple[FiniteCLAlgebra, ...]
+    stats: SearchStats
 
     @property
     def total(self) -> int:
@@ -291,28 +324,39 @@ def _orbit_reps(items, images) -> list:
     return reps
 
 
-def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> list[Table]:
+def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...],
+                   counts: Counter | None = None) -> list[Table]:
     """Every commutative, associative fusion table on the lattice with
     unit `one` that satisfies the rotation law x*y <= sigma(w) iff
     x*w <= sigma(y), by backtracking over the cells outside the unit and
-    bottom rows.
+    bottom rows, in row-major order, each cell's values ascending.
 
-    Such a table is also monotone and distributes over joins, so neither
-    is checked: with w = sigma(z) the law reads x*y <= z iff
-    y <= sigma(x*sigma(z)), so each map y -> x*y has a residual, and a
-    residuated map is monotone and preserves joins.  Each cell is
-    checked once, when it is set, against the cells already filled.
+    Each cell is checked once, when it is set, against the cells already
+    filled.  The rotation law against a filled cell of its rows bounds
+    the new value alone, so it is applied first, as a mask of the values
+    allowed; only those are set and checked for associativity, which
+    reads the filled cells holding x or y, for a new cell x*y, from
+    `at`, an index of the filled cells by value.  The tables are also
+    monotone and distribute over joins, so neither is checked: each
+    satisfies the rotation law, which with w = sigma(z) reads x*y <= z
+    iff y <= sigma(x*sigma(z)), so each map y -> x*y has a residual,
+    and a residuated map is monotone and preserves joins.
+    `counts` (if given) gains the DFS nodes and the values checked.
     """
     n = order.n
     bot = order.least()
-    up = order.up
-    # bit c of under_neg[v] is set iff v <= sigma(c)
-    under_neg = [sum(1 << c for c in range(n) if up[v] >> sigma[c] & 1) for v in range(n)]
+    # bit v of dn_neg[c] is set iff v <= sigma(c)
+    dn_neg = [order.dn[sigma[c]] for c in range(n)]
 
     tab: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
         tab[bot][x] = tab[x][bot] = bot
         tab[one][x] = tab[x][one] = x
+    # at[w] lists the filled cells (p, q) that hold w, both ways round
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, q in product(range(n), repeat=2):
+        if tab[p][q] is not None:
+            at[tab[p][q]].append((p, q))
 
     cells = [
         (x, y)
@@ -321,23 +365,29 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> li
         if x != bot and x != one and y != bot and y != one
     ]
     tables: list[Table] = []
+    nodes = checked = 0
 
-    def cell_ok(x, y, v):
-        """Whether x*y = y*x = v, just written, agrees with the filled cells."""
-        # rotation law against the filled cells of rows x and y: both
-        # sides say x*y*c <= zero.  The preset rows satisfy it for every
-        # order-reversing involution (one's row by x <= sigma(y) iff
-        # y <= sigma(x), bot's row and column trivially), so checking
-        # each new cell covers every pair of filled cells.
-        vmask = under_neg[v]
-        for row, other in ((tab[x], y), (tab[y], x)):
+    def allowed(x, y):
+        """The values x*y may take by the rotation law against the filled
+        cells of rows x and y: for x*c filled, x*y <= sigma(c) iff
+        x*c <= sigma(y), both saying x*y*c <= zero.  The preset rows
+        satisfy the law for every order-reversing involution (one's row
+        by x <= sigma(y) iff y <= sigma(x), bot's row and column
+        trivially), so checking each new cell covers every pair of
+        filled cells."""
+        mask = (1 << n) - 1
+        for row, other in ((tab[x], y), (tab[y], x)) if x != y else ((tab[x], x),):
+            below = dn_neg[other]
             for c, w in enumerate(row):
-                if w is not None and (vmask >> c & 1) != (under_neg[w] >> other & 1):
-                    return False
-        # associativity (p*q)*r = p*(q*r) on the filled triples that read
-        # the new cell.  The table is symmetric, so the triple (r, q, p)
-        # states the same equation, and the new cell is either the inner
-        # product p*q ...
+                if w is not None:
+                    mask &= dn_neg[c] if below >> w & 1 else ~dn_neg[c]
+        return mask
+
+    def associative(x, y, v):
+        """Whether x*y = y*x = v, just written, keeps (p*q)*r = p*(q*r)
+        on the filled triples that read the new cell."""
+        # the table is symmetric, so the triple (r, q, p) states the same
+        # equation, and the new cell is either the inner product p*q ...
         rowv = tab[v]
         for p, q in ((x, y), (y, x)):
             rowp = tab[p]
@@ -346,26 +396,36 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...]) -> li
                 if a is not None and qr is not None and rowp[qr] not in (None, a):
                     return False
         # ... or the outer product: p*q is x or y, and r the other one
-        for rowp in tab:
-            for q, pq in enumerate(rowp):
-                if pq == x or pq == y:
-                    qr = tab[q][x + y - pq]
-                    if qr is not None and rowp[qr] not in (None, v):
-                        return False
+        for pq in (x, y) if x != y else (x,):
+            r = x + y - pq
+            for p, q in at[pq]:
+                qr = tab[q][r]
+                if qr is not None and tab[p][qr] not in (None, v):
+                    return False
         return True
 
     def dfs(k):
+        nonlocal nodes, checked
+        nodes += 1
         if k == len(cells):
             tables.append(tuple(tuple(row) for row in tab))
             return
         x, y = cells[k]
-        for v in range(n):
+        mask = allowed(x, y)
+        checked += popcount(mask)
+        new = [(x, y), (y, x)] if x != y else [(x, y)]
+        for v in iter_bits(mask):
             tab[x][y] = tab[y][x] = v
-            if cell_ok(x, y, v):
+            at[v] += new
+            if associative(x, y, v):
                 dfs(k + 1)
+            del at[v][-len(new):]
         tab[x][y] = tab[y][x] = None
 
     dfs(0)
+    if counts is not None:
+        counts["nodes"] += nodes
+        counts["values_checked"] += checked
     return tables
 
 
@@ -383,10 +443,11 @@ def _check_lattice(order: OrderRelation) -> None:
 
 
 def _completions(order: OrderRelation, one: int, involutions: list[tuple[int, ...]],
-                 autos: list[tuple[int, ...]]):
+                 autos: list[tuple[int, ...]], counts: Counter):
     """Yield an unvalidated candidate per fusion table with unit `one`
     and sigma, for one sigma per class of `involutions` under
-    conjugation by the `autos` fixing one; x -> y = sigma(x * sigma(y))."""
+    conjugation by the `autos` fixing one; x -> y = sigma(x * sigma(y)).
+    `counts` gains the roots searched, the DFS work and the tables."""
     n = order.n
     bot = order.least()
     if one == bot and n > 1:
@@ -401,7 +462,10 @@ def _completions(order: OrderRelation, one: int, involutions: list[tuple[int, ..
     k = 0
     for sigma in _orbit_reps(involutions, conjugates):
         zero = sigma[one]
-        for mult in _fusion_tables(order, one, sigma):
+        counts["roots"] += 1
+        tables = _fusion_tables(order, one, sigma, counts)
+        counts["tables"] += len(tables)
+        for mult in tables:
             imp = tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n)) for x in range(n))
             yield AlgebraCandidate(f"cl{n}_z{zero}_u{one}_{k}", elements, order,
                                    mult, imp, bot, zero, one)
@@ -431,7 +495,7 @@ def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
         raise ValueError(f"one index {one} out of range")
     _check_lattice(order)
     return [seal(cand) for cand in _completions(
-        order, one, _involutions(order), _order_maps(order, reverse=False))]
+        order, one, _involutions(order), _order_maps(order, reverse=False), Counter())]
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -439,7 +503,8 @@ def run_search(config: SearchConfig) -> SearchResult:
     one): per lattice, the sorted set of canonical keys of its
     completions.  The algebra each key encodes is fully validated once:
     the first max_results are sealed and emitted, and the rest checked
-    by `validate`, so every counted class is a CL-algebra."""
+    by `validate`, so every counted class is a CL-algebra.  The result
+    carries the run's SearchStats."""
     n = config.size
     _check_size(n)
     if config.lattice is not None:
@@ -452,14 +517,17 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     rows = []
     named: list[tuple[str, tuple]] = []
+    counts = Counter(lattices=len(lattices))
     for li, lat in enumerate(lattices):
         keys: set[tuple] = set()
         involutions = _involutions(lat)
         if involutions:
+            counts["with_involution"] += 1
             autos = _order_maps(lat, reverse=False)
             for one in _orbit_reps(range(n), lambda u: [p[u] for p in autos]):
                 keys.update(canonical_form(cand)
-                            for cand in _completions(lat, one, involutions, autos))
+                            for cand in _completions(lat, one, involutions, autos, counts))
+        counts["keys"] += len(keys)
         rows.append(CensusRow(n, li, len(keys)))
         named += [(f"cl{n}_l{li}_{k}", key) for k, key in enumerate(sorted(keys))]
     orders: dict[tuple, OrderRelation] = {}
@@ -469,11 +537,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         report = validate(_candidate_from_key(key, name, orders))
         if report.algebra is None:
             raise NotACLAlgebra(report)
-    return SearchResult(rows=tuple(rows), algebras=algebras)
-
-
-def count_cl_algebras(config: SearchConfig) -> tuple[CensusRow, ...]:
-    return run_search(replace(config, max_results=0)).rows
+    return SearchResult(rows=tuple(rows), algebras=algebras, stats=SearchStats(**counts))
 
 
 def render_search_result(result: SearchResult) -> str:

@@ -155,6 +155,8 @@ def test_search_json_is_stable(capsys):
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timing_ms"), b.pop("timing_ms")
     assert a == b
+    assert a["stats"] == {"lattices": 1, "with_involution": 1, "roots": 2, "nodes": 4,
+                          "values_checked": 2, "tables": 2, "keys": 2, "dedup_hits": 0}
 
 
 def test_export_dot_command(capsys, ex2_path, tmp_path):

@@ -17,13 +17,13 @@ from oracles import (
 from clalg.core import NotALattice, OrderRelation
 from clalg.search import (
     SearchConfig,
+    SearchStats,
     SizeOutOfRange,
     _fusion_tables,
     _involutions,
     _order_maps,
     canonical_form,
     complete_to_cl,
-    count_cl_algebras,
     enumerate_lattices,
     render_search_result,
     run_search,
@@ -160,7 +160,7 @@ def test_canonical_form_equality_is_isomorphism(census):
 def test_census_rows_equal_second_enumerator(n):
     # a stdlib-only DFS over every (zero, one) pair, with no negation
     # first, no rotation law and no orbit reduction
-    rows = count_cl_algebras(SearchConfig(size=n))
+    rows = run_search(SearchConfig(size=n, max_results=0)).rows
     assert [oracle_dfs_count(lat.up) for lat in enumerate_lattices(n)] == [
         row.count for row in rows]
 
@@ -239,19 +239,41 @@ def test_count_only_matches_full_rows():
     counted = run_search(SearchConfig(size=4, max_results=0))
     assert counted.rows == full.rows
     assert counted.algebras == ()
-    assert count_cl_algebras(SearchConfig(size=4)) == full.rows
+    assert counted.stats == full.stats
 
 
 def test_size_six_census_is_pinned():
-    rows = count_cl_algebras(SearchConfig(size=6))
+    rows = run_search(SearchConfig(size=6, max_results=0)).rows
     assert len(rows) == 15  # OEIS A006966
     assert sum(row.count for row in rows) == 100
 
 
 def test_size_eight_census_is_pinned():
-    rows = count_cl_algebras(SearchConfig(size=8))
-    assert len(rows) == 222  # OEIS A006966
-    assert sum(row.count for row in rows) == 1392
+    result = run_search(SearchConfig(size=8))
+    assert len(result.rows) == 222  # OEIS A006966
+    assert result.total == 1392
+    text = render_search_result(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4c82575cbdae74826b9999527355bff28ac44acdf37efeb314f2c80b1c2692a3")
+
+
+# every count of a census run repeats exactly; nodes are the partial
+# tables that passed every check, full ones included
+SEARCH_STATS = {
+    4: SearchStats(lattices=2, with_involution=2, roots=7, nodes=37,
+                   values_checked=31, tables=9, keys=9),
+    5: SearchStats(lattices=5, with_involution=3, roots=13, nodes=160,
+                   values_checked=160, tables=22, keys=21),
+    6: SearchStats(lattices=15, with_involution=7, roots=44, nodes=1297,
+                   values_checked=1387, tables=110, keys=100),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCH_STATS))
+def test_search_stats_are_pinned(n):
+    stats = run_search(SearchConfig(size=n, max_results=0)).stats
+    assert stats == SEARCH_STATS[n]
+    assert stats.dedup_hits == {4: 0, 5: 1, 6: 10}[n]
 
 
 def test_max_results_caps_list():
@@ -405,7 +427,8 @@ def _content(alg):
 def test_census_rows_do_not_depend_on_lattice_labeling(census):
     perm = (0, 3, 1, 4, 2)  # new index of each old element
     start = 0
-    for row, lat in zip(count_cl_algebras(SearchConfig(size=5)), enumerate_lattices(5)):
+    for row, lat in zip(run_search(SearchConfig(size=5, max_results=0)).rows,
+                        enumerate_lattices(5)):
         relabeled = OrderRelation.from_leq(
             5, [[lat.leq(perm.index(x), perm.index(y)) for y in range(5)] for x in range(5)])
         assert relabeled.up != lat.up
