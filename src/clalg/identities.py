@@ -28,7 +28,7 @@ from enum import Enum
 from functools import wraps
 
 from .core import AlgebraError, FiniteCLAlgebra
-from .laws import Law, Unless, Verdict, compose, cube, distributes, first_violation
+from .laws import Law, Unless, Verdict, associates, compose, cube, distributes, first_violation
 
 
 class UnknownIdentity(AlgebraError):
@@ -190,8 +190,9 @@ def _leq_on(A, members, lhs, rhs) -> bool:
                for x in members)
 
 
-# identity -> its exact whole-table test, row by row, run only where
-# `lattice_with_imp` holds
+# identity -> its exact whole-table test, row by row (the cubic
+# equations as bytes: laws.associates, laws.distributes), run only
+# where `lattice_with_imp` holds
 _HOLDS = {
     IdentityId.P2_1: lambda A: distributes(A.mult_table, A.order.lubs),
     IdentityId.P2_3: lambda A: _leq_on(
@@ -202,9 +203,7 @@ _HOLDS = {
         A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
         for row in A.imp_table for y, v in enumerate(row)),
     IdentityId.P2_7: _monotone,
-    IdentityId.P2_8: lambda A: all(
-        compose(A.imp_table[x], A.imp_table[y]) == A.imp_table[v]
-        for x, row in enumerate(A.mult_table) for y, v in enumerate(row)),
+    IdentityId.P2_8: lambda A: associates(A.imp_table, A.mult_table, A.imp_table),
     IdentityId.P2_9: lambda A: all(
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
         for x, row in enumerate(A.imp_table)),

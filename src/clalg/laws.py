@@ -19,13 +19,24 @@ When the test passes the domain yields no points; otherwise it yields
 all its points in scan order.  So a scan that runs finds the same first
 witness, or raises the same exception at the same point, as a scan
 without the test.
+
+The cubic tests that are one equation per point, associativity,
+adjunction, distributivity and the like (`associates`, `distributes`),
+run on byte strings, one plane (y, z) per x.  Every table entry is an
+element, below MAX_UNIVERSE = 64, so a row fits in `bytes`, and two
+C-level primitives cover a plane: a table read through a row,
+`flat.translate(row padded to 256)`, gives row[T[y][z]] for the table
+T's rows joined in `flat`; the rows a row selects,
+`b"".join(map(rows.__getitem__, row))`, give T[row[y]][z].  So a test
+makes about 2n long calls where reading row by row makes n^2 short
+ones.  The byte views are built inside each call and kept nowhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from inspect import signature
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -102,14 +113,38 @@ class Unless:
 
 def compose(row: tuple, idx: Iterable[int]) -> tuple:
     """(row[i] for i in idx) as a tuple: one table row read through
-    another, the inner loop of the whole-table tests."""
+    another, the inner loop of the whole-table tests that are not one
+    equation per point (comparisons through `OrderRelation.all_leq`,
+    the ideal value tables); the equations run as bytes (`associates`,
+    `distributes`)."""
     return tuple(map(row.__getitem__, idx))
+
+
+def _translation(row: bytes) -> bytes:
+    """`row` as a `bytes.translate` table: byte v maps to row[v]."""
+    return row.ljust(256, b"\0")
+
+
+def associates(t, mult, s) -> bool:
+    """t(mult(x, y), z) == t(x, s(y, z)) for all x, y, z, for tables
+    given as rows; as bytes, one plane (y, z) per x (module docstring):
+    the rows of t that mult's row x selects, joined, against s read
+    through t's row x."""
+    t = tuple(map(bytes, t))
+    flat = bytes(chain.from_iterable(s))
+    return all(b"".join(map(t.__getitem__, row)) == flat.translate(_translation(tx))
+               for tx, row in zip(t, mult))
 
 
 def distributes(f, g) -> bool:
     """f(x, g(y, z)) == g(f(x, y), f(x, z)) for all x, y, z, for tables
-    f and g given as rows; row by row over z."""
-    return all(compose(row, g[y]) == compose(g[v], row) for row in f for y, v in enumerate(row))
+    f and g given as rows; as bytes, one plane (y, z) per x (module
+    docstring): g read through f's row x, against f's row x read
+    through the row of g at each of its values."""
+    g = tuple(map(bytes, g))
+    flat, through = b"".join(g), tuple(map(_translation, g))
+    return all(flat.translate(_translation(fx)) == b"".join(fx.translate(through[v]) for v in fx)
+               for fx in map(bytes, f))
 
 
 def ascending_pairs(ctx) -> Iterable[tuple]:

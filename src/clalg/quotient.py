@@ -238,9 +238,6 @@ class QuotientAlgebra:
     def projection(self) -> tuple[int, ...]:
         return self.congruence.class_index
 
-    def project(self, x: int) -> int:
-        return self.congruence.class_index[x]
-
 
 def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
                    cong: Congruence | None = None) -> QuotientAlgebra:

@@ -42,8 +42,9 @@ from it, which checks every isomorphism class it counts.
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
 iso-invariant coloring (refined from order, table and designation
-profiles), so equal encodings mean isomorphic via a bijection
-preserving order, both tables, bot, zero and one.  Lattices are keyed
+profiles until stable, or until discrete, where no round can split a
+class), so equal encodings mean isomorphic via a bijection preserving
+order, both tables, bot, zero and one.  Lattices are keyed
 by their order alone, algebras by all of it.  Each lattice's census is
 the sorted set of its algebras' keys, and each algebra is emitted as
 rebuilt from its key, named cl{n}_l{lattice}_{rank}: the order, the
@@ -155,22 +156,23 @@ def _least_encoding(order: OrderRelation, marks: tuple[int, ...] = (),
     Colors start from each element's down- and up-set sizes and the
     marks it carries, and are refined by the colors strictly below and
     above it and in its table rows until stable, so equal encodings mean
-    a bijection preserving the order, the marks and every table.
+    a bijection preserving the order, the marks and every table.  A
+    discrete coloring (n colors) is stable, as no round can split it,
+    so refinement stops there without running another round.
     """
     n = order.n
-    below = [order.dn[i] & ~(1 << i) for i in range(n)]
-    above = [order.up[i] & ~(1 << i) for i in range(n)]
+    dn, up = order.dn, order.up
 
     def ranks(keys):
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         return [rank[k] for k in keys]
 
-    col = ranks([(popcount(order.dn[i]), popcount(order.up[i]), *(i == m for m in marks))
+    col = ranks([(popcount(dn[i]), popcount(up[i]), *(i == m for m in marks))
                  for i in range(n)])
-    while True:
+    while max(col) < n - 1:
         new = ranks([
-            (col[i], tuple(sorted(col[j] for j in iter_bits(below[i]))),
-             tuple(sorted(col[j] for j in iter_bits(above[i]))),
+            (col[i], tuple(sorted(col[j] for j in iter_bits(dn[i] & ~(1 << i)))),
+             tuple(sorted(col[j] for j in iter_bits(up[i] & ~(1 << i)))),
              *(tuple(sorted((col[j], col[t[i][j]]) for j in range(n))) for t in tables))
             for i in range(n)
         ])
@@ -387,9 +389,10 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...],
         """Whether x*y = y*x = v, just written, keeps (p*q)*r = p*(q*r)
         on the filled triples that read the new cell."""
         # the table is symmetric, so the triple (r, q, p) states the same
-        # equation, and the new cell is either the inner product p*q ...
+        # equation, and the new cell is either the inner product p*q (one
+        # pass on a diagonal cell, where both orders are (x, x)) ...
         rowv = tab[v]
-        for p, q in ((x, y), (y, x)):
+        for p, q in ((x, y), (y, x)) if x != y else ((x, x),):
             rowp = tab[p]
             for r, qr in enumerate(tab[q]):
                 a = rowv[r]

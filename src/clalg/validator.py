@@ -44,7 +44,7 @@ from .laws import (
     Unless,
     Verdict,
     ascending_pairs,
-    compose,
+    associates,
     cube,
     distributes,
     first_violation,
@@ -145,9 +145,9 @@ def _nonassociative(A, x, y, z):
 
 
 def _associative(A) -> bool:
-    """Row by row: t[t[x][y]] == (t[x][t[y][z]] for z)."""
+    """t(t(x, y), z) == t(x, t(y, z)), as bytes (laws.associates)."""
     t = A.mult_table
-    return all(t[v] == compose(row, col) for row in t for v, col in zip(row, t))
+    return associates(t, t, t)
 
 
 MONOID = (
@@ -166,14 +166,10 @@ def _nonadjoint(A, x, y, z):
 
 
 def _adjoint(A) -> bool:
-    """Row by row over z, reading <= as 0/1 rows: mult(x, y) <= z
-    exactly where x <= imp(y, z)."""
+    """mult(x, y) <= z exactly where x <= imp(y, z), reading <= as 0/1
+    rows, as bytes (laws.associates)."""
     imp = A.imp_table
-    if imp is None:
-        return False
-    leq = A.order.matrix
-    return all(leq[v] == compose(leq[x], imp[y])
-               for x, row in enumerate(A.mult_table) for y, v in enumerate(row))
+    return imp is not None and associates(A.order.matrix, A.mult_table, imp)
 
 
 def _adjunction_detail(A, x, y, z) -> str:

@@ -61,7 +61,7 @@ def test_prime_ideal_quotient_is_linear(linear5):
     assert is_linear(quot.algebra)
     # zero and one collapse into the middle class
     assert quot.algebra.zero == quot.algebra.one == 1
-    assert quot.project(2) == quot.project(3) == 1
+    assert quot.projection[2] == quot.projection[3] == 1
 
 
 def test_projection_is_a_homomorphism(linear5):

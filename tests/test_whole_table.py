@@ -8,6 +8,7 @@ verdict, the cubic ones included."""
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -38,7 +39,7 @@ from clalg.ideals import (
     is_prime,
 )
 from clalg.identities import IdentityId, check_identity, run_identity_suite
-from clalg.laws import Law, Unless, first_violation
+from clalg.laws import Law, Unless, associates, compose, distributes, first_violation
 from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
 from clalg.search import SearchConfig, run_search
 from clalg.validator import (
@@ -324,3 +325,146 @@ def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
                     cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
                 taken[entry.domain.holds, entry.domain.holds((cand, bits))] += 1
     assert len(taken) == 6, taken  # each test both passed and fell through
+
+
+# --- the byte kernel against reading row by row --------------------------
+
+def _associates_by_rows(t, mult, s):
+    """t(mult(x, y), z) == t(x, s(y, z)), one row of z per (x, y): the
+    reference the byte kernel is compared with."""
+    return all(t[v] == compose(t[x], s[y]) for x, row in enumerate(mult) for y, v in enumerate(row))
+
+
+def _distributes_by_rows(f, g):
+    """f(x, g(y, z)) == g(f(x, y), f(x, z)), one row of z per (x, y)."""
+    return all(compose(row, g[y]) == compose(g[v], row) for row in f for y, v in enumerate(row))
+
+
+def _violations(law, *tables):
+    """Every (x, y, z) at which `law` (associates or distributes) fails,
+    scanned literally."""
+    n = len(tables[0])
+    if law is associates:
+        t, mult, s = tables
+        fails = lambda x, y, z: t[mult[x][y]][z] != t[x][s[y][z]]
+    else:
+        f, g = tables
+        fails = lambda x, y, z: f[x][g[y][z]] != g[f[x][y]][f[x][z]]
+    return [p for p in product(range(n), repeat=3) if fails(*p)]
+
+
+REFERENCE = {associates: _associates_by_rows, distributes: _distributes_by_rows}
+
+
+def _table(n, entry):
+    return tuple(tuple(entry(x, y) for y in range(n)) for x in range(n))
+
+
+def _lukasiewicz(n, rng):
+    """The n-element Lukasiewicz chain relabelled by a seeded permutation:
+    (leq as 0/1 rows, mult, imp, meet, join); every law below holds."""
+    m = n - 1
+    pi = list(range(n))
+    rng.shuffle(pi)
+    inv = sorted(range(n), key=pi.__getitem__)
+
+    def relabelled(op):
+        return _table(n, lambda x, y: pi[op(inv[x], inv[y])])
+
+    return (_table(n, lambda x, y: int(inv[x] <= inv[y])),
+            relabelled(lambda a, b: max(0, a + b - m)), relabelled(lambda a, b: min(m, m - a + b)),
+            relabelled(min), relabelled(max))
+
+
+def _instances(leq, mult, imp, meet, join):
+    """(law, tables) for every use of the kernel on an algebra's tables:
+    associativity, adjunction and P2_8; P2_1, LEMMA_MEET_IMP and the
+    distributive-lattice flag, with meet and join swapped too."""
+    return ((associates, (mult, mult, mult)), (associates, (leq, mult, imp)),
+            (associates, (imp, mult, imp)), (distributes, (mult, join)),
+            (distributes, (imp, meet)), (distributes, (meet, join)), (distributes, (join, meet)))
+
+
+def _mutant(tables, rng):
+    """`tables` with one seeded entry of one table changed (n > 1)."""
+    k = rng.randrange(len(tables))
+    rows = [list(r) for r in tables[k]]
+    n = len(rows)
+    x, y = rng.randrange(n), rng.randrange(n)
+    rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
+    return tables[:k] + (tuple(map(tuple, rows)),) + tables[k + 1:]
+
+
+def _last_point_only(law, n):
+    """Tables at which `law` fails at (n-1, n-1, n-1) alone, n >= 3."""
+    m = n - 1
+    if law is associates:
+        return (_table(n, lambda x, w: int(x == w == m)), _table(n, lambda x, y: m * (x == m)),
+                _table(n, lambda y, z: m * (z == m and y != m)))
+    return (_table(n, lambda x, w: w if x < m else m * (w == m)),
+            _table(n, lambda y, z: 1 if y == z == m else z))
+
+
+# each whole-table test run on the byte kernel -> its reference
+CONVERTED = (
+    (clalg.validator._associative,
+     lambda A: _associates_by_rows(A.mult_table, A.mult_table, A.mult_table)),
+    (clalg.validator._adjoint,
+     lambda A: _associates_by_rows(A.order.matrix, A.mult_table, A.imp_table)),
+    (clalg.identities._HOLDS[IdentityId.P2_8],
+     lambda A: _associates_by_rows(A.imp_table, A.mult_table, A.imp_table)),
+    (clalg.identities._HOLDS[IdentityId.P2_1],
+     lambda A: _distributes_by_rows(A.mult_table, A.order.lubs)),
+    (clalg.identities._HOLDS[IdentityId.LEMMA_MEET_IMP],
+     lambda A: _distributes_by_rows(A.imp_table, A.order.glbs)),
+    (DISTRIBUTIVE_LATTICE[0].domain.holds,
+     lambda A: _distributes_by_rows(A.order.glbs, A.order.lubs)),
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64])
+def test_whole_table_tests_answer_as_reading_row_by_row(n):
+    rng = random.Random(n)
+    leq, mult, imp, *_ = _lukasiewicz(n, rng)
+    # no test reads bot, zero or one
+    chain = AlgebraCandidate(f"l{n}", tuple(f"e{i}" for i in range(n)),
+                             OrderRelation.from_leq(n, leq), mult, imp, 0, 0, 0)
+    candidates = [chain] + [replace(chain, mult_table=m, imp_table=i)
+                            for m, i in (_mutant((mult, imp), rng) for _ in range(8 if n > 1 else 0))]
+    outcomes = Counter()
+    for cand in candidates:
+        for test, reference in CONVERTED:
+            assert test(cand) is reference(cand), (n, cand.mult_table, cand.imp_table)
+            outcomes[test, test(cand)] += 1
+    assert all(outcomes[test, True] for test, _reference in CONVERTED), outcomes
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64])
+def test_byte_kernel_answers_as_reading_row_by_row(n):
+    rng = random.Random(17 + n)
+    cases = []
+    for _ in range(2):
+        for law, tables in _instances(*_lukasiewicz(n, rng)):
+            cases.append((law, tables, True))
+            cases += [(law, _mutant(tables, rng), None) for _ in range(4 if n > 1 else 0)]
+    cases += [(law, tuple(_table(n, lambda x, y: rng.randrange(n)) for _ in range(arity)), None)
+              for law, arity in ((associates, 3), (distributes, 2)) for _ in range(4)]
+    if n >= 3:
+        cases += [(law, _last_point_only(law, n), False) for law in (associates, distributes)]
+    outcomes = Counter()
+    for law, tables, expected in cases:
+        answer = law(*tables)
+        assert answer is REFERENCE[law](*tables), (law.__name__, tables)
+        assert expected in (None, answer), (law.__name__, tables)
+        if expected is False:
+            assert _violations(law, *tables) == [(n - 1,) * 3]
+        outcomes[law, answer] += 1
+    assert all(outcomes[law, True] for law in REFERENCE), outcomes
+    assert n == 1 or all(outcomes[law, False] for law in REFERENCE), outcomes
+
+
+def test_byte_kernel_answers_as_reading_row_by_row_on_every_two_element_table():
+    tables = list(product(product((0, 1), repeat=2), repeat=2))
+    for law, arity in ((associates, 3), (distributes, 2)):
+        for args in product(tables, repeat=arity):
+            assert law(*args) is REFERENCE[law](*args), (law.__name__, args)
