@@ -57,7 +57,6 @@ from .search import (
     SearchStats,
     SizeOutOfRange,
     canonical_form,
-    complete_to_cl,
     enumerate_lattices,
     run_search,
 )

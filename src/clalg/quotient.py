@@ -310,14 +310,13 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
     return QuotientAlgebra(base=alg, congruence=cong, algebra=report.algebra)
 
 
-def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal, x: int, y: int,
-                          cong: Congruence | None = None) -> tuple[bool, bool]:
+def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal,
+                          x: int, y: int) -> tuple[bool, bool]:
     """Evaluate both sides of: class(x) <= class(y) iff ~(x->y) in I.
 
     Returned as (left, right) so callers can assert the biconditional.
     """
-    if cong is None:
-        cong = congruence_from_ideal(alg, ideal)
+    cong = congruence_from_ideal(alg, ideal)
     return _order_sides(_Classes(alg, ideal.bits, cong.class_index), x, y)
 
 

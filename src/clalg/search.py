@@ -35,9 +35,10 @@ x*y <= z iff y <= sigma(x*sigma(z)), so each map y -> x*y is
 residuated, hence monotone and join-preserving.  On a finished table
 the rotation law makes sigma the negation and x -> y =
 sigma(x * sigma(y)) the residual, so the implication is read off
-sigma.  complete_to_cl seals every such completion; run_search keys
-them and runs the full validator once per key, on the algebra rebuilt
-from it, which checks every isomorphism class it counts.
+sigma.  run_search keys each finished table as it comes, raw, with no
+algebra built for it, and runs the full validator once per key, on
+the algebra rebuilt from it, which checks every isomorphism class it
+counts.
 
 Isomorphism handling: one encoding (order, designated elements,
 tables) is minimized over all permutations consistent with an
@@ -248,8 +249,8 @@ def canonical_form(alg: AlgebraCandidate) -> tuple:
     (n, up masks, bot, zero, one, mult, imp), tables row-major.
 
     Equal keys mean there is a bijection preserving order, mult, imp,
-    bot, zero and one.  run_search emits the algebras rebuilt from their
-    keys.
+    bot, zero and one.  run_search keys its raw tables by the same
+    encoding and emits the algebras rebuilt from their keys.
     """
     return _least_encoding(alg.order, (alg.bot, alg.zero, alg.one),
                            (alg.mult_table, alg.imp_table))
@@ -447,13 +448,14 @@ def _check_lattice(order: OrderRelation) -> None:
 
 def _completions(order: OrderRelation, one: int, involutions: list[tuple[int, ...]],
                  autos: list[tuple[int, ...]], counts: Counter):
-    """Yield an unvalidated candidate per fusion table with unit `one`
-    and sigma, for one sigma per class of `involutions` under
-    conjugation by the `autos` fixing one; x -> y = sigma(x * sigma(y)).
-    `counts` gains the roots searched, the DFS work and the tables."""
+    """Yield the raw (zero, mult, imp) of each fusion table with unit
+    `one` and sigma, for one sigma per class of `involutions` under
+    conjugation by the `autos` fixing one: zero = sigma(one) and
+    x -> y = sigma(x * sigma(y)).  Nothing is validated or built here;
+    run_search keys each triple.  `counts` gains the roots searched,
+    the DFS work and the tables."""
     n = order.n
-    bot = order.least()
-    if one == bot and n > 1:
+    if one == order.least():
         return  # the unit row must be the identity, the bottom row constant
     # each automorphism p fixing one, with p's inverse listed as a sequence
     stabilizer = [(p, sorted(range(n), key=p.__getitem__)) for p in autos if p[one] == one]
@@ -461,44 +463,13 @@ def _completions(order: OrderRelation, one: int, involutions: list[tuple[int, ..
     def conjugates(sigma):  # p sigma p^-1
         return [tuple(p[sigma[x]] for x in inverse) for p, inverse in stabilizer]
 
-    elements = tuple(f"e{i}" for i in range(n))
-    k = 0
     for sigma in _orbit_reps(involutions, conjugates):
-        zero = sigma[one]
         counts["roots"] += 1
         tables = _fusion_tables(order, one, sigma, counts)
         counts["tables"] += len(tables)
         for mult in tables:
-            imp = tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n)) for x in range(n))
-            yield AlgebraCandidate(f"cl{n}_z{zero}_u{one}_{k}", elements, order,
-                                   mult, imp, bot, zero, one)
-            k += 1
-
-
-def complete_to_cl(order: OrderRelation, one: int) -> list[FiniteCLAlgebra]:
-    """CL-algebras on a labeled lattice with the given one: at least one
-    from each isomorphism class, over every zero.
-
-    A CL-algebra's negation x -> zero is an order-reversing involution
-    sigma with zero = sigma(one).  For one sigma per class under
-    conjugation by the lattice automorphisms that fix one, the fusion
-    tables are filled by backtracking under the rotation law; on a
-    finished table that law makes x -> zero = sigma(x), so the
-    implication is read as x -> y = sigma(x * sigma(y)).  Returns raw
-    completions (not deduplicated by isomorphism) in a deterministic
-    order, the same search run_search keys; every result is
-    validator-sealed.
-
-    Raises ValueError for an order that is not antisymmetric or has no
-    least element, NotALattice for one without all joins, and
-    NotACLAlgebra if the validator rejects a finished table, which only
-    a search that prunes too little can produce.
-    """
-    if not 0 <= one < order.n:
-        raise ValueError(f"one index {one} out of range")
-    _check_lattice(order)
-    return [seal(cand) for cand in _completions(
-        order, one, _involutions(order), _order_maps(order, reverse=False), Counter())]
+            yield sigma[one], mult, tuple(tuple(sigma[mult[x][sigma[y]]] for y in range(n))
+                                          for x in range(n))
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -527,9 +498,12 @@ def run_search(config: SearchConfig) -> SearchResult:
         if involutions:
             counts["with_involution"] += 1
             autos = _order_maps(lat, reverse=False)
+            bot = lat.least()
             for one in _orbit_reps(range(n), lambda u: [p[u] for p in autos]):
-                keys.update(canonical_form(cand)
-                            for cand in _completions(lat, one, involutions, autos, counts))
+                # the tuple canonical_form builds for an algebra
+                keys.update(_least_encoding(lat, (bot, zero, one), (mult, imp))
+                            for zero, mult, imp in _completions(lat, one, involutions,
+                                                                autos, counts))
         counts["keys"] += len(keys)
         rows.append(CensusRow(n, li, len(keys)))
         named += [(f"cl{n}_l{li}_{k}", key) for k, key in enumerate(sorted(keys))]

@@ -1,5 +1,6 @@
 import pytest
 
+from clalg.core import AlgebraCandidate, OrderRelation
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA, linear_candidate, nonlinear_candidate
 from clalg.search import SearchConfig, run_search
 from clalg.validator import seal
@@ -13,6 +14,13 @@ def linear5_candidate():
 @pytest.fixture
 def linear5():
     return seal(linear_candidate())
+
+
+@pytest.fixture
+def one_element():
+    """The only CL-algebra on one element: bot = zero = one = top."""
+    return seal(AlgebraCandidate("one", ("e0",), OrderRelation(1, (1,)),
+                                 ((0,),), ((0,),), 0, 0, 0))
 
 
 @pytest.fixture

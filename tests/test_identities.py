@@ -22,12 +22,8 @@ def test_all_pass_on_linear_fixture(linear5):
     assert suite_passed(report)
 
 
-def test_all_pass_on_one_element():
-    from clalg.search import complete_to_cl
-    from clalg.core import OrderRelation
-
-    one = complete_to_cl(OrderRelation.from_covers(1, []), 0)[0]
-    assert suite_passed(run_identity_suite(one))
+def test_all_pass_on_one_element(one_element):
+    assert suite_passed(run_identity_suite(one_element))
 
 
 def test_meta_check_census(census):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -14,16 +15,16 @@ from oracles import (
     orders_isomorphic,
 )
 
-from clalg.core import NotALattice, OrderRelation
+from clalg.core import AlgebraCandidate, NotALattice, OrderRelation
 from clalg.search import (
     SearchConfig,
     SearchStats,
     SizeOutOfRange,
+    _completions,
     _fusion_tables,
     _involutions,
     _order_maps,
     canonical_form,
-    complete_to_cl,
     enumerate_lattices,
     render_search_result,
     run_search,
@@ -69,21 +70,25 @@ def test_size_bounds():
         run_search(SearchConfig(size=0))
 
 
-def test_complete_one_element_lattice():
-    algs = complete_to_cl(OrderRelation.from_covers(1, []), 0)
-    assert len(algs) == 1
-    assert algs[0].n == 1 and algs[0].top == 0
+def _raw_completions(order, one):
+    """The raw (zero, mult, imp) triples run_search keys for one unit."""
+    return list(_completions(order, one, _involutions(order),
+                             _order_maps(order, reverse=False), Counter()))
+
+
+def test_complete_one_element_lattice(one_element):
+    assert one_element.n == 1 and one_element.top == 0
 
 
 def test_complete_two_chain():
     chain = OrderRelation.from_covers(2, [(0, 1)])
     # one=top: zero=bot only, zero=top is ruled out by the involution
-    assert [a.zero for a in complete_to_cl(chain, 1)] == [0]
-    assert complete_to_cl(chain, 0) == []  # the unit cannot be bot
+    assert [zero for zero, _mult, _imp in _raw_completions(chain, 1)] == [0]
+    assert _raw_completions(chain, 0) == []  # the unit cannot be bot
 
 
 def test_completions_contain_the_linear_fixture(linear5):
-    found = complete_to_cl(linear5.order, linear5.one)
+    found = run_search(SearchConfig(size=5, lattice=linear5.order)).algebras
     target = canonical_form(linear5)
     assert any(canonical_form(alg) == target for alg in found)
 
@@ -146,9 +151,10 @@ def test_canonical_form_equality_is_isomorphism(census):
     from clalg.core import OrderRelation
 
     diamond = OrderRelation.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    raw = []
-    for one in range(4):
-        raw.extend(complete_to_cl(diamond, one))
+    raw = [AlgebraCandidate(f"raw{one}_{k}", ("e0", "e1", "e2", "e3"), diamond,
+                            mult, imp, 0, zero, one)
+           for one in range(4)
+           for k, (zero, mult, imp) in enumerate(_raw_completions(diamond, one))]
     assert len(raw) > len({canonical_form(a) for a in raw})
     for i, a in enumerate(raw):
         for b in raw[i + 1:]:
@@ -315,6 +321,24 @@ def test_one_full_validation_per_key(monkeypatch, max_results):
                                    for row in result.rows for k in range(row.count))
 
 
+@pytest.mark.parametrize("max_results", [None, 0, 1])
+def test_raw_tables_are_keyed_without_candidates(monkeypatch, max_results):
+    # one candidate rebuilt from each of the 21 keys and one sealed
+    # algebra per key, whether emitted or only validated: the 22 raw
+    # tables are keyed as they come, and none is built as a candidate
+    built = []
+    post_init = AlgebraCandidate.__post_init__
+
+    def counting_post_init(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(AlgebraCandidate, "__post_init__", counting_post_init)
+    result = run_search(SearchConfig(size=5, max_results=max_results))
+    assert (result.total, result.stats.tables) == (21, 22)
+    assert sorted(Counter(built).items()) == [("AlgebraCandidate", 21), ("FiniteCLAlgebra", 21)]
+
+
 def _counting(monkeypatch, name, record):
     """Wrap clalg.search.<name>, recording the order's up masks and the
     other arguments of each call."""
@@ -374,9 +398,6 @@ def test_fixed_lattice_config(linear5):
 def test_order_that_is_not_antisymmetric_is_rejected(up):
     # a 2-cycle, and a 3-element relation with 0 <= 2 <= 0
     order = OrderRelation(len(up), up)
-    for one in range(order.n):
-        with pytest.raises(ValueError, match="antisymmetric"):
-            complete_to_cl(order, one)
     with pytest.raises(ValueError, match="antisymmetric"):
         run_search(SearchConfig(size=order.n, lattice=order))
 
@@ -385,12 +406,9 @@ def test_rejected_completion_is_loud(monkeypatch):
     # a finished table the validator rejects is an error, not a skip
     monkeypatch.setattr("clalg.validator.validate",
                         lambda cand: validate(replace(cand, imp_table=cand.mult_table)))
-    chain = OrderRelation.from_covers(2, [(0, 1)])
     with pytest.raises(NotACLAlgebra) as exc:
-        complete_to_cl(chain, 1)
-    assert not exc.value.report.residuation.ok
-    with pytest.raises(NotACLAlgebra):
         run_search(SearchConfig(size=3))
+    assert not exc.value.report.residuation.ok
 
 
 def test_identity_and_quotient_mass_checks_run_in_search_tests(census):
