@@ -18,7 +18,7 @@ from .core import (
     derive_implication,
 )
 from .fileformat import ParseError, export_dot, parse_algebra, serialize_algebra
-from .identities import IdentityId, UnknownIdentity, check_identity, run_identity_suite
+from .identities import UnknownIdentity, check_identity, run_identity_suite
 from .ideals import (
     EmptySubset,
     Ideal,
@@ -66,10 +66,6 @@ from .validator import (
     StructuralFlags,
     ValidationReport,
     Verdict,
-    check_involution,
-    check_lattice,
-    check_monoid,
-    check_residuation,
     is_distributive_lattice,
     is_idempotent,
     is_linear,

@@ -205,11 +205,6 @@ def zero_downset(alg: AlgebraCandidate) -> Ideal:
     return certify_ideal(alg, Subset(alg.n, alg.order.dn[alg.zero]))
 
 
-def _top_of(alg: AlgebraCandidate) -> int:
-    top = getattr(alg, "top", None)
-    return top if top is not None else alg.derived_top()
-
-
 def _prime(c, x, y):
     alg, bits = c
     nxy = alg.neg(alg.imp(x, y))
@@ -333,7 +328,7 @@ def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
 
 
 def is_affine(alg: AlgebraCandidate, ideal: Ideal) -> bool:
-    return alg.mult(_top_of(alg), alg.zero) in ideal.subset
+    return alg.mult(alg.derived_top(), alg.zero) in ideal.subset
 
 
 def classify(alg: AlgebraCandidate, ideal: Ideal) -> IdealClassification:

@@ -1,5 +1,11 @@
 """Derived-law suite checked exhaustively on sealed algebras.
 
+Each identity is declared once, in `IDENTITIES`: its tag (a plain
+string, in suite order) maps to its instance predicate, its formula and
+its whole-table test, or None.  The arity is the number of element
+arguments of the predicate (laws.Law.arity), and `LAWS`, the entries
+that checking and replay read, is built from the table.
+
 Every law is a theorem of the four axioms, so on any algebra the
 validator promoted the whole suite must pass; a failure here means the
 validator itself is broken.  That cross-check is wired into the tests.
@@ -10,11 +16,12 @@ distribution; the finite n-ary case folds out of it.  P2_10 is the
 antitone law x <= y implies neg(y) <= neg(x), the (y, 0)-instance of
 P2_7's implication part.
 
-Every identity of arity 2 or more is scanned only where an exact
+Every identity of arity 2 or more is scanned only where its exact
 whole-table test (laws.Unless) fails, so a witness is always the first
 of the full scan.  Each test runs only where `lattice_with_imp` holds
 (a preorder with every meet and join, and an implication table), and
-falls through to the scan elsewhere.  P2_7's test is monotonicity of
+falls through to the scan elsewhere.  The cubic equations run as bytes
+(laws.associates, laws.distributes).  P2_7's test is monotonicity of
 mult in each argument and of imp (antitone in the first): then x*y <=
 x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.  The tests of P2_7 and
 P2_10 read only the cover pairs: on a preorder every x <= x1 is
@@ -24,7 +31,6 @@ of whole rows chain along it.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import wraps
 
 from .core import AlgebraError, FiniteCLAlgebra
@@ -33,26 +39,6 @@ from .laws import Law, Unless, Verdict, associates, compose, cube, distributes, 
 
 class UnknownIdentity(AlgebraError):
     pass
-
-
-class IdentityId(str, Enum):
-    P2_1 = "P2_1"
-    P2_2 = "P2_2"
-    P2_3 = "P2_3"
-    P2_4 = "P2_4"
-    P2_5 = "P2_5"
-    P2_6 = "P2_6"
-    P2_7 = "P2_7"
-    P2_8 = "P2_8"
-    P2_9 = "P2_9"
-    P2_10 = "P2_10"
-    P2_11 = "P2_11"
-    P2_12 = "P2_12"
-    P2_13 = "P2_13"
-    P2_14 = "P2_14"
-    P2_15 = "P2_15"
-    P2_16 = "P2_16"
-    LEMMA_MEET_IMP = "LEMMA_MEET_IMP"
 
 
 def _p2_1(A, x, y, z):
@@ -131,45 +117,6 @@ def _lemma_meet_imp(A, x, y, z):
     return A.meet(A.imp(z, x), A.imp(z, y)) == A.imp(z, A.meet(x, y))
 
 
-# tag -> (arity, instance predicate, human formula)
-IDENTITIES: dict[IdentityId, tuple[int, object, str]] = {
-    IdentityId.P2_1: (3, _p2_1, "x*(y|z) == (x*y)|(x*z)"),
-    IdentityId.P2_2: (1, _p2_2, "y <= bot->bot"),
-    IdentityId.P2_3: (2, _p2_3, "x,y <= 1 implies x*y <= x&y"),
-    IdentityId.P2_4: (2, _p2_4, "1 <= x,y implies x|y <= x*y"),
-    IdentityId.P2_5: (3, _p2_5, "(x->y)*(y->z) <= x->z"),
-    IdentityId.P2_6: (1, _p2_6, "1->x == x"),
-    IdentityId.P2_7: (4, _p2_7, "x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1"),
-    IdentityId.P2_8: (3, _p2_8, "x->(y->z) == (x*y)->z"),
-    IdentityId.P2_9: (2, _p2_9, "x*(x->y) <= y"),
-    IdentityId.P2_10: (2, _p2_10, "x <= y implies ~y <= ~x"),
-    IdentityId.P2_11: (2, _p2_11, "x|y == ~(~x & ~y)"),
-    IdentityId.P2_12: (2, _p2_12, "x&y == ~(~x | ~y)"),
-    IdentityId.P2_13: (2, _p2_13, "x->y == ~(x * ~y)"),
-    IdentityId.P2_14: (2, _p2_14, "~x->y == ~(~x * ~y)"),
-    IdentityId.P2_15: (0, _p2_15, "~top == bot"),
-    IdentityId.P2_16: (0, _p2_16, "~top * top == bot"),
-    IdentityId.LEMMA_MEET_IMP: (3, _lemma_meet_imp, "(z->x)&(z->y) == z->(x&y)"),
-}
-
-
-def lookup_identity(tag) -> IdentityId:
-    if isinstance(tag, IdentityId):
-        return tag
-    try:
-        return IdentityId(tag)
-    except ValueError:
-        raise UnknownIdentity(f"unknown identity tag {tag!r}") from None
-
-
-def _violation(pred):
-    """The predicate as a violation function with the predicate's signature."""
-    @wraps(pred)
-    def violation(A, *point):
-        return None if pred(A, *point) else ()
-    return violation
-
-
 def _negated(row, negs):
     """y -> ~row[~y]."""
     return compose(negs, compose(row, negs))
@@ -190,66 +137,74 @@ def _leq_on(A, members, lhs, rhs) -> bool:
                for x in members)
 
 
-# identity -> its exact whole-table test, row by row (the cubic
-# equations as bytes: laws.associates, laws.distributes), run only
-# where `lattice_with_imp` holds
-_HOLDS = {
-    IdentityId.P2_1: lambda A: distributes(A.mult_table, A.order.lubs),
-    IdentityId.P2_3: lambda A: _leq_on(
-        A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs),
-    IdentityId.P2_4: lambda A: _leq_on(
-        A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table),
-    IdentityId.P2_5: lambda A: all(
+# tag -> (instance predicate, human formula, exact whole-table test or
+# None), in suite order
+IDENTITIES = {
+    "P2_1": (_p2_1, "x*(y|z) == (x*y)|(x*z)",
+             lambda A: distributes(A.mult_table, A.order.lubs)),
+    "P2_2": (_p2_2, "y <= bot->bot", None),
+    "P2_3": (_p2_3, "x,y <= 1 implies x*y <= x&y", lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
+    "P2_4": (_p2_4, "1 <= x,y implies x|y <= x*y", lambda A: _leq_on(
+        A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
+    "P2_5": (_p2_5, "(x->y)*(y->z) <= x->z", lambda A: all(
         A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
-        for row in A.imp_table for y, v in enumerate(row)),
-    IdentityId.P2_7: _monotone,
-    IdentityId.P2_8: lambda A: associates(A.imp_table, A.mult_table, A.imp_table),
-    IdentityId.P2_9: lambda A: all(
+        for row in A.imp_table for y, v in enumerate(row))),
+    "P2_6": (_p2_6, "1->x == x", None),
+    "P2_7": (_p2_7, "x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
+    "P2_8": (_p2_8, "x->(y->z) == (x*y)->z",
+             lambda A: associates(A.imp_table, A.mult_table, A.imp_table)),
+    "P2_9": (_p2_9, "x*(x->y) <= y", lambda A: all(
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
-        for x, row in enumerate(A.imp_table)),
-    IdentityId.P2_10: lambda A: all(
-        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers()),
-    IdentityId.P2_11: lambda A: all(
-        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs)),
-    IdentityId.P2_12: lambda A: all(
-        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs)),
-    IdentityId.P2_13: lambda A: all(
-        row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table)),
-    IdentityId.P2_14: lambda A: all(
-        A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs),
-    IdentityId.LEMMA_MEET_IMP: lambda A: distributes(A.imp_table, A.order.glbs),
+        for x, row in enumerate(A.imp_table))),
+    "P2_10": (_p2_10, "x <= y implies ~y <= ~x", lambda A: all(
+        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers())),
+    "P2_11": (_p2_11, "x|y == ~(~x & ~y)", lambda A: all(
+        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
+    "P2_12": (_p2_12, "x&y == ~(~x | ~y)", lambda A: all(
+        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs))),
+    "P2_13": (_p2_13, "x->y == ~(x * ~y)", lambda A: all(
+        row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table))),
+    "P2_14": (_p2_14, "~x->y == ~(~x * ~y)", lambda A: all(
+        A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs)),
+    "P2_15": (_p2_15, "~top == bot", None),
+    "P2_16": (_p2_16, "~top * top == bot", None),
+    "LEMMA_MEET_IMP": (_lemma_meet_imp, "(z->x)&(z->y) == z->(x&y)",
+                       lambda A: distributes(A.imp_table, A.order.glbs)),
 }
 
 
-def _domain(ident: IdentityId, arity: int):
-    holds = _HOLDS.get(ident)
-    if holds is None:
-        return cube(arity)
-    return Unless(lambda A: A.lattice_with_imp and holds(A), cube(arity))
+def _law(pred, holds) -> Law:
+    """The identity as one untagged law over the tuples of its arity,
+    scanned where `holds` is None or fails (module docstring)."""
+    @wraps(pred)
+    def violation(A, *point):
+        return None if pred(A, *point) else ()
+
+    domain = cube(Law(None, None, violation).arity)
+    if holds is not None:
+        domain = Unless(lambda A: A.lattice_with_imp and holds(A), domain)
+    return Law(None, domain, violation)
 
 
-# law -> (context from the algebra, ideal bits and class index; entries):
-# each identity is one untagged law over the tuples of its arity
+# law -> (context from the algebra, ideal bits and class index; entries)
 LAWS = {
-    ident.value: (lambda alg, *_: alg, (Law(None, _domain(ident, arity), _violation(pred)),))
-    for ident, (arity, pred, _formula) in IDENTITIES.items()
+    tag: (lambda alg, *_: alg, (_law(pred, holds),))
+    for tag, (pred, _formula, holds) in IDENTITIES.items()
 }
 
 
-def check_identity(alg: FiniteCLAlgebra, tag) -> Verdict:
+def check_identity(alg: FiniteCLAlgebra, tag: str) -> Verdict:
     """Quantify the tagged law over all element tuples of its arity.
 
     Returns a pass verdict or the lexicographically first counterexample
     tuple.  `alg` must be validator-sealed.
     """
-    ident = lookup_identity(tag)
-    _ctx, laws = LAWS[ident.value]
-    return first_violation(ident.value, laws, alg, IDENTITIES[ident][2])
+    if tag not in IDENTITIES:
+        raise UnknownIdentity(f"unknown identity tag {tag!r}")
+    return first_violation(tag, LAWS[tag][1], alg, IDENTITIES[tag][1])
 
 
-def run_identity_suite(alg: FiniteCLAlgebra) -> dict[IdentityId, Verdict]:
-    return {ident: check_identity(alg, ident) for ident in IdentityId}
-
-
-def suite_passed(report: dict[IdentityId, Verdict]) -> bool:
-    return all(v.ok for v in report.values())
+def run_identity_suite(alg: FiniteCLAlgebra) -> dict[str, Verdict]:
+    """Every identity's verdict, keyed by tag in suite order."""
+    return {tag: check_identity(alg, tag) for tag in IDENTITIES}

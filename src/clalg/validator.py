@@ -16,8 +16,8 @@ witness agreement):
             biconditional mult(x,y) <= z iff x <= imp(y,z).
   involution: x on neg(neg(x)) == x.
 
-Each law is declared once below as a list of laws.Law entries; the
-checks and replay.confirm_witness both read those declarations.  The
+Each law is declared once below as a list of laws.Law entries; validate
+and replay.confirm_witness both read those declarations.  The
 entries transitivity, no_join, no_meet, commutativity, associativity
 and adjunction, and the integral and distributive-lattice flags, scan
 only where an exact whole-table test (laws.Unless) fails, so their
@@ -209,23 +209,6 @@ def _imp_or_derive(cand: AlgebraCandidate) -> AlgebraCandidate:
         return cand
 
 
-def check_lattice(cand: AlgebraCandidate) -> Verdict:
-    return first_violation("lattice", LATTICE, cand)
-
-
-def check_monoid(cand: AlgebraCandidate) -> Verdict:
-    return first_violation("monoid", MONOID, cand)
-
-
-def check_residuation(cand: AlgebraCandidate) -> Verdict:
-    return first_violation("residuation", RESIDUATION, _imp_or_derive(cand))
-
-
-def check_involution(cand: AlgebraCandidate) -> Verdict:
-    """Raises ImplicationAbsent when no implication table is derivable."""
-    return first_violation("involution", INVOLUTION, _imp_or_derive(cand))
-
-
 def validate(cand: AlgebraCandidate) -> ValidationReport:
     """Run the four axiom checks and, on all-pass, seal the algebra.
 
@@ -235,8 +218,8 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
     involution check is marked skipped.  Raises EquivalenceBroken if an
     element of an algebra that passes is not below imp(bot, bot).
     """
-    lattice = check_lattice(cand)
-    monoid = check_monoid(cand)
+    lattice = first_violation("lattice", LATTICE, cand)
+    monoid = first_violation("monoid", MONOID, cand)
     resolved = _imp_or_derive(cand)
     residuation = first_violation("residuation", RESIDUATION, resolved)
     if not resolved.has_imp:

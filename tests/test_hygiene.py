@@ -2,8 +2,9 @@
 (an `assert` vanishes under `python -O`), the runtime needs nothing
 beyond the standard library, results are cached on the immutable
 values they belong to, never in a module-level cache, only the
-validator builds sealed algebras, and every whole-table test outside
-the validator asks `lattice_with_imp` alone whether it can decide."""
+validator builds sealed algebras, every whole-table test outside the
+validator asks `lattice_with_imp` alone whether it can decide, and no
+two modules declare a law under the same tag."""
 
 import ast
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import clalg
+from clalg import identities, ideals, quotient, validator
 
 MODULES = sorted(Path(clalg.__file__).parent.glob("*.py"))
 ORACLES = Path(__file__).parent / "oracles.py"
@@ -117,3 +119,11 @@ def test_whole_table_tests_read_one_precondition(name):
     path = Path(clalg.__file__).parent / name
     problems = list(_precondition_parts(ast.parse(path.read_text(encoding="utf-8"))))
     assert not problems, problems
+
+
+def test_law_tags_are_declared_once():
+    # replay.LAWS merges the modules' tables, so a tag declared twice
+    # would replay a witness against the wrong law
+    tables = [module.LAWS for module in (validator, ideals, quotient, identities)]
+    tags = [tag for table in tables for tag in table]
+    assert len(set(tags)) == len(tags) == 26

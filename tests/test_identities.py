@@ -1,29 +1,27 @@
 import pytest
 
 from clalg.core import FiniteCLAlgebra
-from clalg.identities import (
-    IDENTITIES,
-    IdentityId,
-    UnknownIdentity,
-    check_identity,
-    run_identity_suite,
-    suite_passed,
-)
+from clalg.identities import IDENTITIES, UnknownIdentity, check_identity, run_identity_suite
+
+# the suite order, which `clalg identities` prints
+SUITE_ORDER = [
+    "P2_1", "P2_2", "P2_3", "P2_4", "P2_5", "P2_6", "P2_7", "P2_8", "P2_9",
+    "P2_10", "P2_11", "P2_12", "P2_13", "P2_14", "P2_15", "P2_16", "LEMMA_MEET_IMP",
+]
 
 
 def test_suite_has_seventeen_laws():
-    assert len(IdentityId) == 17
     assert len(IDENTITIES) == 17
 
 
 def test_all_pass_on_linear_fixture(linear5):
     report = run_identity_suite(linear5)
     assert len(report) == 17
-    assert suite_passed(report)
+    assert all(v.ok for v in report.values())
 
 
 def test_all_pass_on_one_element(one_element):
-    assert suite_passed(run_identity_suite(one_element))
+    assert all(v.ok for v in run_identity_suite(one_element).values())
 
 
 def test_meta_check_census(census):
@@ -32,18 +30,18 @@ def test_meta_check_census(census):
     for algs in census.values():
         for alg in algs:
             report = run_identity_suite(alg)
-            bad = [k.value for k, v in report.items() if not v.ok]
+            bad = [k for k, v in report.items() if not v.ok]
             assert not bad, (alg.name, bad)
 
 
 def test_unit_implication_row(linear5):
     # 1->x = x reproduces the identity row
-    assert check_identity(linear5, IdentityId.P2_6).ok
+    assert check_identity(linear5, "P2_6").ok
     assert all(linear5.imp(linear5.one, x) == x for x in range(linear5.n))
 
 
 def test_top_law_matches_sealed_top(linear5):
-    assert check_identity(linear5, IdentityId.P2_2).ok
+    assert check_identity(linear5, "P2_2").ok
     assert linear5.imp(linear5.bot, linear5.bot) == linear5.top
 
 
@@ -53,12 +51,12 @@ def test_dual_fusion_instance(linear5):
     assert linear5.neg(a) == a
     assert linear5.imp(linear5.neg(a), a) == 2
     assert linear5.plus(a, a) == 2
-    assert check_identity(linear5, IdentityId.P2_14).ok
+    assert check_identity(linear5, "P2_14").ok
 
 
 def test_negation_constants(linear5):
-    assert check_identity(linear5, IdentityId.P2_15).ok
-    assert check_identity(linear5, IdentityId.P2_16).ok
+    assert check_identity(linear5, "P2_15").ok
+    assert check_identity(linear5, "P2_16").ok
     assert linear5.neg(linear5.top) == linear5.bot
 
 
@@ -82,12 +80,12 @@ def _force_seal(cand):
 
 def test_witnesses_on_defective_tables(nonlinear6):
     forced = _force_seal(nonlinear6)
-    v7 = check_identity(forced, IdentityId.P2_7)
+    v7 = check_identity(forced, "P2_7")
     assert v7.witness == (1, 2, 4, 4)  # 0<=1, b<=b, but imp(1,b) not<= imp(0,b)
-    v9 = check_identity(forced, IdentityId.P2_9)
+    v9 = check_identity(forced, "P2_9")
     assert v9.witness == (4, 2)  # b*(b->1) = b is not below 1
     report = run_identity_suite(forced)
-    failing = sorted(k.value for k, v in report.items() if not v.ok)
+    failing = sorted(k for k, v in report.items() if not v.ok)
     assert failing == [
         "LEMMA_MEET_IMP", "P2_1", "P2_10", "P2_11", "P2_12",
         "P2_4", "P2_5", "P2_7", "P2_9",
@@ -96,17 +94,17 @@ def test_witnesses_on_defective_tables(nonlinear6):
 
 def test_report_keys_are_identity_ids(linear5):
     report = run_identity_suite(linear5)
-    assert set(report) == set(IdentityId)
+    assert list(report) == SUITE_ORDER
     for ident, verdict in report.items():
-        assert verdict.law == ident.value
+        assert verdict.law == ident
 
 
 def test_guarded_laws_hold_vacuously_where_guard_fails(census):
     # spot-check: in the two-element algebra 1 = top, so the guard of
     # the join/fusion comparison only admits x = y = 1
     two = census[2][0]
-    assert check_identity(two, IdentityId.P2_4).ok
-    assert check_identity(two, IdentityId.P2_3).ok
+    assert check_identity(two, "P2_4").ok
+    assert check_identity(two, "P2_3").ok
 
 
 def test_identity_witnesses_replay(nonlinear6):

@@ -11,10 +11,6 @@ from clalg.fixtures import linear_candidate, nonlinear_candidate
 from clalg.validator import (
     EquivalenceBroken,
     NotACLAlgebra,
-    check_involution,
-    check_lattice,
-    check_monoid,
-    check_residuation,
     is_distributive_lattice,
     is_idempotent,
     is_linear,
@@ -69,7 +65,7 @@ def test_check_lattice_antichain_reports_no_join():
         name="pair", elements=("p", "q"), order=order,
         mult_table=((0, 1), (1, 1)), imp_table=None, bot=0, zero=0, one=0,
     )
-    verdict = check_lattice(cand)
+    verdict = validate(cand).lattice
     assert verdict.witness == ("no_join", 0, 1, ())
 
 
@@ -79,7 +75,7 @@ def test_check_lattice_wrong_bot():
         name="upside", elements=("lo", "hi"), order=order,
         mult_table=((0, 0), (0, 1)), imp_table=None, bot=1, zero=0, one=1,
     )
-    assert check_lattice(cand).witness == ("bot_not_least", 0)
+    assert validate(cand).lattice.witness == ("bot_not_least", 0)
 
 
 def test_check_monoid_left_projection_fails_commutativity():
@@ -88,7 +84,7 @@ def test_check_monoid_left_projection_fails_commutativity():
         name="proj", elements=("x", "y"), order=order,
         mult_table=((0, 0), (1, 1)), imp_table=None, bot=0, zero=0, one=1,
     )
-    assert check_monoid(cand).witness == ("commutativity", 0, 1)
+    assert validate(cand).monoid.witness == ("commutativity", 0, 1)
 
 
 def test_check_monoid_unit_witness():
@@ -97,7 +93,7 @@ def test_check_monoid_unit_witness():
         name="allbot", elements=("x", "y"), order=order,
         mult_table=((0, 0), (0, 0)), imp_table=None, bot=0, zero=0, one=1,
     )
-    assert check_monoid(cand).witness == ("unit", 1)
+    assert validate(cand).monoid.witness == ("unit", 1)
 
 
 def test_check_monoid_associativity_witness():
@@ -107,12 +103,12 @@ def test_check_monoid_associativity_witness():
         name="brokeassoc", elements=("x", "y", "z"), order=order,
         mult_table=mult, imp_table=None, bot=0, zero=0, one=2,
     )
-    assert check_monoid(cand).witness == ("associativity", 0, 0, 1)
+    assert validate(cand).monoid.witness == ("associativity", 0, 0, 1)
 
 
 def test_check_residuation_witness(linear5_candidate, nonlinear6):
-    assert check_residuation(linear5_candidate).ok
-    verdict = check_residuation(nonlinear6)
+    assert validate(linear5_candidate).residuation.ok
+    verdict = validate(nonlinear6).residuation
     assert (verdict.law, verdict.ok) == ("residuation", False)
     assert verdict.witness == ("adjunction", 2, 4, 1)
 
@@ -121,7 +117,7 @@ def test_check_involution_witness(linear5_candidate):
     rows = [list(r) for r in linear5_candidate.imp_table]
     rows[3][1] = 4  # ~a now top, and ~top = bot != a
     cand = linear5_candidate.with_imp(tuple(tuple(r) for r in rows))
-    assert check_involution(cand).witness == ("involution", 3)
+    assert validate(cand).involution.witness == ("involution", 3)
 
 
 def test_validate_derives_missing_implication(linear5_candidate):

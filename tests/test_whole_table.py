@@ -38,7 +38,7 @@ from clalg.ideals import (
     is_implicative,
     is_prime,
 )
-from clalg.identities import IdentityId, check_identity, run_identity_suite
+from clalg.identities import IDENTITIES, check_identity, run_identity_suite
 from clalg.laws import Law, Unless, associates, compose, distributes, first_violation
 from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
 from clalg.search import SearchConfig, run_search
@@ -89,16 +89,16 @@ def _zero_subsets(alg):
 def test_identities_match_the_oracle_on_mutants(sealed_and_mutants):
     failing = Counter()
     for alg in sealed_and_mutants:
-        for ident in IdentityId:
+        for ident in IDENTITIES:
             verdict = check_identity(alg, ident)
-            expected = oracle_identity(alg, ident.value)
+            expected = oracle_identity(alg, ident)
             assert (verdict.ok, verdict.witness) == expected, (alg.mult_table, alg.imp_table,
                                                                alg.zero, alg.one, ident)
             failing[ident] += not verdict.ok
-    assert set(ORACLE_IDENTITIES) == {ident.value for ident in IdentityId}
+    assert set(ORACLE_IDENTITIES) == set(IDENTITIES)
     # every identity of arity >= 2 fails somewhere, so its scan is compared too
-    assert all(failing[ident] for ident, (arity, *_) in clalg.identities.IDENTITIES.items()
-               if arity >= 2), failing
+    assert all(failing[ident] for ident, (_ctx, (law,)) in clalg.identities.LAWS.items()
+               if law.arity >= 2), failing
 
 
 def test_special_ideals_match_the_oracle_on_mutants(sealed_and_mutants):
@@ -411,11 +411,11 @@ CONVERTED = (
      lambda A: _associates_by_rows(A.mult_table, A.mult_table, A.mult_table)),
     (clalg.validator._adjoint,
      lambda A: _associates_by_rows(A.order.matrix, A.mult_table, A.imp_table)),
-    (clalg.identities._HOLDS[IdentityId.P2_8],
+    (IDENTITIES["P2_8"][2],
      lambda A: _associates_by_rows(A.imp_table, A.mult_table, A.imp_table)),
-    (clalg.identities._HOLDS[IdentityId.P2_1],
+    (IDENTITIES["P2_1"][2],
      lambda A: _distributes_by_rows(A.mult_table, A.order.lubs)),
-    (clalg.identities._HOLDS[IdentityId.LEMMA_MEET_IMP],
+    (IDENTITIES["LEMMA_MEET_IMP"][2],
      lambda A: _distributes_by_rows(A.imp_table, A.order.glbs)),
     (DISTRIBUTIVE_LATTICE[0].domain.holds,
      lambda A: _distributes_by_rows(A.order.glbs, A.order.lubs)),
