@@ -23,7 +23,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import AlgebraCandidate, NoResidual, NotALattice, derive_implication
@@ -143,7 +142,7 @@ def _cmd_validate(run: _Run) -> None:
     run.human.extend(run.render_verdict_line(e) for e in entries)
     if report.algebra is not None:
         run.payload["top"] = alg.name_of(report.top)
-        run.payload["flags"] = asdict(report.flags)
+        run.payload["flags"] = report.flags._asdict()
         run.human.append(f"top: {alg.name_of(report.top)}")
         run.human.append(
             "flags: " + " ".join(f"{k}={v}" for k, v in run.payload["flags"].items())
@@ -225,7 +224,7 @@ def _cmd_ideals(run: _Run) -> None:
         ideal = generated_ideal(alg, seed)
         entry = {"ideal": ideal.subset.render(alg)}
         if run.args.classify:
-            entry["classification"] = asdict(classify(alg, ideal))
+            entry["classification"] = classify(alg, ideal)._asdict()
         run.payload["generated"] = entry
         run.human.append(f"generated ideal: {entry['ideal']}")
         if run.args.classify:
@@ -235,7 +234,7 @@ def _cmd_ideals(run: _Run) -> None:
     for ideal in all_ideals(alg):
         entry = {"ideal": ideal.subset.render(alg)}
         if run.args.classify:
-            entry["classification"] = asdict(classify(alg, ideal))
+            entry["classification"] = classify(alg, ideal)._asdict()
         items.append(entry)
     run.payload["ideals"] = items
     run.human.append(f"algebra {alg.name}: {len(items)} ideals")

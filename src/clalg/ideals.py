@@ -9,13 +9,16 @@ lexicographically first violation.
 All operations here only need total tables and a lattice order; they
 deliberately accept unvalidated candidates so that defective printed
 table sets can still be analysed and reported on (classification flags
-are only meaningful theorems on sealed algebras).
+are only meaningful theorems on sealed algebras).  `Ideal` and
+`IdealClassification` are NamedTuples, cheaper to build at import than
+dataclasses; `Subset`, which validates its bits, is a dataclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised, popcount
 from .laws import Law, Unless, Verdict, compose, cube, first_violation, rising_pairs
@@ -74,8 +77,7 @@ class Subset:
         return alg.render_subset(self.bits)
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     """A subset whose three ideal conditions have been verified."""
 
     subset: Subset
@@ -85,8 +87,7 @@ class Ideal:
         return self.subset.bits
 
 
-@dataclass(frozen=True)
-class IdealClassification:
+class IdealClassification(NamedTuple):
     is_prime: bool
     is_distributive: bool
     is_implicative: bool

@@ -6,7 +6,9 @@ violation function that returns None where the law holds at a point,
 or else the extra witness values (a computed value, a frontier, or
 nothing).  The witness of the first violation is the kind tag (when
 the entry has one), the point and the extra values, so replay can
-re-evaluate the same violation function at the same point.
+re-evaluate the same violation function at the same point.  `Verdict`,
+like the package's other result records, is a NamedTuple: a frozen
+dataclass is generated afresh at every import, at several times the cost.
 
 A domain may first run an exact test on the whole structure (`Unless`).
 The test returns True only where no point of the domain violates, on
@@ -34,15 +36,13 @@ ones.  The byte views are built inside each call and kept nowhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from inspect import signature
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check; truthy iff the property holds.
+class Verdict(NamedTuple):
+    """Outcome of one check; truthy iff the property holds (a tuple
+    with entries would always be).
 
     `witness` is the lexicographically first violating tuple.  Its first
     entry is a kind tag, the rest are element indices (plus, for some
@@ -76,8 +76,10 @@ class Law(NamedTuple):
 
     @property
     def arity(self) -> int:
-        """Number of witness entries that locate the point."""
-        return len(signature(self.violation).parameters) - 1
+        """Number of witness entries that locate the point: the positional
+        parameters after the context of the violation, or of the function
+        it wraps."""
+        return getattr(self.violation, "__wrapped__", self.violation).__code__.co_argcount - 1
 
 
 def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Verdict:

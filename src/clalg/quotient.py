@@ -34,12 +34,12 @@ memo (`core.memoised`), as are the prime and distributive verdicts
 they are checked with, so `theorem_suite`, `check_order_criterion` and
 the ideal classification compute each of them once per algebra and
 ideal.  A construction that fails (NotEquivalence, NotACongruence,
-QuotientInvalid) is not kept: every call raises it afresh.
+QuotientInvalid) is not kept: every call raises it afresh.  The result
+records are NamedTuples, cheaper to build at import than dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -84,8 +84,7 @@ class QuotientInvalid(AlgebraError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """Partition induced by an ideal, plus its compatibility certificate.
 
     The certificate takes the operations in the order meet, join, mult,
@@ -226,8 +225,7 @@ def class_of(cong: Congruence, x: int) -> Subset:
     return cong.classes[cong.class_index[x]]
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     """The sealed class-level algebra plus the projection onto it."""
 
     base: AlgebraCandidate
@@ -320,15 +318,13 @@ def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal,
     return _order_sides(_Classes(alg, ideal.bits, cong.class_index), x, y)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim: str
     status: str  # "holds" | "violated" | "vacuous" | "blocked"
     witness: tuple | None = None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     certificate: Verdict
     congruence: Congruence
     quotient_valid: bool

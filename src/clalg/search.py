@@ -50,7 +50,8 @@ by their order alone, algebras by all of it.  Each lattice's census is
 the sorted set of its algebras' keys, and each algebra is emitted as
 rebuilt from its key, named cl{n}_l{lattice}_{rank}: the order, the
 labeling and the names of the output are independent of discovery
-order.
+order.  The result records are NamedTuples, cheaper to build at import
+than dataclasses; SearchConfig, which checks its bounds, is one.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ class SearchConfig:
             raise ValueError(f"max_results must be >= 0, got {self.max_results}")
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     size: int
     lattice_index: int
     count: int
@@ -112,8 +112,7 @@ class SearchStats(NamedTuple):
     (one, sigma) roots of the fusion-table DFS, its nodes (partial
     tables that passed every check so far, full ones included) and the
     values the rotation law allowed and associativity then checked,
-    the raw tables found and the canonical keys they gave.  A
-    NamedTuple: a frozen dataclass would cost more at import."""
+    the raw tables found and the canonical keys they gave."""
 
     lattices: int = 0
     with_involution: int = 0
@@ -129,8 +128,7 @@ class SearchStats(NamedTuple):
         return self.tables - self.keys
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     rows: tuple[CensusRow, ...]
     algebras: tuple[FiniteCLAlgebra, ...]
     stats: SearchStats

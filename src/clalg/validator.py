@@ -23,13 +23,15 @@ and adjunction, and the integral and distributive-lattice flags, scan
 only where an exact whole-table test (laws.Unless) fails, so their
 witnesses are those of the full scan.  Checks never mutate the
 candidate; a derived implication table is attached to the returned
-report/algebra only.
+report/algebra only.  The report and its flags are NamedTuples, cheaper
+to build at import than dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
+from typing import NamedTuple
 
 from .core import (
     AlgebraCandidate,
@@ -52,16 +54,14 @@ from .laws import (
 )
 
 
-@dataclass(frozen=True)
-class StructuralFlags:
+class StructuralFlags(NamedTuple):
     is_linear: bool
     is_distributive_lattice: bool
     is_idempotent: bool
     is_residuated_lattice: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """All four axiom verdicts; `algebra` is set on promotion, and `top`
     and `flags` are read from it (the flags are computed when read)."""
 

@@ -48,6 +48,15 @@ def test_validate_json_schema(capsys, ex1_path):
     assert list(payload)[:2] == ["schema_version", "command"]
 
 
+def test_json_records_keep_their_field_order(capsys, ex1_path, ex2_path):
+    _, out, _ = run(capsys, "validate", str(ex1_path), "--json")
+    assert list(json.loads(out)["flags"]) == [
+        "is_linear", "is_distributive_lattice", "is_idempotent", "is_residuated_lattice"]
+    _, out, _ = run(capsys, "ideals", str(ex2_path), "--classify", "--json")
+    assert [list(entry["classification"]) for entry in json.loads(out)["ideals"]] == [[
+        "is_prime", "is_distributive", "is_implicative", "is_affine", "is_zero_downset"]] * 4
+
+
 def test_replay_confirms_witnesses(capsys, ex2_path):
     code, out, _ = run(capsys, "validate", str(ex2_path), "--replay")
     assert code == 1

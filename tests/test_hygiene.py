@@ -3,17 +3,21 @@
 beyond the standard library, results are cached on the immutable
 values they belong to, never in a module-level cache, only the
 validator builds sealed algebras, every whole-table test outside the
-validator asks `lattice_with_imp` alone whether it can decide, and no
-two modules declare a law under the same tag."""
+validator asks `lattice_with_imp` alone whether it can decide, no
+two modules declare a law under the same tag, and only the values that
+validate themselves or cache on themselves are dataclasses."""
 
 import ast
+import importlib
+import inspect
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import clalg
-from clalg import identities, ideals, quotient, validator
+from clalg import identities, ideals, quotient, replay, validator
 
 MODULES = sorted(Path(clalg.__file__).parent.glob("*.py"))
 ORACLES = Path(__file__).parent / "oracles.py"
@@ -127,3 +131,31 @@ def test_law_tags_are_declared_once():
     tables = [module.LAWS for module in (validator, ideals, quotient, identities)]
     tags = [tag for table in tables for tag in table]
     assert len(set(tags)) == len(tags) == 26
+
+
+def test_law_arity_counts_the_violation_parameters():
+    # Law.arity reads the code object; the signature, which follows
+    # functools.wraps to the predicate, is the oracle
+    entries = [entry for _context, laws in chain(replay.LAWS.values(), identities.LAWS.values())
+               for entry in laws]
+    assert len(entries) > 26
+    for entry in entries:
+        assert entry.arity == len(inspect.signature(entry.violation).parameters) - 1, entry
+
+
+# the dataclasses: each validates in __post_init__, the core three also
+# cache on themselves (cached_property), and the algebras are copied
+# with dataclasses.replace
+DATACLASSES = {"ideals.Subset", "search.SearchConfig", "core.OrderRelation",
+               "core.AlgebraCandidate", "core.FiniteCLAlgebra"}
+
+
+def test_only_self_checking_values_are_dataclasses():
+    # a dataclass is generated at every import; a plain record is a NamedTuple
+    found = set()
+    for path in (p for p in MODULES if p.stem != "__init__"):
+        module = importlib.import_module(f"clalg.{path.stem}")
+        found |= {f"{path.stem}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__
+                  and hasattr(obj, "__dataclass_fields__")}
+    assert found == DATACLASSES
