@@ -301,14 +301,11 @@ def _cmd_quotient(run: _Run) -> None:
         run.fail()
         return
     qalg = quot.algebra
-    run.payload["quotient"] = {
-        "elements": list(qalg.elements),
-        "valid": True,
-        "text": serialize_algebra(qalg),
-    }
+    text = serialize_algebra(qalg)
+    run.payload["quotient"] = {"elements": list(qalg.elements), "valid": True, "text": text}
     run.human.append(f"quotient algebra ({qalg.n} classes) passes validation")
     if run.args.verify:
-        run.human.extend("  " + ln for ln in serialize_algebra(qalg).rstrip().splitlines())
+        run.human.extend("  " + ln for ln in text.rstrip().splitlines())
     if run.args.dot:
         _write_text(run.args.dot, export_dot(quot))
         run.human.append(f"DOT written to {run.args.dot}")

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import getitem
 from typing import NamedTuple
 
 from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised, popcount
-from .laws import Law, Unless, Verdict, compose, cube, first_violation, rising_pairs
+from .laws import Law, Unless, Verdict, cube, first_violation, rising_pairs, translation
 
 
 class EmptySubset(AlgebraError):
@@ -232,17 +233,19 @@ def _implicative(c, x, y, z):
 
 # the exact whole-table tests of the laws below (laws.Unless), run only
 # where `lattice_with_imp` holds.  Each reads a table of the values its
-# law needs, built once per algebra (core.memoised) as bit masks, so a
-# test is a few mask lookups per ideal
+# law needs, built once per algebra (core.memoised) from byte planes
+# (laws module docstring) as bit masks, so a test is a few mask lookups
+# per ideal
 
 @memoised
 def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...]:
     """partners[a]: the mask of ~(y->x) over the pairs with ~(x->y) == a."""
-    negs = alg.negs
-    partners = [0] * alg.n
-    for row, col in zip(alg.imp_table, zip(*alg.imp_table)):
-        for a, b in zip(compose(negs, row), compose(negs, col)):
-            partners[a] |= 1 << b
+    n = alg.n
+    negated = b"".join(map(bytes, alg.imp_table)).translate(translation(alg.negs))
+    partners = [0] * n
+    # negated[x::n] is the column x: ~(y->x) over y
+    for a, b in set(zip(negated, b"".join(negated[x::n] for x in range(n)))):
+        partners[a] |= 1 << b
     return tuple(partners)
 
 
@@ -255,15 +258,14 @@ def _prime_holds(c) -> bool:
 @memoised
 def _distributive_values(alg: AlgebraCandidate) -> int:
     """The mask of every value of ((x|y) & (x|z)) * ~(x | (y&z))."""
-    meets, negs = alg.order.glbs, alg.negs
-    factors = set()
-    for row in alg.order.lubs:  # row[z] = x|z
-        for y, v in enumerate(row):  # v = x|y
-            factors.update(zip(compose(meets[v], row), compose(negs, compose(row, meets[y]))))
-    values = 0
-    for a, b in factors:
-        values |= 1 << alg.mult_table[a][b]
-    return values
+    meets, mult = tuple(map(bytes, alg.order.glbs)), alg.mult_table
+    flat, through, negs = b"".join(meets), tuple(map(translation, meets)), translation(alg.negs)
+    values = set()
+    for row in map(bytes, alg.order.lubs):  # row[z] = x|z
+        lhs = b"".join(row.translate(through[v]) for v in row)  # v = x|y
+        values.update(map(getitem, map(mult.__getitem__, lhs),
+                          flat.translate(translation(row.translate(negs)))))
+    return sum(1 << v for v in values)
 
 
 def _distributive_holds(c) -> bool:
@@ -275,13 +277,17 @@ def _distributive_holds(c) -> bool:
 def _implicative_values(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...]:
     """values[a][b]: the mask of ~(x->z) over the triples with
     ~(x->(y->z)) == a and ~(x->y) == b."""
-    imp, negs = alg.imp_table, alg.negs
-    values = [[0] * alg.n for _ in range(alg.n)]
+    n, negs = alg.n, translation(alg.negs)
+    imp = tuple(map(bytes, alg.imp_table))
+    flat, ys = b"".join(imp), b"".join(bytes((y,)) * n for y in range(n))  # ys[y*n+z] = y
+    triples = set()
     for row in imp:  # row[z] = x->z
-        detached = compose(negs, row)
-        for y, v in enumerate(row):  # v = x->y
-            for a, w in zip(compose(negs, compose(row, imp[y])), detached):
-                values[a][negs[v]] |= 1 << w
+        detached = row.translate(negs)  # ~(x->z)
+        through = translation(detached)
+        triples.update(zip(flat.translate(through), ys.translate(through), detached * n))
+    values = [[0] * n for _ in range(n)]
+    for a, b, w in triples:
+        values[a][b] |= 1 << w
     return tuple(map(tuple, values))
 
 

@@ -20,13 +20,14 @@ Every identity of arity 2 or more is scanned only where its exact
 whole-table test (laws.Unless) fails, so a witness is always the first
 of the full scan.  Each test runs only where `lattice_with_imp` holds
 (a preorder with every meet and join, and an implication table), and
-falls through to the scan elsewhere.  The cubic equations run as bytes
-(laws.associates, laws.distributes).  P2_7's test is monotonicity of
-mult in each argument and of imp (antitone in the first): then x*y <=
-x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.  The tests of P2_7 and
-P2_10 read only the cover pairs: on a preorder every x <= x1 is
-reflexive or a chain of covers (OrderRelation.covers), and comparisons
-of whole rows chain along it.
+falls through to the scan elsewhere.  The cubic tests run as byte
+planes (laws module docstring): the equations through laws.associates
+and laws.distributes, P2_5 as one comparison per x.  P2_7's test is
+monotonicity of mult in each argument and of imp (antitone in the
+first): then x*y <= x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.
+The tests of P2_7 and P2_10 read only the cover pairs: on a preorder
+every x <= x1 is reflexive or a chain of covers (OrderRelation.covers),
+and comparisons of whole rows chain along it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 from functools import wraps
 
 from .core import AlgebraError, FiniteCLAlgebra
-from .laws import Law, Unless, Verdict, associates, compose, cube, distributes, first_violation
+from .laws import (Law, Unless, Verdict, associates, compose, cube, distributes, first_violation,
+                   translation)
 
 
 class UnknownIdentity(AlgebraError):
@@ -131,6 +133,14 @@ def _monotone(A) -> bool:
                for x, x1 in A.order.covers())
 
 
+def _chains(A) -> bool:
+    """P2_5 at every point, one plane (y, z) per x (laws module
+    docstring): mult[x->y][y->z] against the row x->z repeated n times."""
+    mult, imp = tuple(map(translation, A.mult_table)), tuple(map(bytes, A.imp_table))
+    return all(A.order.all_leq(b"".join(imp[y].translate(mult[v]) for y, v in enumerate(row)),
+                               row * A.n) for row in imp)
+
+
 def _leq_on(A, members, lhs, rhs) -> bool:
     """lhs(x, y) <= rhs(x, y) for x, y in `members`."""
     return all(A.order.all_leq(compose(lhs[x], members), compose(rhs[x], members))
@@ -147,9 +157,7 @@ IDENTITIES = {
         A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
     "P2_4": (_p2_4, "1 <= x,y implies x|y <= x*y", lambda A: _leq_on(
         A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
-    "P2_5": (_p2_5, "(x->y)*(y->z) <= x->z", lambda A: all(
-        A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
-        for row in A.imp_table for y, v in enumerate(row))),
+    "P2_5": (_p2_5, "(x->y)*(y->z) <= x->z", _chains),
     "P2_6": (_p2_6, "1->x == x", None),
     "P2_7": (_p2_7, "x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
     "P2_8": (_p2_8, "x->(y->z) == (x*y)->z",

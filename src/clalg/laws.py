@@ -22,13 +22,13 @@ all its points in scan order.  So a scan that runs finds the same first
 witness, or raises the same exception at the same point, as a scan
 without the test.
 
-The cubic tests that are one equation per point, associativity,
-adjunction, distributivity and the like (`associates`, `distributes`),
-run on byte strings, one plane (y, z) per x.  Every table entry is an
-element, below MAX_UNIVERSE = 64, so a row fits in `bytes`, and two
-C-level primitives cover a plane: a table read through a row,
-`flat.translate(row padded to 256)`, gives row[T[y][z]] for the table
-T's rows joined in `flat`; the rows a row selects,
+The cubic whole-table tests run on byte strings, one plane (y, z) per
+x: the equations (`associates`, `distributes`), P2_5's comparison and
+the value tables of the prime, distributive and implicative ideals.
+Every table entry is an element, below MAX_UNIVERSE = 64, so a row fits
+in `bytes`, and two C-level primitives cover a plane: a table read
+through a row, `flat.translate(translation(row))`, gives row[T[y][z]]
+for the table T's rows joined in `flat`; the rows a row selects,
 `b"".join(map(rows.__getitem__, row))`, give T[row[y]][z].  So a test
 makes about 2n long calls where reading row by row makes n^2 short
 ones.  The byte views are built inside each call and kept nowhere.
@@ -115,16 +115,15 @@ class Unless:
 
 def compose(row: tuple, idx: Iterable[int]) -> tuple:
     """(row[i] for i in idx) as a tuple: one table row read through
-    another, the inner loop of the whole-table tests that are not one
-    equation per point (comparisons through `OrderRelation.all_leq`,
-    the ideal value tables); the equations run as bytes (`associates`,
-    `distributes`)."""
+    another, the inner loop of the whole-table tests that read one row
+    at a time; the cubic ones run as byte planes (module docstring)."""
     return tuple(map(row.__getitem__, idx))
 
 
-def _translation(row: bytes) -> bytes:
-    """`row` as a `bytes.translate` table: byte v maps to row[v]."""
-    return row.ljust(256, b"\0")
+def translation(row: Iterable[int]) -> bytes:
+    """`row` as a `bytes.translate` table: byte v maps to row[v]; the
+    one byte primitive of the whole-table tests (module docstring)."""
+    return bytes(row).ljust(256, b"\0")
 
 
 def associates(t, mult, s) -> bool:
@@ -134,7 +133,7 @@ def associates(t, mult, s) -> bool:
     through t's row x."""
     t = tuple(map(bytes, t))
     flat = bytes(chain.from_iterable(s))
-    return all(b"".join(map(t.__getitem__, row)) == flat.translate(_translation(tx))
+    return all(b"".join(map(t.__getitem__, row)) == flat.translate(translation(tx))
                for tx, row in zip(t, mult))
 
 
@@ -144,8 +143,8 @@ def distributes(f, g) -> bool:
     docstring): g read through f's row x, against f's row x read
     through the row of g at each of its values."""
     g = tuple(map(bytes, g))
-    flat, through = b"".join(g), tuple(map(_translation, g))
-    return all(flat.translate(_translation(fx)) == b"".join(fx.translate(through[v]) for v in fx)
+    flat, through = b"".join(g), tuple(map(translation, g))
+    return all(flat.translate(translation(fx)) == b"".join(fx.translate(through[v]) for v in fx)
                for fx in map(bytes, f))
 
 

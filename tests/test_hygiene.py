@@ -5,7 +5,8 @@ values they belong to, never in a module-level cache, only the
 validator builds sealed algebras, every whole-table test outside the
 validator asks `lattice_with_imp` alone whether it can decide, no
 two modules declare a law under the same tag, and only the values that
-validate themselves or cache on themselves are dataclasses."""
+validate themselves or cache on themselves are dataclasses, and no
+module imports another's private names."""
 
 import ast
 import importlib
@@ -47,6 +48,18 @@ def test_oracles_are_independent_of_the_package():
     tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
     problems = [f"line {line}: imports {root}" for line, root in _imported_roots(tree)
                 if root not in sys.stdlib_module_names]
+    assert not problems, problems
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    # a leading underscore marks a module's own helper; what modules share,
+    # the byte primitive laws.translation among it, is public
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = [f"line {node.lineno}: imports {alias.name} from {node.module or '.'}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.split(".")[0] == "clalg")
+                for alias in node.names if alias.name.startswith("_")]
     assert not problems, problems
 
 

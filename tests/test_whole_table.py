@@ -419,6 +419,9 @@ CONVERTED = (
      lambda A: _distributes_by_rows(A.imp_table, A.order.glbs)),
     (DISTRIBUTIVE_LATTICE[0].domain.holds,
      lambda A: _distributes_by_rows(A.order.glbs, A.order.lubs)),
+    (IDENTITIES["P2_5"][2], lambda A: all(
+        A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
+        for row in A.imp_table for y, v in enumerate(row))),
 )
 
 
@@ -437,6 +440,71 @@ def test_whole_table_tests_answer_as_reading_row_by_row(n):
             assert test(cand) is reference(cand), (n, cand.mult_table, cand.imp_table)
             outcomes[test, test(cand)] += 1
     assert all(outcomes[test, True] for test, _reference in CONVERTED), outcomes
+
+
+def _prime_partners_by_rows(alg):
+    """partners[a]: the mask of ~(y->x) over the pairs with ~(x->y) == a,
+    one row and one column per x."""
+    negs = alg.negs
+    partners = [0] * alg.n
+    for row, col in zip(alg.imp_table, zip(*alg.imp_table)):
+        for a, b in zip(compose(negs, row), compose(negs, col)):
+            partners[a] |= 1 << b
+    return tuple(partners)
+
+
+def _distributive_values_by_rows(alg):
+    """The mask of every value of ((x|y) & (x|z)) * ~(x | (y&z)), one row
+    of z per (x, y)."""
+    meets, negs = alg.order.glbs, alg.negs
+    factors = set()
+    for row in alg.order.lubs:  # row[z] = x|z
+        for y, v in enumerate(row):  # v = x|y
+            factors.update(zip(compose(meets[v], row), compose(negs, compose(row, meets[y]))))
+    values = 0
+    for a, b in factors:
+        values |= 1 << alg.mult_table[a][b]
+    return values
+
+
+def _implicative_values_by_rows(alg):
+    """values[a][b]: the mask of ~(x->z) over the triples with
+    ~(x->(y->z)) == a and ~(x->y) == b, one row of z per (x, y)."""
+    imp, negs = alg.imp_table, alg.negs
+    values = [[0] * alg.n for _ in range(alg.n)]
+    for row in imp:  # row[z] = x->z
+        detached = compose(negs, row)
+        for y, v in enumerate(row):  # v = x->y
+            for a, w in zip(compose(negs, compose(row, imp[y])), detached):
+                values[a][negs[v]] |= 1 << w
+    return tuple(map(tuple, values))
+
+
+# each ideal value table built from byte planes -> its reference
+VALUE_TABLES = (
+    (clalg.ideals._prime_partners, _prime_partners_by_rows),
+    (clalg.ideals._distributive_values, _distributive_values_by_rows),
+    (clalg.ideals._implicative_values, _implicative_values_by_rows),
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64])
+def test_ideal_value_tables_answer_as_reading_row_by_row(n):
+    rng = random.Random(31 + n)
+    leq, mult, imp, *_ = _lukasiewicz(n, rng)
+    chain = AlgebraCandidate(f"l{n}", tuple(f"e{i}" for i in range(n)),
+                             OrderRelation.from_leq(n, leq), mult, imp, 0, 0, 0)
+    # a zero other than the chain's bottom changes every negation
+    candidates = [chain] + [replace(chain, mult_table=m, imp_table=i, zero=rng.randrange(n))
+                            for m, i in (_mutant((mult, imp), rng) for _ in range(8 if n > 1 else 0))]
+    seen = {table: set() for table, _reference in VALUE_TABLES}
+    for cand in candidates:
+        for table, reference in VALUE_TABLES:
+            built = table(cand)
+            assert built == reference(cand), (n, cand.mult_table, cand.imp_table, cand.zero)
+            seen[table].add(built)
+    # the mutants change every table, so more than one is compared
+    assert n == 1 or all(len(built) > 1 for built in seen.values()), seen
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 64])
