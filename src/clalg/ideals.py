@@ -116,9 +116,36 @@ def _not_down_closed(c, x, y):
     return () if alg.leq(x, y) and bits >> y & 1 and not bits >> x & 1 else None
 
 
+# the closure scan's whole-table test (laws.Unless), built and read like
+# the value tables of the prime, distributive and implicative ideals below
+@memoised
+def _sums(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...]:
+    """sums[x][v]: the mask of the y >= x (by index) with x+y == v or
+    x|y == v, the member pairs the closure scan reads."""
+    n, negs, mult = alg.n, alg.negs, alg.mult_table
+    sums = []
+    for x, lub in enumerate(alg.order.lubs):
+        row, times_nx = [0] * n, mult[negs[x]]  # x+y = ~(~x * ~y)
+        for y in range(x, n):
+            row[negs[times_nx[negs[y]]]] |= 1 << y
+            row[lub[y]] |= 1 << y
+        sums.append(tuple(row))
+    return tuple(sums)
+
+
+def _closed_holds(c) -> bool:
+    """No member x has a member y >= x summing or joining to an outsider;
+    run only where `lattice_with_imp` holds (laws.Unless)."""
+    alg, bits = c
+    if not alg.lattice_with_imp:
+        return False
+    sums, outside = _sums(alg), tuple(iter_bits(~bits & (1 << alg.n) - 1))
+    return not any(sums[x][v] & bits for x in iter_bits(bits) for v in outside)
+
+
 # read on (algebra, member bits); the closure kind is the first
 # coordinate of its point
-_CLOSED = Law(None, _member_pairs, _not_closed)
+_CLOSED = Law(None, Unless(_closed_holds, _member_pairs), _not_closed)
 IDEAL = (
     Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else ()),
     _CLOSED,
@@ -195,7 +222,7 @@ def all_ideals(alg: AlgebraCandidate) -> list[Ideal]:
     for bits in _down_sets(alg):
         if not bits & zero_bit:
             continue
-        if first_violation("ideal", (_CLOSED,), (alg, bits)):
+        if _passes("ideal", (_CLOSED,), (alg, bits)):
             found.append(Ideal(subset=Subset(alg.n, bits)))
     found.sort(key=lambda ideal: ideal.bits)
     return found
@@ -235,7 +262,10 @@ def _implicative(c, x, y, z):
 # where `lattice_with_imp` holds.  Each reads a table of the values its
 # law needs, built once per algebra (core.memoised) from byte planes
 # (laws module docstring) as bit masks, so a test is a few mask lookups
-# per ideal
+# per ideal.  Where `lattice_with_imp` holds each table covers exactly
+# the points its scan reads, so a test is exact both ways there and
+# `classify` reads it alone as the flag (`_passes`); the verdicts below
+# scan only behind a failing test, for the witness
 
 @memoised
 def _prime_partners(alg: AlgebraCandidate) -> tuple[int, ...]:
@@ -323,26 +353,44 @@ def is_distributive_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     return first_violation("distributive_ideal", DISTRIBUTIVE_IDEAL, (alg, ideal.bits))
 
 
+def _with_zero(alg: AlgebraCandidate, s: Subset) -> tuple:
+    """The implicative law's context; raises ZeroMissing without zero."""
+    if alg.zero not in s:
+        raise ZeroMissing("an implicative ideal must contain zero")
+    return (alg, s.bits)
+
+
+@memoised
 def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
     """Detachment on negated implications, over a zero-containing subset.
 
     Stated for subsets, not only certified ideals, matching the two-part
     definition; callers wanting ideal-hood check that separately.
     """
-    if alg.zero not in s:
-        raise ZeroMissing("an implicative ideal must contain zero")
-    return first_violation("implicative", IMPLICATIVE, (alg, s.bits))
+    return first_violation("implicative", IMPLICATIVE, _with_zero(alg, s))
 
 
 def is_affine(alg: AlgebraCandidate, ideal: Ideal) -> bool:
     return alg.mult(alg.derived_top(), alg.zero) in ideal.subset
 
 
+def _passes(law: str, entries: tuple[Law, ...], ctx) -> bool:
+    """Whether `law` holds, without its witness: where `lattice_with_imp`
+    holds, the entries' whole-table tests, exact both ways there (laws
+    module docstring); elsewhere the scan, raising what it raises."""
+    if ctx[0].lattice_with_imp:
+        return all(entry.domain.holds(ctx) for entry in entries)
+    return first_violation(law, entries, ctx).ok
+
+
+@memoised
 def classify(alg: AlgebraCandidate, ideal: Ideal) -> IdealClassification:
+    """The flags alone, each as its verdict's truth (`_passes`)."""
+    ctx = (alg, ideal.bits)
     return IdealClassification(
-        is_prime=bool(is_prime(alg, ideal)),
-        is_distributive=bool(is_distributive_ideal(alg, ideal)),
-        is_implicative=bool(is_implicative(alg, ideal.subset)),
+        is_prime=_passes("prime", PRIME, ctx),
+        is_distributive=_passes("distributive_ideal", DISTRIBUTIVE_IDEAL, ctx),
+        is_implicative=_passes("implicative", IMPLICATIVE, _with_zero(alg, ideal.subset)),
         is_affine=is_affine(alg, ideal),
         is_zero_downset=ideal.bits == alg.order.dn[alg.zero],
     )

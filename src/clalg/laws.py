@@ -20,7 +20,13 @@ join, and an implication table) and returns False where it fails.
 When the test passes the domain yields no points; otherwise it yields
 all its points in scan order.  So a scan that runs finds the same first
 witness, or raises the same exception at the same point, as a scan
-without the test.
+without the test.  That asks exactness in one direction only: a test
+too strict merely runs a scan that passes.  The tests of the ideal laws
+(prime, distributive, implicative and the plus/join closure) are exact
+both ways where `lattice_with_imp` holds, and no scan of them raises
+there; `ideals.classify` (so `quotient.theorem_suite`, which reads its
+flags) and `ideals.all_ideals` rely on that, reading the test alone as
+the law's truth and scanning only where `lattice_with_imp` fails.
 
 The cubic whole-table tests run on byte strings, one plane (y, z) per
 x: the equations (`associates`, `distributes`), P2_5's comparison and

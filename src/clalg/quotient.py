@@ -30,10 +30,11 @@ Classes are named after their minimal-index representative in brackets,
 and quotient elements are ordered by ascending representative index.
 
 The congruence and the quotient by an ideal are kept in the algebra's
-memo (`core.memoised`), as are the prime and distributive verdicts
-they are checked with, so `theorem_suite`, `check_order_criterion` and
-the ideal classification compute each of them once per algebra and
-ideal.  A construction that fails (NotEquivalence, NotACongruence,
+memo (`core.memoised`), as is the ideal's classification, whose prime,
+distributive and affine flags guard the theorems, so `theorem_suite`,
+`check_order_criterion` and `ideals.classify` compute each of them once
+per algebra and ideal.  The flags come from the whole-table tests alone
+(laws module docstring); no witness of a failing flag is sought.  A construction that fails (NotEquivalence, NotACongruence,
 QuotientInvalid) is not kept: every call raises it afresh.  The result
 records are NamedTuples, cheaper to build at import than dataclasses.
 """
@@ -51,7 +52,7 @@ from .core import (
     iter_bits,
     memoised,
 )
-from .ideals import Ideal, Subset, is_affine, is_distributive_ideal, is_prime
+from .ideals import Ideal, Subset, classify
 from .laws import Law, Unless, Verdict, compose, cube, first_violation
 from .validator import DISTRIBUTIVE_LATTICE, ValidationReport, renamed, validate
 
@@ -353,9 +354,7 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
     if not cong.certificate:
         raise NotACongruence(cong.certificate)
 
-    distributive = bool(is_distributive_ideal(alg, ideal))
-    prime = bool(is_prime(alg, ideal))
-    affine = is_affine(alg, ideal)
+    flags = classify(alg, ideal)
 
     quotient = None
     blocked_witness = None
@@ -377,15 +376,15 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
             claims.append(ClaimResult(name, status, witness))
 
     quotient_claim(
-        "distributive_ideal_distributive_quotient", distributive,
+        "distributive_ideal_distributive_quotient", flags.is_distributive,
         lambda q: first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, q).witness,
     )
     quotient_claim(
-        "prime_ideal_linear_quotient", prime,
+        "prime_ideal_linear_quotient", flags.is_prime,
         lambda q: first_violation("linear", TOTAL, q.order).witness,
     )
     quotient_claim(
-        "affine_ideal_residuated_quotient", affine,
+        "affine_ideal_residuated_quotient", flags.is_affine,
         lambda q: None if q.top == q.one else (q.top, q.one),
     )
 

@@ -46,3 +46,10 @@ def ex2_path(tmp_path):
 def census():
     """All CL-algebras up to isomorphism for sizes 2..5, keyed by size."""
     return {n: run_search(SearchConfig(size=n)).algebras for n in range(2, 6)}
+
+
+@pytest.fixture(scope="session")
+def census_2_6(census):
+    """The 133 CL-algebras of sizes 2..6, smallest first."""
+    algebras = [alg for n in sorted(census) for alg in census[n]]
+    return algebras + list(run_search(SearchConfig(size=6)).algebras)

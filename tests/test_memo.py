@@ -13,7 +13,14 @@ import pytest
 import clalg.ideals
 import clalg.quotient
 from clalg.core import memoised
-from clalg.ideals import all_ideals, classify, is_distributive_ideal, is_prime, zero_downset
+from clalg.ideals import (
+    all_ideals,
+    classify,
+    is_distributive_ideal,
+    is_implicative,
+    is_prime,
+    zero_downset,
+)
 from clalg.quotient import (
     QuotientInvalid,
     build_quotient,
@@ -21,15 +28,9 @@ from clalg.quotient import (
     congruence_from_ideal,
     theorem_suite,
 )
-from clalg.search import SearchConfig, run_search
 
-MEMOISED = (congruence_from_ideal, build_quotient, is_prime, is_distributive_ideal)
-
-
-@pytest.fixture(scope="module")
-def census_2_6(census):
-    algebras = [alg for n in sorted(census) for alg in census[n]]
-    return algebras + list(run_search(SearchConfig(size=6)).algebras)
+MEMOISED = (congruence_from_ideal, build_quotient, is_prime, is_distributive_ideal, classify,
+            lambda alg, i: is_implicative(alg, i.subset))
 
 
 def test_warm_algebra_answers_as_a_fresh_copy(census_2_6):
@@ -66,6 +67,12 @@ def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
     for alg in map(replace, census_2_6):  # fresh copies: empty memos
         for ideal in all_ideals(alg):
             classify(alg, ideal)
+            # classify and theorem_suite read no verdict; these calls pin
+            # the verdicts' own memo
+            for _ in range(2):
+                is_prime(alg, ideal)
+                is_distributive_ideal(alg, ideal)
+                is_implicative(alg, ideal.subset)
             cong = congruence_from_ideal(alg, ideal)
             build_quotient(alg, ideal, cong)
             theorem_suite(alg, ideal)
@@ -74,7 +81,7 @@ def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
             theorem_suite(alg, ideal)
             pairs += 1
             zero_downsets += ideal.bits == alg.order.dn[alg.zero]
-    for fact in ("congruence", "prime", "distributive_ideal"):
+    for fact in ("congruence", "prime", "distributive_ideal", "implicative"):
         assert scans[fact] == pairs, (fact, scans)
     # the zero-downset quotient of a sealed algebra is that algebra
     # renamed, not validated again
@@ -131,7 +138,7 @@ def test_threads_sharing_an_algebra_agree(census):
 
 def test_value_tables_are_built_once_per_algebra(census_2_6, monkeypatch):
     builds = Counter()
-    for name in ("_prime_partners", "_distributive_values", "_implicative_values"):
+    for name in ("_sums", "_prime_partners", "_distributive_values", "_implicative_values"):
         build = getattr(clalg.ideals, name).__wrapped__
 
         def counted(alg, build=build, name=name):
@@ -143,6 +150,7 @@ def test_value_tables_are_built_once_per_algebra(census_2_6, monkeypatch):
         for ideal in all_ideals(alg):
             classify(alg, ideal)
             theorem_suite(alg, ideal)
-    # every algebra has an ideal, and classifying it reads all three tables
-    assert len(builds) == 3 * len({alg.name for alg in algebras}) == 3 * 133
+    # every algebra has an ideal, and finding and classifying it reads all
+    # four tables
+    assert len(builds) == 4 * len({alg.name for alg in algebras}) == 4 * 133
     assert set(builds.values()) == {1}

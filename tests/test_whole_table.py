@@ -20,28 +20,33 @@ from oracles import (
     oracle_prime,
 )
 from test_identities import _force_seal
+from test_memo import _count_scans
 
 import clalg.core
 import clalg.ideals
 import clalg.identities
 import clalg.quotient
 import clalg.validator
-from clalg.core import AlgebraCandidate, OrderRelation
+from clalg.core import AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice, OrderRelation
 from clalg.ideals import (
     DISTRIBUTIVE_IDEAL,
+    IDEAL,
     IMPLICATIVE,
     PRIME,
     Ideal,
+    IdealClassification,
     Subset,
     all_ideals,
+    classify,
+    is_affine,
     is_distributive_ideal,
+    is_ideal,
     is_implicative,
     is_prime,
 )
 from clalg.identities import IDENTITIES, check_identity, run_identity_suite
 from clalg.laws import Law, Unless, associates, compose, distributes, first_violation
 from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
-from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
     INTEGRAL,
@@ -136,11 +141,9 @@ def _orders(n):
 
 
 
-def test_lattice_with_imp_holds_on_census_algebras_and_fixtures(census, linear5, nonlinear6):
-    algebras = [alg for n in sorted(census) for alg in census[n]]
-    algebras += run_search(SearchConfig(size=6)).algebras
-    assert len(algebras) == 133
-    assert all(alg.lattice_with_imp for alg in algebras + [linear5, nonlinear6])
+def test_lattice_with_imp_holds_on_census_algebras_and_fixtures(census_2_6, linear5, nonlinear6):
+    assert len(census_2_6) == 133
+    assert all(alg.lattice_with_imp for alg in census_2_6 + [linear5, nonlinear6])
 
 
 def test_lattice_with_imp_fails_where_the_tests_fall_through(census):
@@ -170,7 +173,8 @@ def _contexts(cand, rng):
     yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
     subsets = _zero_subsets(cand)
     for bits in rng.sample(subsets, min(6, len(subsets))):
-        yield from ((entries, (cand, bits)) for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE))
+        yield from ((entries, (cand, bits))
+                    for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
     for class_index in _partitions(cand.n, rng):
         bits = rng.choice(_zero_subsets(cand))
         yield CONGRUENCE + ORDER_CRITERION, _classes(cand, bits, class_index)
@@ -220,7 +224,7 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     # both passed and fell through somewhere
     unless = {entry.domain.holds for entries in _declared_laws() for entry in entries
               if isinstance(entry.domain, Unless)}
-    assert {holds for holds, _passed in taken} == unless and len(unless) == 29
+    assert {holds for holds, _passed in taken} == unless and len(unless) == 30
     assert all(taken[holds, True] and taken[holds, False] for holds in unless)
 
 
@@ -325,6 +329,91 @@ def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
                     cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
                 taken[entry.domain.holds, entry.domain.holds((cand, bits))] += 1
     assert len(taken) == 6, taken  # each test both passed and fell through
+
+
+# the whole-table tests whose answer `classify` and `all_ideals` read
+# directly, without a scan behind a failing one (ideals._passes)
+READ_DIRECTLY = (PRIME[0], DISTRIBUTIVE_IDEAL[0], IMPLICATIVE[0], clalg.ideals._CLOSED)
+
+
+def test_tests_read_directly_are_exact_both_ways(census_2_6):
+    # a test too strict is still a legal Unless, yet read directly it
+    # would report a law failing where it holds
+    rng = random.Random(13)
+    candidates = [m for alg in census_2_6 for m in (alg, *_mutants(alg, rng, count=4))]
+    assert all(cand.lattice_with_imp for cand in candidates)
+    answers = Counter()
+    for cand in candidates:
+        for bits in _zero_subsets(cand):
+            for entry in READ_DIRECTLY:
+                holds = entry.domain.holds((cand, bits))
+                scan = entry._replace(domain=entry.domain.domain)
+                assert holds is first_violation("law", (scan,), (cand, bits)).ok, (
+                    cand.name, bits, cand.mult_table, cand.imp_table, cand.zero, entry.kind)
+                answers[entry.domain.holds, holds] += 1
+    assert len(answers) == 2 * len(READ_DIRECTLY), answers
+
+
+def _classify_by_scans(alg, ideal):
+    """The flags as the truth of the witness-bearing verdicts."""
+    return IdealClassification(
+        is_prime(alg, ideal).ok, is_distributive_ideal(alg, ideal).ok,
+        is_implicative(alg, ideal.subset).ok, is_affine(alg, ideal),
+        ideal.bits == alg.order.dn[alg.zero])
+
+
+def _ideals_by_scans(alg):
+    """The zero-containing down-sets that pass the closure scan, scanned
+    in the order `all_ideals` takes them."""
+    entry = clalg.ideals._CLOSED
+    closed = (entry._replace(domain=entry.domain.domain),)
+    found = [bits for bits in clalg.ideals._down_sets(alg)
+             if bits >> alg.zero & 1 and first_violation("ideal", closed, (alg, bits))]
+    return [Ideal(Subset(alg.n, bits)) for bits in sorted(found)]
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError as exc:  # the exception is the outcome compared
+        return type(exc), str(exc), vars(exc)
+
+
+def test_flags_and_ideals_raise_as_the_scans_where_tests_cannot_decide(census):
+    # no implication table, and the "V" order with no joins
+    raised = Counter()
+    for alg in (alg for n in (3, 4, 5) for alg in census[n]):
+        base = alg.as_candidate()
+        v_order = OrderRelation.from_covers(alg.n, [(0, x) for x in range(1, alg.n)])
+        for cand in (replace(base, imp_table=None), replace(base, order=v_order)):
+            assert not cand.lattice_with_imp
+            assert _raised(all_ideals, cand) == _raised(_ideals_by_scans, cand), cand.name
+            for bits in _zero_subsets(cand):
+                ideal = Ideal(Subset(cand.n, bits))
+                outcome = _raised(classify, cand, ideal)
+                assert outcome == _raised(_classify_by_scans, cand, ideal), (cand.name, bits)
+                raised[None if isinstance(outcome, IdealClassification) else outcome[0]] += 1
+    assert raised[ImplicationAbsent] and raised[NotALattice] and raised[None], raised
+
+
+def test_flags_and_ideals_run_no_ideal_scan_on_census_algebras(census_2_6, monkeypatch):
+    scans = Counter()
+    _count_scans(monkeypatch, scans, clalg.quotient)
+    _count_scans(monkeypatch, scans, clalg.ideals)
+    ideals = 0
+    for alg in map(replace, census_2_6):  # fresh copies: empty memos
+        for ideal in all_ideals(alg):
+            classify(alg, ideal)
+            theorem_suite(alg, ideal)
+            ideals += 1
+    assert ideals == 318
+    assert not scans.keys() & {"prime", "distributive_ideal", "implicative", "ideal"}, scans
+    # the counting reaches the ideal scans
+    is_ideal(alg, ideal.subset)
+    is_prime(alg, ideal)
+    is_distributive_ideal(alg, ideal)
+    is_implicative(alg, ideal.subset)
+    assert [scans[law] for law in ("prime", "distributive_ideal", "implicative", "ideal")] == [1] * 4
 
 
 # --- the byte kernel against reading row by row --------------------------
