@@ -99,7 +99,8 @@ class _Run:
         return entry
 
     def render_verdict_line(self, entry: dict) -> str:
-        line = f"check {entry['check']}: {entry['status'].upper() if entry['status'] != 'pass' else 'pass'}"
+        status = entry["status"]
+        line = f"check {entry['check']}: {'pass' if status == 'pass' else status.upper()}"
         if entry.get("witness") is not None:
             line += f"  witness={entry['witness']}"
         if entry.get("detail"):
@@ -228,7 +229,8 @@ def _cmd_ideals(run: _Run) -> None:
         run.payload["generated"] = entry
         run.human.append(f"generated ideal: {entry['ideal']}")
         if run.args.classify:
-            run.human.append("  " + " ".join(f"{k}={v}" for k, v in entry["classification"].items()))
+            flags = entry["classification"].items()
+            run.human.append("  " + " ".join(f"{k}={v}" for k, v in flags))
         return
     items = []
     for ideal in all_ideals(alg):

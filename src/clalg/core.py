@@ -67,10 +67,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class OrderRelation:
     """A relation stored as per-element up-set bit masks.
@@ -334,7 +330,7 @@ class AlgebraCandidate:
     def lattice_with_imp(self) -> bool:
         """The order is a preorder with every meet and join, and an
         implication table is present: where every whole-table test outside
-        the validator can decide (laws.Unless)."""
+        the validator can decide (laws.Law.holds)."""
         return (self.imp_table is not None and self.order.is_preorder
                 and self.order.has_meets_and_joins)
 

@@ -21,8 +21,8 @@ from itertools import combinations_with_replacement
 from operator import getitem
 from typing import NamedTuple
 
-from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised, popcount
-from .laws import Law, Unless, Verdict, cube, first_violation, rising_pairs, translation
+from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised
+from .laws import Law, Verdict, cube, first_violation, rising_pairs, translation
 
 
 class EmptySubset(AlgebraError):
@@ -65,7 +65,7 @@ class Subset:
         return iter_bits(self.bits)
 
     def __len__(self) -> int:
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     @property
     def is_empty(self) -> bool:
@@ -116,7 +116,7 @@ def _not_down_closed(c, x, y):
     return () if alg.leq(x, y) and bits >> y & 1 and not bits >> x & 1 else None
 
 
-# the closure scan's whole-table test (laws.Unless), built and read like
+# the closure scan's whole-table test (laws.Law.holds), built and read like
 # the value tables of the prime, distributive and implicative ideals below
 @memoised
 def _sums(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...]:
@@ -135,7 +135,7 @@ def _sums(alg: AlgebraCandidate) -> tuple[tuple[int, ...], ...]:
 
 def _closed_holds(c) -> bool:
     """No member x has a member y >= x summing or joining to an outsider;
-    run only where `lattice_with_imp` holds (laws.Unless)."""
+    run only where `lattice_with_imp` holds (laws.Law.holds)."""
     alg, bits = c
     if not alg.lattice_with_imp:
         return False
@@ -145,7 +145,7 @@ def _closed_holds(c) -> bool:
 
 # read on (algebra, member bits); the closure kind is the first
 # coordinate of its point
-_CLOSED = Law(None, Unless(_closed_holds, _member_pairs), _not_closed)
+_CLOSED = Law(None, _member_pairs, _not_closed, holds=_closed_holds)
 IDEAL = (
     Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else ()),
     _CLOSED,
@@ -195,7 +195,7 @@ def _down_sets(alg: AlgebraCandidate) -> list[int]:
     """All downward-closed subsets, via include/exclude DFS along a
     linear extension (so down-closure prunes instead of filtering)."""
     dn = alg.order.dn
-    ext = sorted(range(alg.n), key=lambda i: (popcount(dn[i]), i))
+    ext = sorted(range(alg.n), key=lambda i: (dn[i].bit_count(), i))
     out: list[int] = []
 
     def rec(pos: int, included: int) -> None:
@@ -258,7 +258,7 @@ def _implicative(c, x, y, z):
     return None if bits >> w & 1 else (w,)
 
 
-# the exact whole-table tests of the laws below (laws.Unless), run only
+# the exact whole-table tests of the laws below (laws.Law.holds), run only
 # where `lattice_with_imp` holds.  Each reads a table of the values its
 # law needs, built once per algebra (core.memoised) from byte planes
 # (laws module docstring) as bit masks, so a test is a few mask lookups
@@ -331,13 +331,11 @@ def _implicative_holds(c) -> bool:
 
 # read on (algebra, ideal bits); witnesses carry the point and the
 # computed values that miss the ideal
-PRIME = (Law(None, Unless(_prime_holds, lambda c: rising_pairs(c[0])), _prime),)
-DISTRIBUTIVE_IDEAL = (Law(None, Unless(_distributive_holds, lambda c: cube(3)(c[0])),
-                          _distributive),)
-IMPLICATIVE = (Law(None, Unless(_implicative_holds, lambda c: cube(3)(c[0])), _implicative),)
+PRIME = (Law(None, lambda c: rising_pairs(c[0]), _prime, holds=_prime_holds),)
+DISTRIBUTIVE_IDEAL = (Law(None, lambda c: cube(3)(c[0]), _distributive, holds=_distributive_holds),)
+IMPLICATIVE = (Law(None, lambda c: cube(3)(c[0]), _implicative, holds=_implicative_holds),)
 
 
-@memoised
 def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """For every pair, ~(x->y) or ~(y->x) must land in the ideal.
 
@@ -347,7 +345,6 @@ def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     return first_violation("prime", PRIME, (alg, ideal.bits))
 
 
-@memoised
 def is_distributive_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """((x|y) & (x|z)) * ~(x | (y&z)) must land in the ideal, all triples."""
     return first_violation("distributive_ideal", DISTRIBUTIVE_IDEAL, (alg, ideal.bits))
@@ -360,7 +357,6 @@ def _with_zero(alg: AlgebraCandidate, s: Subset) -> tuple:
     return (alg, s.bits)
 
 
-@memoised
 def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
     """Detachment on negated implications, over a zero-containing subset.
 
@@ -379,7 +375,7 @@ def _passes(law: str, entries: tuple[Law, ...], ctx) -> bool:
     holds, the entries' whole-table tests, exact both ways there (laws
     module docstring); elsewhere the scan, raising what it raises."""
     if ctx[0].lattice_with_imp:
-        return all(entry.domain.holds(ctx) for entry in entries)
+        return all(entry.holds(ctx) for entry in entries)
     return first_violation(law, entries, ctx).ok
 
 

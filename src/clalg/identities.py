@@ -17,7 +17,7 @@ antitone law x <= y implies neg(y) <= neg(x), the (y, 0)-instance of
 P2_7's implication part.
 
 Every identity of arity 2 or more is scanned only where its exact
-whole-table test (laws.Unless) fails, so a witness is always the first
+whole-table test (laws.Law.holds) fails, so a witness is always the first
 of the full scan.  Each test runs only where `lattice_with_imp` holds
 (a preorder with every meet and join, and an implication table), and
 falls through to the scan elsewhere.  The cubic tests run as byte
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .core import AlgebraError, FiniteCLAlgebra
-from .laws import (Law, Unless, Verdict, associates, compose, cube, distributes, first_violation,
+from .laws import (Law, Verdict, associates, compose, cube, distributes, first_violation,
                    translation)
 
 
@@ -189,10 +189,8 @@ def _law(pred, holds) -> Law:
     def violation(A, *point):
         return None if pred(A, *point) else ()
 
-    domain = cube(Law(None, None, violation).arity)
-    if holds is not None:
-        domain = Unless(lambda A: A.lattice_with_imp and holds(A), domain)
-    return Law(None, domain, violation)
+    test = None if holds is None else lambda A: A.lattice_with_imp and holds(A)
+    return Law(None, cube(Law(None, None, violation).arity), violation, holds=test)
 
 
 # law -> (context from the algebra, ideal bits and class index; entries)

@@ -10,15 +10,15 @@ re-evaluate the same violation function at the same point.  `Verdict`,
 like the package's other result records, is a NamedTuple: a frozen
 dataclass is generated afresh at every import, at several times the cost.
 
-A domain may first run an exact test on the whole structure (`Unless`).
+An entry may carry an exact test on the whole structure (`Law.holds`).
 The test returns True only where no point of the domain violates, on
 any context, sealed algebra or not, and False wherever it cannot decide.
 The validator's tests decide the structures it checks (a transitive
 order, every meet and join); every other test first asks
 `AlgebraCandidate.lattice_with_imp` (a preorder with every meet and
 join, and an implication table) and returns False where it fails.
-When the test passes the domain yields no points; otherwise it yields
-all its points in scan order.  So a scan that runs finds the same first
+When the test passes the scan skips the entry; otherwise it scans all
+its points in order.  So a scan that runs finds the same first
 witness, or raises the same exception at the same point, as a scan
 without the test.  That asks exactness in one direction only: a test
 too strict merely runs a scan that passes.  The tests of the ideal laws
@@ -72,13 +72,16 @@ class Law(NamedTuple):
 
     `kind` is None for witnesses without a tag.  `detail` is the
     verdict's detail on a violation, or a function of (context, *point)
-    computing it.
+    computing it.  `holds`, where not None, is the entry's exact
+    whole-table test: True only where no point of `domain` violates, so
+    the scan skips the entry (module docstring).
     """
 
     kind: str | None
     domain: Callable[[object], Iterable[tuple]]
     violation: Callable[..., tuple | None]
     detail: str | Callable[..., str] = ""
+    holds: Callable[[object], bool] | None = None
 
     @property
     def arity(self) -> int:
@@ -92,6 +95,8 @@ def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Ver
     """Scan `laws` in order over `ctx`; the verdict carries the first
     violation's witness, or passes with `detail`."""
     for entry in laws:
+        if entry.holds is not None and entry.holds(ctx):
+            continue
         violation = entry.violation
         for point in entry.domain(ctx):
             extra = violation(ctx, *point)
@@ -100,23 +105,6 @@ def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Ver
                 note = entry.detail(ctx, *point) if callable(entry.detail) else entry.detail
                 return Verdict(law, False, witness, note or detail)
     return Verdict(law, True, None, detail)
-
-
-class Unless:
-    """A domain that is empty where `holds(ctx)`, an exact whole-table
-    test, shows that the law holds at every point of `domain(ctx)`, and
-    is `domain(ctx)` otherwise (module docstring).  A plain class: a
-    NamedTuple would compile code at import."""
-
-    __slots__ = ("holds", "domain")
-
-    def __init__(self, holds: Callable[[object], bool],
-                 domain: Callable[[object], Iterable[tuple]]):
-        self.holds = holds
-        self.domain = domain
-
-    def __call__(self, ctx) -> Iterable[tuple]:
-        return () if self.holds(ctx) else self.domain(ctx)
 
 
 def compose(row: tuple, idx: Iterable[int]) -> tuple:

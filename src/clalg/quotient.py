@@ -34,7 +34,8 @@ memo (`core.memoised`), as is the ideal's classification, whose prime,
 distributive and affine flags guard the theorems, so `theorem_suite`,
 `check_order_criterion` and `ideals.classify` compute each of them once
 per algebra and ideal.  The flags come from the whole-table tests alone
-(laws module docstring); no witness of a failing flag is sought.  A construction that fails (NotEquivalence, NotACongruence,
+(laws module docstring); no witness of a failing flag is sought.  A
+construction that fails (NotEquivalence, NotACongruence,
 QuotientInvalid) is not kept: every call raises it afresh.  The result
 records are NamedTuples, cheaper to build at import than dataclasses.
 """
@@ -53,7 +54,7 @@ from .core import (
     memoised,
 )
 from .ideals import Ideal, Subset, classify
-from .laws import Law, Unless, Verdict, compose, cube, first_violation
+from .laws import Law, Verdict, compose, cube, first_violation
 from .validator import DISTRIBUTIVE_LATTICE, ValidationReport, renamed, validate
 
 
@@ -190,7 +191,7 @@ def _compatible(op: str):
 
 
 CONGRUENCE = tuple(
-    Law(op, Unless(_class_level(op), _quads), _compatible(op))
+    Law(op, _quads, _compatible(op), holds=_class_level(op))
     for op in ("meet", "join", "mult", "imp")
 )
 
@@ -218,7 +219,7 @@ def _order_agrees(c: _Classes) -> bool:
 
 
 ORDER_CRITERION = (
-    Law("order_criterion", Unless(_order_agrees, lambda c: cube(2)(c.alg)), _order_mismatch),
+    Law("order_criterion", lambda c: cube(2)(c.alg), _order_mismatch, holds=_order_agrees),
 )
 
 

@@ -69,7 +69,6 @@ from .core import (
     OrderRelation,
     Table,
     iter_bits,
-    popcount,
 )
 from .laws import first_violation
 from .validator import LATTICE, NotACLAlgebra, seal, validate
@@ -166,7 +165,7 @@ def _least_encoding(order: OrderRelation, marks: tuple[int, ...] = (),
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         return [rank[k] for k in keys]
 
-    col = ranks([(popcount(dn[i]), popcount(up[i]), *(i == m for m in marks))
+    col = ranks([(dn[i].bit_count(), up[i].bit_count(), *(i == m for m in marks))
                  for i in range(n)])
     while max(col) < n - 1:
         new = ranks([
@@ -231,7 +230,7 @@ def _natural_lattice_downmasks(n: int):
         for mask in range(1, 1 << i, 2):  # bottom always below: bit 0 set
             if any(dn[j] & ~mask for j in iter_bits(mask)):
                 continue  # not a down-set
-            key = (1 + max(keys[j][0] for j in iter_bits(mask)), popcount(mask) + 1)
+            key = (1 + max(keys[j][0] for j in iter_bits(mask)), mask.bit_count() + 1)
             if key >= keys[-1] and meets_ok(mask | 1 << i):
                 dn.append(mask | 1 << i)
                 keys.append(key)
@@ -279,7 +278,7 @@ def _order_maps(order: OrderRelation, reverse: bool) -> list[tuple[int, ...]]:
     n = order.n
     up, dn = order.up, order.dn
     # p(x) has x's down-set size, or its up-set size when reversing
-    want = [popcount((up if reverse else dn)[x]) for x in range(n)]
+    want = [(up if reverse else dn)[x].bit_count() for x in range(n)]
     p: list[int] = []
     out = []
 
@@ -297,7 +296,7 @@ def _order_maps(order: OrderRelation, reverse: bool) -> list[tuple[int, ...]]:
             out.append(tuple(p))
             return
         for c in range(n):
-            if c not in p and popcount(dn[c]) == want[x] and fits(x, c):
+            if c not in p and dn[c].bit_count() == want[x] and fits(x, c):
                 p.append(c)
                 rec(x + 1)
                 p.pop()
@@ -414,7 +413,7 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...],
             return
         x, y = cells[k]
         mask = allowed(x, y)
-        checked += popcount(mask)
+        checked += mask.bit_count()
         new = [(x, y), (y, x)] if x != y else [(x, y)]
         for v in iter_bits(mask):
             tab[x][y] = tab[y][x] = v

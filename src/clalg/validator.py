@@ -20,8 +20,8 @@ Each law is declared once below as a list of laws.Law entries; validate
 and replay.confirm_witness both read those declarations.  The
 entries transitivity, no_join, no_meet, commutativity, associativity
 and adjunction, and the integral and distributive-lattice flags, scan
-only where an exact whole-table test (laws.Unless) fails, so their
-witnesses are those of the full scan.  Checks never mutate the
+only where their exact whole-table test (laws.Law.holds) fails, so
+their witnesses are those of the full scan.  Checks never mutate the
 candidate; a derived implication table is attached to the returned
 report/algebra only.  The report and its flags are NamedTuples, cheaper
 to build at import than dataclasses.
@@ -43,7 +43,6 @@ from .core import (
 )
 from .laws import (
     Law,
-    Unless,
     Verdict,
     ascending_pairs,
     associates,
@@ -132,9 +131,9 @@ LATTICE = (
     Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else ()),
     Law("antisymmetry", ascending_pairs,
         lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None),
-    Law("transitivity", Unless(lambda A: A.order.is_transitive, cube(3)), _intransitive),
-    Law("no_join", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("join")),
-    Law("no_meet", Unless(lambda A: A.order.has_meets_and_joins, rising_pairs), _no_bound("meet")),
+    Law("transitivity", cube(3), _intransitive, holds=lambda A: A.order.is_transitive),
+    Law("no_join", rising_pairs, _no_bound("join"), holds=lambda A: A.order.has_meets_and_joins),
+    Law("no_meet", rising_pairs, _no_bound("meet"), holds=lambda A: A.order.has_meets_and_joins),
     Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else ()),
 )
 
@@ -151,12 +150,12 @@ def _associative(A) -> bool:
 
 
 MONOID = (
-    Law("commutativity", Unless(lambda A: A.mult_table == tuple(zip(*A.mult_table)),
-                                ascending_pairs),
-        lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else ()),
+    Law("commutativity", ascending_pairs,
+        lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else (),
+        holds=lambda A: A.mult_table == tuple(zip(*A.mult_table))),
     Law("unit", cube(1),
         lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else ()),
-    Law("associativity", Unless(_associative, cube(3)), _nonassociative),
+    Law("associativity", cube(3), _nonassociative, holds=_associative),
 )
 
 
@@ -191,7 +190,7 @@ def _no_residual(A, x, y):
 RESIDUATION = (
     Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
         "no implication table can satisfy residuation"),
-    Law("adjunction", Unless(_adjoint, cube(3)), _nonadjoint, _adjunction_detail),
+    Law("adjunction", cube(3), _nonadjoint, _adjunction_detail, holds=_adjoint),
 )
 
 INVOLUTION = (Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else ()),)
@@ -264,9 +263,8 @@ def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:
 
 # mult is integral: x * y <= x for all (x, y)
 INTEGRAL = (
-    Law(None, Unless(lambda A: all(A.order.all_leq(row, repeat(x))
-                                   for x, row in enumerate(A.mult_table)), cube(2)),
-        lambda A, x, y: None if A.leq(A.mult(x, y), x) else ()),
+    Law(None, cube(2), lambda A, x, y: None if A.leq(A.mult(x, y), x) else (),
+        holds=lambda A: all(A.order.all_leq(row, repeat(x)) for x, row in enumerate(A.mult_table))),
 )
 
 
@@ -300,9 +298,9 @@ def is_linear(alg: AlgebraCandidate) -> bool:
 
 # meet distributes over join; the witness is the first failing (x, y, z)
 DISTRIBUTIVE_LATTICE = (
-    Law(None, Unless(lambda A: A.order.has_meets_and_joins
-                     and distributes(A.order.glbs, A.order.lubs), cube(3)), lambda A, x, y, z:
-        None if A.meet(x, A.join(y, z)) == A.join(A.meet(x, y), A.meet(x, z)) else ()),
+    Law(None, cube(3), lambda A, x, y, z:
+        None if A.meet(x, A.join(y, z)) == A.join(A.meet(x, y), A.meet(x, z)) else (),
+        holds=lambda A: A.order.has_meets_and_joins and distributes(A.order.glbs, A.order.lubs)),
 )
 
 

@@ -5,8 +5,9 @@ values they belong to, never in a module-level cache, only the
 validator builds sealed algebras, every whole-table test outside the
 validator asks `lattice_with_imp` alone whether it can decide, no
 two modules declare a law under the same tag, and only the values that
-validate themselves or cache on themselves are dataclasses, and no
-module imports another's private names."""
+validate themselves or cache on themselves are dataclasses, no module
+imports another's private names, and no line is longer than 100
+characters."""
 
 import ast
 import importlib
@@ -60,6 +61,14 @@ def test_no_private_name_imported_from_another_module(path):
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and (node.level or node.module.split(".")[0] == "clalg")
                 for alias in node.names if alias.name.startswith("_")]
+    assert not problems, problems
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lines_fit_in_100_characters(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    problems = [f"line {number}: {len(line)} characters"
+                for number, line in enumerate(lines, 1) if len(line) > 100]
     assert not problems, problems
 
 

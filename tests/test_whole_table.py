@@ -1,4 +1,4 @@
-"""The whole-table tests that let a law skip its point scan (laws.Unless)
+"""The whole-table tests that let a law skip its point scan (laws.Law.holds)
 change no result: every verdict and witness matches an independent
 oracle, the fast domain answers exactly as the plain one (the same
 exception at the same pair where the order is no lattice or not
@@ -45,7 +45,7 @@ from clalg.ideals import (
     is_prime,
 )
 from clalg.identities import IDENTITIES, check_identity, run_identity_suite
-from clalg.laws import Law, Unless, associates, compose, distributes, first_violation
+from clalg.laws import Law, Verdict, associates, compose, distributes, first_violation
 from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
@@ -189,12 +189,30 @@ def _declared_laws():
     yield from (entries for _ctx, entries in clalg.identities.LAWS.values())
 
 
-def _outcome(entry, domain, ctx):
+def _outcome(entry, ctx):
     try:
-        verdict = first_violation("law", (entry._replace(domain=domain),), ctx)
+        verdict = first_violation("law", (entry,), ctx)
     except Exception as exc:  # the exception is the outcome compared
         return type(exc), str(exc), vars(exc)
     return verdict.ok, verdict.witness, verdict.detail
+
+
+def _unscannable(ctx):
+    raise AssertionError("the domain was scanned")
+
+
+def test_law_holds_skips_the_scan_only_where_it_passes():
+    entry = Law("entry", _unscannable, lambda ctx, x: None)
+    skipped = entry._replace(holds=lambda ctx: True)
+    assert first_violation("law", (skipped,), 5) == Verdict("law", True)
+    for holds in (None, lambda ctx: False):
+        with pytest.raises(AssertionError, match="the domain was scanned"):
+            first_violation("law", (entry._replace(holds=holds),), 5)
+    # behind a failing test the verdict is the plain scan's, witness included
+    odd = Law("odd", lambda n: ((x,) for x in range(n)), lambda n, x: () if x % 2 else None)
+    for n, plain in ((5, Verdict("law", False, ("odd", 1))), (1, Verdict("law", True))):
+        assert first_violation("law", (odd,), n) == plain
+        assert first_violation("law", (odd._replace(holds=lambda ctx: False),), n) == plain
 
 
 def test_fast_domains_answer_as_the_plain_scan(census):
@@ -214,18 +232,18 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     for cand in candidates:
         for entries, ctx in _contexts(cand, rng):
             for entry in entries:
-                if not isinstance(entry.domain, Unless):
+                if entry.holds is None:
                     continue
-                fast = _outcome(entry, entry.domain, ctx)
-                assert fast == _outcome(entry, entry.domain.domain, ctx), (
+                fast = _outcome(entry, ctx)
+                assert fast == _outcome(entry._replace(holds=None), ctx), (
                     cand.name, entry.kind, cand.order.up, cand.mult_table)
-                taken[entry.domain.holds, entry.domain.holds(ctx)] += 1
+                taken[entry.holds, entry.holds(ctx)] += 1
     # every whole-table test the package declares is compared, and each
     # both passed and fell through somewhere
-    unless = {entry.domain.holds for entries in _declared_laws() for entry in entries
-              if isinstance(entry.domain, Unless)}
-    assert {holds for holds, _passed in taken} == unless and len(unless) == 30
-    assert all(taken[holds, True] and taken[holds, False] for holds in unless)
+    tests = {entry.holds for entries in _declared_laws() for entry in entries
+             if entry.holds is not None}
+    assert {holds for holds, _passed in taken} == tests and len(tests) == 30
+    assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
 
 def test_missing_meet_is_raised_at_the_scan_pair(census):
@@ -235,9 +253,9 @@ def test_missing_meet_is_raised_at_the_scan_pair(census):
     cand = replace(alg.as_candidate(), order=OrderRelation.from_covers(4, [(0, 1), (0, 2), (0, 3)]))
     for entries, ctx in ((DISTRIBUTIVE_LATTICE, cand),
                          (DISTRIBUTIVE_IDEAL, (cand, 1 << cand.zero))):
-        plain = _outcome(entries[0], entries[0].domain.domain, ctx)
+        plain = _outcome(entries[0]._replace(holds=None), ctx)
         assert plain[0].__name__ == "NotALattice"
-        assert _outcome(entries[0], entries[0].domain, ctx) == plain
+        assert _outcome(entries[0], ctx) == plain
 
 
 # --- the fast path is taken -------------------------------------------------
@@ -257,7 +275,7 @@ def _count_violations(monkeypatch, calls):
     """Count the violation calls of every entry with a whole-table test,
     by (name, kind)."""
     def counted(entry, name):
-        if not isinstance(entry.domain, Unless):
+        if entry.holds is None:
             return entry
 
         def violation(ctx, *point):
@@ -324,10 +342,10 @@ def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
     for cand in _plain_scan_candidates(census):
         for bits in _zero_subsets(cand):
             for entry in PRIME + DISTRIBUTIVE_IDEAL + IMPLICATIVE:
-                fast = _outcome(entry, entry.domain, (cand, bits))
-                assert fast == _outcome(entry, entry.domain.domain, (cand, bits)), (
+                fast = _outcome(entry, (cand, bits))
+                assert fast == _outcome(entry._replace(holds=None), (cand, bits)), (
                     cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
-                taken[entry.domain.holds, entry.domain.holds((cand, bits))] += 1
+                taken[entry.holds, entry.holds((cand, bits))] += 1
     assert len(taken) == 6, taken  # each test both passed and fell through
 
 
@@ -337,7 +355,7 @@ READ_DIRECTLY = (PRIME[0], DISTRIBUTIVE_IDEAL[0], IMPLICATIVE[0], clalg.ideals._
 
 
 def test_tests_read_directly_are_exact_both_ways(census_2_6):
-    # a test too strict is still a legal Unless, yet read directly it
+    # a test too strict is still a legal Law.holds, yet read directly it
     # would report a law failing where it holds
     rng = random.Random(13)
     candidates = [m for alg in census_2_6 for m in (alg, *_mutants(alg, rng, count=4))]
@@ -346,11 +364,11 @@ def test_tests_read_directly_are_exact_both_ways(census_2_6):
     for cand in candidates:
         for bits in _zero_subsets(cand):
             for entry in READ_DIRECTLY:
-                holds = entry.domain.holds((cand, bits))
-                scan = entry._replace(domain=entry.domain.domain)
+                holds = entry.holds((cand, bits))
+                scan = entry._replace(holds=None)
                 assert holds is first_violation("law", (scan,), (cand, bits)).ok, (
                     cand.name, bits, cand.mult_table, cand.imp_table, cand.zero, entry.kind)
-                answers[entry.domain.holds, holds] += 1
+                answers[entry.holds, holds] += 1
     assert len(answers) == 2 * len(READ_DIRECTLY), answers
 
 
@@ -365,8 +383,7 @@ def _classify_by_scans(alg, ideal):
 def _ideals_by_scans(alg):
     """The zero-containing down-sets that pass the closure scan, scanned
     in the order `all_ideals` takes them."""
-    entry = clalg.ideals._CLOSED
-    closed = (entry._replace(domain=entry.domain.domain),)
+    closed = (clalg.ideals._CLOSED._replace(holds=None),)
     found = [bits for bits in clalg.ideals._down_sets(alg)
              if bits >> alg.zero & 1 and first_violation("ideal", closed, (alg, bits))]
     return [Ideal(Subset(alg.n, bits)) for bits in sorted(found)]
@@ -506,7 +523,7 @@ CONVERTED = (
      lambda A: _distributes_by_rows(A.mult_table, A.order.lubs)),
     (IDENTITIES["LEMMA_MEET_IMP"][2],
      lambda A: _distributes_by_rows(A.imp_table, A.order.glbs)),
-    (DISTRIBUTIVE_LATTICE[0].domain.holds,
+    (DISTRIBUTIVE_LATTICE[0].holds,
      lambda A: _distributes_by_rows(A.order.glbs, A.order.lubs)),
     (IDENTITIES["P2_5"][2], lambda A: all(
         A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
