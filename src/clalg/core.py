@@ -216,9 +216,11 @@ class OrderRelation:
 
 
 # a total order: every pair comparable; the witness is the first
-# incomparable pair (x, y), x < y
+# incomparable pair (x, y), x < y.  Its test: every x is comparable to
+# all, up[x] | dn[x] the full mask
 TOTAL = (
-    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else ()),
+    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else (),
+        holds=lambda o: all(u | d == (1 << o.n) - 1 for u, d in zip(o.up, o.dn))),
 )
 
 

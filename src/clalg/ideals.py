@@ -143,13 +143,21 @@ def _closed_holds(c) -> bool:
     return not any(sums[x][v] & bits for x in iter_bits(bits) for v in outside)
 
 
+def _down_closed(c) -> bool:
+    """dn[y] lies inside the members for every member y."""
+    alg, bits = c
+    dn = alg.order.dn
+    return not any(dn[y] & ~bits for y in iter_bits(bits))
+
+
 # read on (algebra, member bits); the closure kind is the first
 # coordinate of its point
 _CLOSED = Law(None, _member_pairs, _not_closed, holds=_closed_holds)
 IDEAL = (
-    Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else ()),
+    Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else (),
+        holds=lambda c: bool(c[1] >> c[0].zero & 1)),
     _CLOSED,
-    Law("not_down_closed", lambda c: cube(2)(c[0]), _not_down_closed),
+    Law("not_down_closed", lambda c: cube(2)(c[0]), _not_down_closed, holds=_down_closed),
 )
 
 

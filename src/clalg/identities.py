@@ -2,9 +2,9 @@
 
 Each identity is declared once, in `IDENTITIES`: its tag (a plain
 string, in suite order) maps to its instance predicate, its formula and
-its whole-table test, or None.  The arity is the number of element
-arguments of the predicate (laws.Law.arity), and `LAWS`, the entries
-that checking and replay read, is built from the table.
+its whole-table test.  The arity is the number of element arguments of
+the predicate (laws.Law.arity), and `LAWS`, the entries that checking
+and replay read, is built from the table.
 
 Every law is a theorem of the four axioms, so on any algebra the
 validator promoted the whole suite must pass; a failure here means the
@@ -16,9 +16,9 @@ distribution; the finite n-ary case folds out of it.  P2_10 is the
 antitone law x <= y implies neg(y) <= neg(x), the (y, 0)-instance of
 P2_7's implication part.
 
-Every identity of arity 2 or more is scanned only where its exact
-whole-table test (laws.Law.holds) fails, so a witness is always the first
-of the full scan.  Each test runs only where `lattice_with_imp` holds
+Every identity is scanned only where its exact whole-table test
+(laws.Law.holds) fails, for the witness, which is always the first of
+the full scan.  Each test runs only where `lattice_with_imp` holds
 (a preorder with every meet and join, and an implication table), and
 falls through to the scan elsewhere.  The cubic tests run as byte
 planes (laws module docstring): the equations through laws.associates
@@ -147,18 +147,19 @@ def _leq_on(A, members, lhs, rhs) -> bool:
                for x in members)
 
 
-# tag -> (instance predicate, human formula, exact whole-table test or
-# None), in suite order
+# tag -> (instance predicate, human formula, exact whole-table test), in
+# suite order
 IDENTITIES = {
     "P2_1": (_p2_1, "x*(y|z) == (x*y)|(x*z)",
              lambda A: distributes(A.mult_table, A.order.lubs)),
-    "P2_2": (_p2_2, "y <= bot->bot", None),
+    "P2_2": (_p2_2, "y <= bot->bot",
+             lambda A: A.order.dn[A.imp(A.bot, A.bot)] == (1 << A.n) - 1),
     "P2_3": (_p2_3, "x,y <= 1 implies x*y <= x&y", lambda A: _leq_on(
         A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
     "P2_4": (_p2_4, "1 <= x,y implies x|y <= x*y", lambda A: _leq_on(
         A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
     "P2_5": (_p2_5, "(x->y)*(y->z) <= x->z", _chains),
-    "P2_6": (_p2_6, "1->x == x", None),
+    "P2_6": (_p2_6, "1->x == x", lambda A: A.imp_table[A.one] == tuple(range(A.n))),
     "P2_7": (_p2_7, "x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
     "P2_8": (_p2_8, "x->(y->z) == (x*y)->z",
              lambda A: associates(A.imp_table, A.mult_table, A.imp_table)),
@@ -175,8 +176,8 @@ IDENTITIES = {
         row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table))),
     "P2_14": (_p2_14, "~x->y == ~(~x * ~y)", lambda A: all(
         A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs)),
-    "P2_15": (_p2_15, "~top == bot", None),
-    "P2_16": (_p2_16, "~top * top == bot", None),
+    "P2_15": (_p2_15, "~top == bot", lambda A: A.negs[A.top] == A.bot),
+    "P2_16": (_p2_16, "~top * top == bot", lambda A: A.mult_table[A.negs[A.top]][A.top] == A.bot),
     "LEMMA_MEET_IMP": (_lemma_meet_imp, "(z->x)&(z->y) == z->(x&y)",
                        lambda A: distributes(A.imp_table, A.order.glbs)),
 }
@@ -184,13 +185,13 @@ IDENTITIES = {
 
 def _law(pred, holds) -> Law:
     """The identity as one untagged law over the tuples of its arity,
-    scanned where `holds` is None or fails (module docstring)."""
+    scanned where `holds` fails (module docstring)."""
     @wraps(pred)
     def violation(A, *point):
         return None if pred(A, *point) else ()
 
-    test = None if holds is None else lambda A: A.lattice_with_imp and holds(A)
-    return Law(None, cube(Law(None, None, violation).arity), violation, holds=test)
+    return Law(None, cube(Law(None, None, violation).arity), violation,
+               holds=lambda A: A.lattice_with_imp and holds(A))
 
 
 # law -> (context from the algebra, ideal bits and class index; entries)

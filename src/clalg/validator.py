@@ -17,11 +17,10 @@ witness agreement):
   involution: x on neg(neg(x)) == x.
 
 Each law is declared once below as a list of laws.Law entries; validate
-and replay.confirm_witness both read those declarations.  The
-entries transitivity, no_join, no_meet, commutativity, associativity
-and adjunction, and the integral and distributive-lattice flags, scan
-only where their exact whole-table test (laws.Law.holds) fails, so
-their witnesses are those of the full scan.  Checks never mutate the
+and replay.confirm_witness both read those declarations.  Every entry,
+and those of the integral and distributive-lattice flags, scans only
+where its exact whole-table test (laws.Law.holds) fails, for the
+witness, which is that of the full scan.  Checks never mutate the
 candidate; a derived implication table is attached to the returned
 report/algebra only.  The report and its flags are NamedTuples, cheaper
 to build at import than dataclasses.
@@ -39,6 +38,7 @@ from .core import (
     NoResidual,
     NotALattice,
     derive_implication,
+    iter_bits,
     residual,
 )
 from .laws import (
@@ -46,6 +46,7 @@ from .laws import (
     Verdict,
     ascending_pairs,
     associates,
+    compose,
     cube,
     distributes,
     first_violation,
@@ -127,14 +128,24 @@ def _intransitive(A, x, y, z):
     return () if up[x] >> y & 1 and up[y] >> z & 1 and not up[x] >> z & 1 else None
 
 
+def _antisymmetric(A) -> bool:
+    """No x is equivalent to another element: up[x] & dn[x] holds no
+    bit but x.  Read on a candidate, or on a bare order
+    (search._check_lattice)."""
+    order = getattr(A, "order", A)
+    return all(u & d & ~(1 << x) == 0 for x, (u, d) in enumerate(zip(order.up, order.dn)))
+
+
 LATTICE = (
-    Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else ()),
+    Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else (),
+        holds=lambda A: all(u >> x & 1 for x, u in enumerate(A.order.up))),
     Law("antisymmetry", ascending_pairs,
-        lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None),
+        lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None, holds=_antisymmetric),
     Law("transitivity", cube(3), _intransitive, holds=lambda A: A.order.is_transitive),
     Law("no_join", rising_pairs, _no_bound("join"), holds=lambda A: A.order.has_meets_and_joins),
     Law("no_meet", rising_pairs, _no_bound("meet"), holds=lambda A: A.order.has_meets_and_joins),
-    Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else ()),
+    Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else (),
+        holds=lambda A: A.order.up[A.bot] == (1 << A.n) - 1),
 )
 
 
@@ -149,12 +160,19 @@ def _associative(A) -> bool:
     return associates(t, t, t)
 
 
+def _unital(A) -> bool:
+    """Row one and column one of mult are both the identity."""
+    t, one, identity = A.mult_table, A.one, tuple(range(A.n))
+    return t[one] == identity and tuple(row[one] for row in t) == identity
+
+
 MONOID = (
     Law("commutativity", ascending_pairs,
         lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else (),
         holds=lambda A: A.mult_table == tuple(zip(*A.mult_table))),
     Law("unit", cube(1),
-        lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else ()),
+        lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else (),
+        holds=_unital),
     Law("associativity", cube(3), _nonassociative, holds=_associative),
 )
 
@@ -189,11 +207,14 @@ def _no_residual(A, x, y):
 # _imp_or_derive: no_residual is scanned only where no table exists
 RESIDUATION = (
     Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
-        "no implication table can satisfy residuation"),
+        "no implication table can satisfy residuation", holds=lambda A: A.has_imp),
     Law("adjunction", cube(3), _nonadjoint, _adjunction_detail, holds=_adjoint),
 )
 
-INVOLUTION = (Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else ()),)
+INVOLUTION = (
+    Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else (),
+        holds=lambda A: A.has_imp and compose(A.negs, A.negs) == tuple(range(A.n))),
+)
 
 
 def _imp_or_derive(cand: AlgebraCandidate) -> AlgebraCandidate:
@@ -235,9 +256,8 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
 
     top = resolved.derived_top()
     # forced by the axioms: bot is absorbing for mult, hence x <= imp(bot, bot)
-    for x in range(cand.n):
-        if not cand.leq(x, top):
-            raise EquivalenceBroken(x, top, f"{x} is not below imp(bot, bot) = {top}")
+    for x in iter_bits(~cand.order.dn[top] & (1 << cand.n) - 1):
+        raise EquivalenceBroken(x, top, f"{x} is not below imp(bot, bot) = {top}")
     sealed = FiniteCLAlgebra(
         cand.name, cand.elements, cand.order, cand.mult_table,
         resolved.imp_table, cand.bot, cand.zero, cand.one, top, resolved.tables(),

@@ -2,8 +2,8 @@
 (an `assert` vanishes under `python -O`), the runtime needs nothing
 beyond the standard library, results are cached on the immutable
 values they belong to, never in a module-level cache, only the
-validator builds sealed algebras, every whole-table test outside the
-validator asks `lattice_with_imp` alone whether it can decide, no
+validator builds sealed algebras, no whole-table test outside the
+validator asks a part of `lattice_with_imp` on its own, no
 two modules declare a law under the same tag, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
 imports another's private names, and no line is longer than 100

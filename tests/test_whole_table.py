@@ -26,8 +26,10 @@ import clalg.core
 import clalg.ideals
 import clalg.identities
 import clalg.quotient
+import clalg.search
 import clalg.validator
-from clalg.core import AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice, OrderRelation
+from clalg.core import (TOTAL, AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice,
+                        OrderRelation)
 from clalg.ideals import (
     DISTRIBUTIVE_IDEAL,
     IDEAL,
@@ -37,6 +39,7 @@ from clalg.ideals import (
     IdealClassification,
     Subset,
     all_ideals,
+    certify_ideal,
     classify,
     is_affine,
     is_distributive_ideal,
@@ -47,9 +50,11 @@ from clalg.ideals import (
 from clalg.identities import IDENTITIES, check_identity, run_identity_suite
 from clalg.laws import Law, Verdict, associates, compose, distributes, first_violation
 from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
+from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
     INTEGRAL,
+    INVOLUTION,
     LATTICE,
     MONOID,
     RESIDUATION,
@@ -167,14 +172,17 @@ def _partitions(n, rng):
 def _contexts(cand, rng):
     """(entries, context) for each law with a whole-table test."""
     yield from ((entries, cand) for entries in (LATTICE, MONOID, INTEGRAL, DISTRIBUTIVE_LATTICE))
-    yield RESIDUATION, _imp_or_derive(cand)
-    yield RESIDUATION, _imp_or_derive(cand.with_imp(None))
+    yield TOTAL, cand.order
+    for resolved in (_imp_or_derive(cand), _imp_or_derive(cand.with_imp(None))):
+        yield from ((entries, resolved) for entries in (RESIDUATION, INVOLUTION))
     forced = _force_seal(cand)
     yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
     subsets = _zero_subsets(cand)
     for bits in rng.sample(subsets, min(6, len(subsets))):
         yield from ((entries, (cand, bits))
                     for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
+    yield IDEAL, (cand, rng.choice([bits for bits in range(1, 1 << cand.n)
+                                    if not bits >> cand.zero & 1]))
     for class_index in _partitions(cand.n, rng):
         bits = rng.choice(_zero_subsets(cand))
         yield CONGRUENCE + ORDER_CRITERION, _classes(cand, bits, class_index)
@@ -187,6 +195,14 @@ def _declared_laws():
             if isinstance(value, tuple) and value and all(isinstance(e, Law) for e in value):
                 yield value
     yield from (entries for _ctx, entries in clalg.identities.LAWS.values())
+
+
+def test_every_declared_entry_has_a_whole_table_test():
+    # an entry without one would scan every point on every passing check
+    entries = {entry for entries in (*_declared_laws(), clalg.search._ANTISYMMETRY)
+               for entry in entries}
+    assert len(entries) == 43
+    assert [entry for entry in entries if entry.holds is None] == []
 
 
 def _outcome(entry, ctx):
@@ -217,17 +233,7 @@ def test_law_holds_skips_the_scan_only_where_it_passes():
 
 def test_fast_domains_answer_as_the_plain_scan(census):
     rng = random.Random(12)
-    bases = [alg for n in (3, 4, 5) for alg in census[n]]
-    candidates = []
-    for alg in bases:
-        candidates.append(alg.as_candidate())
-        candidates += _mutants(alg, rng, count=3)
-        candidates += [replace(alg.as_candidate(), order=order) for order in _orders(alg.n)]
-    # the 3-element Lukasiewicz tables on 0 <= 1 <= 2 without 0 <= 2: mult
-    # and imp are monotone in each argument, yet P2_7 fails at (1, 2, 1, 2)
-    candidates.append(AlgebraCandidate(
-        "l3_intransitive", ("p0", "p1", "p2"), OrderRelation(3, (0b011, 0b110, 0b100)),
-        ((0, 0, 0), (0, 0, 1), (0, 1, 2)), ((2, 2, 2), (1, 2, 2), (0, 1, 2)), 0, 0, 2))
+    candidates = list(_plain_scan_candidates(census, rng))
     taken = Counter()
     for cand in candidates:
         for entries, ctx in _contexts(cand, rng):
@@ -242,7 +248,7 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     # both passed and fell through somewhere
     tests = {entry.holds for entries in _declared_laws() for entry in entries
              if entry.holds is not None}
-    assert {holds for holds, _passed in taken} == tests and len(tests) == 30
+    assert {holds for holds, _passed in taken} == tests and len(tests) == 43
     assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
 
@@ -260,8 +266,8 @@ def test_missing_meet_is_raised_at_the_scan_pair(census):
 
 # --- the fast path is taken -------------------------------------------------
 
-# (module, name) of every tuple of entries with a whole-table test, as
-# its callers read it
+# (module, name) of the tuples of entries the test below counts, as its
+# callers read it
 PATCHED = (
     (clalg.validator, "LATTICE"), (clalg.validator, "MONOID"),
     (clalg.validator, "RESIDUATION"), (clalg.validator, "INTEGRAL"),
@@ -323,23 +329,78 @@ def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, mon
     assert calls["RESIDUATION", "adjunction"] and calls["P2_7", None] and calls["P2_1", None]
 
 
-def _plain_scan_candidates(census):
-    """The candidates of `test_fast_domains_answer_as_the_plain_scan`:
-    census algebras of sizes 3..5, seeded mutants, fall-through orders
-    and the intransitive Lukasiewicz tables."""
-    rng = random.Random(12)
+def _count_passing_scans(monkeypatch, scans):
+    """Count the violation calls of every entry that finds no violation,
+    by (law, kind), in each first_violation call of the package: the
+    calls of any entry but the one whose witness the verdict carries."""
+    def counting(law, entries, ctx, detail=""):
+        calls, hits = Counter(), Counter()
+
+        def counted(entry):
+            def violation(c, *point):
+                extra = entry.violation(c, *point)
+                calls[entry] += 1
+                hits[entry] += extra is not None
+                return extra
+            return entry._replace(violation=violation)
+
+        verdict = first_violation(law, tuple(map(counted, entries)), ctx, detail)
+        scans.update({(law, entry.kind): count for entry, count in calls.items()
+                      if not hits[entry]})
+        return verdict
+
+    # every module that runs laws.first_violation
+    for module in (clalg.core, clalg.validator, clalg.identities, clalg.ideals, clalg.quotient,
+                   clalg.search):
+        monkeypatch.setattr(module, "first_violation", counting)
+
+
+def test_no_passing_check_scans_points(census_2_6, linear5, nonlinear6, monkeypatch):
+    scans = Counter()
+    _count_passing_scans(monkeypatch, scans)
+    for n in range(2, 7):
+        assert run_search(SearchConfig(size=n)).algebras
+    ideals = 0
+    # fresh copies (empty memos); the defective fixture forced into the
+    # sealed type, so its identities are scanned too
+    for alg in [replace(alg) for alg in census_2_6 + [linear5]] + [_force_seal(nonlinear6)]:
+        flags = validate(alg.as_candidate()).flags  # computed when read
+        assert (flags is None) == (alg.name == "nonlinear6")
+        run_identity_suite(alg)
+        for ideal in all_ideals(alg):
+            certify_ideal(alg, ideal.subset)
+            _raised(theorem_suite, alg, ideal)  # raises where no congruence is induced
+            ideals += 1
+    assert ideals == 318 + 3 + 4
+    assert not scans, scans
+    # the counting reaches the scans behind tests that cannot pass
+    monkeypatch.setattr(clalg.validator, "LATTICE",
+                        tuple(entry._replace(holds=lambda A: False) for entry in LATTICE))
+    assert validate(linear5.as_candidate()).lattice
+    assert scans.keys() == {("lattice", entry.kind) for entry in LATTICE}, scans
+
+
+def _plain_scan_candidates(census, rng):
+    """Census algebras of sizes 3..5, mutants drawn from `rng`,
+    fall-through orders and the Lukasiewicz tables on two defective
+    orders."""
     for alg in (alg for n in (3, 4, 5) for alg in census[n]):
         yield alg.as_candidate()
         yield from _mutants(alg, rng, count=3)
         yield from (replace(alg.as_candidate(), order=order) for order in _orders(alg.n))
-    yield AlgebraCandidate(
+    # the 3-element Lukasiewicz tables on 0 <= 1 <= 2 without 0 <= 2: mult
+    # and imp are monotone in each argument, yet P2_7 fails at (1, 2, 1, 2)
+    l3 = AlgebraCandidate(
         "l3_intransitive", ("p0", "p1", "p2"), OrderRelation(3, (0b011, 0b110, 0b100)),
         ((0, 0, 0), (0, 0, 1), (0, 1, 2)), ((2, 2, 2), (1, 2, 2), (0, 1, 2)), 0, 0, 2)
+    yield l3
+    # the same tables with p1 and p2 below each other: not antisymmetric
+    yield replace(l3, name="l3_preorder", order=OrderRelation(3, (0b111, 0b110, 0b110)))
 
 
 def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
     taken = Counter()
-    for cand in _plain_scan_candidates(census):
+    for cand in _plain_scan_candidates(census, random.Random(12)):
         for bits in _zero_subsets(cand):
             for entry in PRIME + DISTRIBUTIVE_IDEAL + IMPLICATIVE:
                 fast = _outcome(entry, (cand, bits))
