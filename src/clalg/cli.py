@@ -76,6 +76,7 @@ class _Run:
         }
         self.human: list[str] = []
         self.exit_code = 0
+        self.alg: AlgebraCandidate | None = None  # the parsed file argument
 
     def fail(self):
         self.exit_code = max(self.exit_code, 1)
@@ -133,9 +134,8 @@ def _ideal_subset(alg: AlgebraCandidate, names: str) -> Subset:
 
 
 def _cmd_validate(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
+    alg = run.alg
     report = validate(alg)
-    run.payload["algebra"] = alg.name
     entries = [run.verdict_entry(alg, v) for v in report.verdicts]
     run.payload["verdicts"] = entries
     run.payload["promoted"] = report.algebra is not None
@@ -154,8 +154,7 @@ def _cmd_validate(run: _Run) -> None:
 
 
 def _cmd_derive_imp(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     try:
         derived = derive_implication(alg.order, alg.mult_table)
     except NoResidual as exc:
@@ -195,8 +194,7 @@ def _cmd_derive_imp(run: _Run) -> None:
 
 
 def _cmd_identities(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     report = validate(alg)
     if report.algebra is None:
         entries = [run.verdict_entry(alg, v) for v in report.verdicts]
@@ -216,8 +214,7 @@ def _cmd_identities(run: _Run) -> None:
 
 
 def _cmd_ideals(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     if alg.imp_table is None:
         alg = alg.with_imp(derive_implication(alg.order, alg.mult_table))
     if run.args.generate is not None:
@@ -261,8 +258,7 @@ def _certified(run: _Run, alg: AlgebraCandidate, names: str):
 
 
 def _cmd_quotient(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     ideal = _certified(run, alg, run.args.ideal)
     if ideal is None:
         return
@@ -314,8 +310,7 @@ def _cmd_quotient(run: _Run) -> None:
 
 
 def _cmd_theorems(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     ideal = _certified(run, alg, run.args.ideal)
     if ideal is None:
         return
@@ -384,8 +379,7 @@ def _cmd_search(run: _Run) -> None:
 
 
 def _cmd_export_dot(run: _Run) -> None:
-    alg = _read_candidate(run.args.file)
-    run.payload["algebra"] = alg.name
+    alg = run.alg
     text = export_dot(alg)
     run.payload["dot"] = text
     if run.args.output:
@@ -418,9 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="algebra file (.cla)")
+    def common(p):
+        p.add_argument("file", help="algebra file (.cla)")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
         p.add_argument("--replay", action="store_true",
                        help="re-check every printed witness against the tables")
@@ -471,6 +464,9 @@ def run_command(argv: list[str]) -> int:
     run = _Run(args, list(argv))
     t0 = time.perf_counter()
     try:
+        if "file" in args:
+            run.alg = _read_candidate(args.file)
+            run.payload["algebra"] = run.alg.name
         _HANDLERS[args.cmd](run)
     except (ParseError, _Usage, EmptySubset) as exc:
         print(f"error: {exc}", file=sys.stderr)

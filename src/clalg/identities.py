@@ -190,8 +190,8 @@ def _law(pred, holds) -> Law:
     def violation(A, *point):
         return None if pred(A, *point) else ()
 
-    return Law(None, cube(Law(None, None, violation).arity), violation,
-               holds=lambda A: A.lattice_with_imp and holds(A))
+    law = Law(None, None, violation, lambda A: A.lattice_with_imp and holds(A))
+    return law._replace(domain=cube(law.arity))
 
 
 # law -> (context from the algebra, ideal bits and class index; entries)

@@ -10,27 +10,28 @@ re-evaluate the same violation function at the same point.  `Verdict`,
 like the package's other result records, is a NamedTuple: a frozen
 dataclass is generated afresh at every import, at several times the cost.
 
-Every entry the package declares carries an exact test on the whole
-structure (`Law.holds`), so a check scans an entry's points only behind
-a failing test, for the witness.  The test returns True only where no
-point of the domain violates, on any context, sealed algebra or not,
-and False wherever it cannot decide.  The validator's tests decide the
-structures they check (a reflexive, antisymmetric or transitive order,
-every meet and join, an implication table), and those of a total order
-and of an ideal's zero and down-closure read only the order's masks;
-every other test first asks `AlgebraCandidate.lattice_with_imp` (a
-preorder with every meet and join, and an implication table) and
-returns False where it fails.  When the test passes the scan skips the
-entry; otherwise it scans all its points in order.  So a scan that
-runs finds the same first witness, or raises the same exception at the
-same point, as a scan without the test.  That asks exactness in one
-direction only: a test too strict merely runs a scan that passes.  The
-tests of the ideal laws (prime, distributive, implicative and the
-plus/join closure) are exact both ways where `lattice_with_imp` holds,
-and no scan of them raises there; `ideals.classify` (so
-`quotient.theorem_suite`, which reads its flags) and `ideals.all_ideals`
-rely on that, reading the test alone as the law's truth and scanning
-only where `lattice_with_imp` fails.
+Every entry carries an exact test on the whole structure (`Law.holds`,
+a required field), and `first_violation` skips the entry exactly when
+it is True, so a check scans an entry's points only behind a failing
+test, for the witness.  The test returns True only where no point of
+the domain violates, on any context, sealed algebra or not, and False
+wherever it cannot decide.  The validator's tests decide the structures
+they check (a reflexive, antisymmetric or transitive order, every meet
+and join, an implication table), and those of a total order and of an
+ideal's zero and down-closure read only the order's masks; every other
+test first asks `AlgebraCandidate.lattice_with_imp` (a preorder with
+every meet and join, and an implication table) and returns False where
+it fails.  When the test passes the scan skips the entry; otherwise it
+scans all its points in order.  So a scan that runs finds the same
+first witness, or raises the same exception at the same point, as the
+plain scan (a test always False).  That asks exactness in one direction
+only: a test too strict merely runs a scan that passes.  The tests of
+the ideal laws (prime, distributive, implicative and the plus/join
+closure) are exact both ways where `lattice_with_imp` holds, and no
+scan of them raises there; `ideals.classify` (so
+`quotient.theorem_suite`, which reads its flags) and
+`ideals.all_ideals` rely on that, reading the test alone as the law's
+truth and scanning only where `lattice_with_imp` fails.
 
 The cubic whole-table tests run on byte strings, one plane (y, z) per
 x: the equations (`associates`, `distributes`), P2_5's comparison and
@@ -74,18 +75,18 @@ class Verdict(NamedTuple):
 class Law(NamedTuple):
     """One witness kind of a law: where to look and what fails there.
 
-    `kind` is None for witnesses without a tag.  `detail` is the
-    verdict's detail on a violation, or a function of (context, *point)
-    computing it.  `holds`, where not None, is the entry's exact
-    whole-table test: True only where no point of `domain` violates, so
-    the scan skips the entry (module docstring).
+    `kind` is None for witnesses without a tag.  `holds` is the entry's
+    exact whole-table test: True only where no point of `domain`
+    violates, and then the scan skips the entry (module docstring).
+    `detail` is the verdict's detail on a violation, or a function of
+    (context, *point) computing it.
     """
 
     kind: str | None
     domain: Callable[[object], Iterable[tuple]]
     violation: Callable[..., tuple | None]
+    holds: Callable[[object], bool]
     detail: str | Callable[..., str] = ""
-    holds: Callable[[object], bool] | None = None
 
     @property
     def arity(self) -> int:
@@ -99,7 +100,7 @@ def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Ver
     """Scan `laws` in order over `ctx`; the verdict carries the first
     violation's witness, or passes with `detail`."""
     for entry in laws:
-        if entry.holds is not None and entry.holds(ctx):
+        if entry.holds(ctx):
             continue
         violation = entry.violation
         for point in entry.domain(ctx):

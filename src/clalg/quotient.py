@@ -389,7 +389,7 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
         lambda q: None if q.top == q.one else (q.top, q.one),
     )
 
-    if ideal.bits != alg.order.dn[alg.zero]:
+    if not flags.is_zero_downset:
         claims.append(ClaimResult("zero_downset_singleton_classes", "vacuous"))
     else:
         fat = next((c for c in cong.classes if len(c) > 1), None)

@@ -207,8 +207,8 @@ def _no_residual(A, x, y):
 # _imp_or_derive: no_residual is scanned only where no table exists
 RESIDUATION = (
     Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
-        "no implication table can satisfy residuation", holds=lambda A: A.has_imp),
-    Law("adjunction", cube(3), _nonadjoint, _adjunction_detail, holds=_adjoint),
+        lambda A: A.has_imp, "no implication table can satisfy residuation"),
+    Law("adjunction", cube(3), _nonadjoint, _adjoint, _adjunction_detail),
 )
 
 INVOLUTION = (

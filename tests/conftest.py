@@ -1,9 +1,22 @@
+from collections import Counter
+
 import pytest
 
+import clalg.core
+import clalg.ideals
+import clalg.identities
+import clalg.quotient
+import clalg.search
+import clalg.validator
 from clalg.core import AlgebraCandidate, OrderRelation
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA, linear_candidate, nonlinear_candidate
+from clalg.laws import first_violation
 from clalg.search import SearchConfig, run_search
 from clalg.validator import seal
+
+# every package module that runs laws.first_violation
+SCANNING = (clalg.core, clalg.validator, clalg.identities, clalg.ideals, clalg.quotient,
+            clalg.search)
 
 
 @pytest.fixture
@@ -53,3 +66,37 @@ def census_2_6(census):
     """The 133 CL-algebras of sizes 2..6, smallest first."""
     algebras = [alg for n in sorted(census) for alg in census[n]]
     return algebras + list(run_search(SearchConfig(size=6)).algebras)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """A Counter of the package's first_violation calls, through every
+    module of SCANNING: per call, (law,) once; per entry scanned,
+    (law, kind, found) by its number of violation calls, where `found`
+    says whether the entry found its violation.  A scan that raises
+    counts its call only."""
+    counts = Counter()
+
+    def counting(law, entries, ctx, detail=""):
+        counts[law,] += 1
+        entries = tuple(entries)
+        calls, found = [0] * len(entries), [False] * len(entries)
+
+        def counted(index, entry):
+            def violation(c, *point):
+                extra = entry.violation(c, *point)
+                calls[index] += 1
+                found[index] = extra is not None
+                return extra
+            return entry._replace(violation=violation)
+
+        verdict = first_violation(law, tuple(counted(*item) for item in enumerate(entries)),
+                                  ctx, detail)
+        for entry, number, hit in zip(entries, calls, found):
+            if number:
+                counts[law, entry.kind, hit] += number
+        return verdict
+
+    for module in SCANNING:
+        monkeypatch.setattr(module, "first_violation", counting)
+    return counts

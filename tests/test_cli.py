@@ -145,6 +145,21 @@ def test_theorems_command(capsys, ex1_path, ex2_path):
     assert "quotient valid: False" in out
 
 
+def test_violated_zero_downset_claim_is_printed(capsys, tmp_path):
+    chain = run_search(SearchConfig(size=3)).algebras[0]
+    assert chain.name == "cl3_l0_0"
+    path = tmp_path / "zero_at_top.cla"
+    path.write_text(serialize_algebra(chain).replace("zero: e0", "zero: e2"), encoding="utf-8")
+    witness = ["class", "{e0,e1,e2}"]
+    code, out, _ = run(capsys, "theorems", str(path), "--ideal", "e0,e1,e2")
+    assert code == 1
+    assert f"claim zero_downset_singleton_classes: violated  witness={witness}" in out
+    code, out, _ = run(capsys, "theorems", str(path), "--ideal", "e0,e1,e2", "--json")
+    claims = json.loads(out)["theorems"]["claims"]
+    assert code == 1 and claims[-1] == {"claim": "zero_downset_singleton_classes",
+                                        "status": "violated", "witness": witness}
+
+
 def test_search_command(capsys):
     code, out, _ = run(capsys, "search", "--size", "3")
     assert code == 0

@@ -8,6 +8,7 @@ from test_whole_table import _orders
 from clalg.core import (
     MAX_UNIVERSE,
     AlgebraCandidate,
+    FiniteCLAlgebra,
     ImplicationAbsent,
     NoResidual,
     NotALattice,
@@ -169,6 +170,39 @@ def test_duplicate_names_rejected():
             name="dup", elements=("x", "x"), order=order,
             mult_table=((0, 0), (0, 1)), imp_table=None, bot=0, zero=0, one=1,
         )
+
+
+_CHAIN2 = dict(name="c2", elements=("x", "y"), order=OrderRelation.from_covers(2, [(0, 1)]),
+               mult_table=((0, 0), (0, 1)), imp_table=((1, 1), (0, 1)), bot=0, zero=0, one=1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(mult_table=((0, 0),)), "mult table must have 2 rows"),
+    (dict(mult_table=((0, 0), (0,))), "mult table rows must have 2 entries"),
+    (dict(imp_table=((1, 1), (0, 2))), "imp table entry 2 out of range"),
+    (dict(elements=(), order=OrderRelation(0, ()), mult_table=(), imp_table=None),
+     "universe must be non-empty"),
+    (dict(elements=("x", "y z")), "bad element name 'y z'"),
+    (dict(elements=("", "y")), "bad element name ''"),
+    (dict(order=OrderRelation.from_covers(3, [(0, 1)])), "order size does not match universe"),
+    (dict(zero=2), "zero index 2 out of range"),
+    (dict(bot=-1), "bot index -1 out of range"),
+])
+def test_malformed_candidate_is_rejected(fields, message):
+    with pytest.raises(ValueError) as exc:
+        AlgebraCandidate(**{**_CHAIN2, **fields})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(imp_table=None), "a sealed algebra requires an implication table"),
+    (dict(top=2), "top index out of range"),
+])
+def test_malformed_sealed_algebra_is_rejected(fields, message):
+    assert FiniteCLAlgebra(**_CHAIN2, top=1).top == 1
+    with pytest.raises(ValueError) as exc:
+        FiniteCLAlgebra(**{**_CHAIN2, "top": 1, **fields})
+    assert str(exc.value) == message
 
 
 @given(st.integers(2, 6).flatmap(

@@ -73,6 +73,25 @@ def test_parse_errors():
     _expect_error(LINEAR_CLA.replace("mult:", "mul:"), "mult: required")
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("algebra linear5", "algebra linear 5", 1,
+     "algebra name must be a single [A-Za-z0-9_]+ token"),
+    ("elements: bot 0 1 a top", "elements:", 2, "at least one element required"),
+    ("elements: bot 0 1 a top", "elements: " + " ".join(f"e{i}" for i in range(65)), 2,
+     "universe exceeds 64 elements"),
+    ("zero: 0", "zero: 0 1", 4, "zero: takes exactly one element name"),
+    ("one: 1", "one: zz", 5, "unknown element 'zz'"),
+    ("mult:", "mult: bot", 10, "mult: header takes no entries"),
+    ("imp:\ntop top top top top\nbot 1 1 1 top\nbot 0 1 a top\nbot a 1 1 top\n"
+     "bot bot bot bot top\nend\n", "imp:\ntop top top top top\n", 17, "imp: row 2 missing"),
+])
+def test_parse_error_names_line_and_fault(old, new, line, message):
+    assert old in LINEAR_CLA
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(LINEAR_CLA.replace(old, new))
+    assert (exc.value.line, exc.value.message) == (line, message)
+
+
 def test_error_line_numbers_point_at_the_offender():
     bad = LINEAR_CLA.replace("imp:\ntop top top top top",
                              "imp:\ntop top top top zz")

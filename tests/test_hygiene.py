@@ -6,8 +6,9 @@ validator builds sealed algebras, no whole-table test outside the
 validator asks a part of `lattice_with_imp` on its own, no
 two modules declare a law under the same tag, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
-imports another's private names, and no line is longer than 100
-characters."""
+imports another's private names, no line is longer than 100
+characters, and the `scans` fixture counts the scans of every module
+that runs laws."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+from conftest import SCANNING
 
 import clalg
 from clalg import identities, ideals, quotient, replay, validator
@@ -118,6 +120,14 @@ def test_sealed_algebras_are_built_only_by_the_validator():
     builders = {path.name for path in MODULES
                 if _calls_named(ast.parse(path.read_text(encoding="utf-8")), "FiniteCLAlgebra")}
     assert builders == {"validator.py"}
+
+
+def test_the_scan_counter_wraps_every_module_that_scans():
+    # a module running laws outside the counter would slip past the tests
+    # that pin which checks scan nothing
+    scanning = {path.stem for path in MODULES
+                if _calls_named(ast.parse(path.read_text(encoding="utf-8")), "first_violation")}
+    assert scanning == {module.__name__.rpartition(".")[2] for module in SCANNING}
 
 
 # what `AlgebraCandidate.lattice_with_imp` decides once per algebra

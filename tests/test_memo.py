@@ -52,17 +52,7 @@ def test_warm_algebra_answers_as_a_fresh_copy(census_2_6):
     assert len(census_2_6) == 133 and pairs == 318
 
 
-def _count_scans(monkeypatch, scans, module):
-    """Count `module`'s first_violation scans by law name."""
-    scan = module.first_violation
-    monkeypatch.setattr(module, "first_violation",
-                        lambda law, *args: scans.update([law]) or scan(law, *args))
-
-
-def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
-    scans = Counter()
-    _count_scans(monkeypatch, scans, clalg.quotient)
-    _count_scans(monkeypatch, scans, clalg.ideals)
+def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch, scans):
     validate = clalg.quotient.validate
     monkeypatch.setattr(clalg.quotient, "validate",
                         lambda cand: scans.update(["validate"]) or validate(cand))
@@ -79,18 +69,16 @@ def test_each_fact_is_computed_once_per_ideal(census_2_6, monkeypatch):
             theorem_suite(alg, ideal)
             pairs += 1
             zero_downsets += ideal.bits == alg.order.dn[alg.zero]
-    assert scans["congruence"] == pairs, scans
+    assert scans["congruence",] == pairs, scans
     # the zero-downset quotient of a sealed algebra is that algebra
     # renamed, not validated again
     assert (pairs, zero_downsets) == (318, 133)
     assert scans["validate"] == pairs - zero_downsets, scans
 
 
-def test_failed_quotient_is_raised_afresh(nonlinear6, monkeypatch):
+def test_failed_quotient_is_raised_afresh(nonlinear6, scans):
     # the zero-downset quotient of the defective fixture fails its order
     # cross-check; every call must run that check again
-    scans = Counter()
-    _count_scans(monkeypatch, scans, clalg.quotient)
     ideal = zero_downset(nonlinear6)
     first = theorem_suite(nonlinear6, ideal)
     second = theorem_suite(nonlinear6, ideal)
@@ -101,7 +89,7 @@ def test_failed_quotient_is_raised_afresh(nonlinear6, monkeypatch):
         with pytest.raises(QuotientInvalid) as exc:
             build_quotient(nonlinear6, ideal)
         assert exc.value.witness == ("order_criterion", 2, 4, True, False)
-    assert scans["congruence"] == 1 and scans["order_criterion"] == 4
+    assert scans["congruence",] == 1 and scans["order_criterion",] == 4
 
 
 def test_threads_sharing_an_algebra_agree(census):

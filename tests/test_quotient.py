@@ -184,6 +184,16 @@ def test_theorem_suite_surfaces_invalid_quotient(nonlinear6):
     assert statuses["prime_ideal_linear_quotient"] == "vacuous"
 
 
+def test_zero_downset_claim_is_violated_by_a_fat_class(census):
+    # the 3-element chain with zero moved to its top: the zero-downset is
+    # the universe, whose one congruence class holds every element
+    cand = replace(census[3][0].as_candidate(), zero=2)
+    report = theorem_suite(cand, certify_ideal(cand, Subset.universe(3)))
+    claim = {c.claim: c for c in report.claims}["zero_downset_singleton_classes"]
+    assert (claim.status, claim.witness) == ("violated", ("class", 0b111))
+    assert not report.ok
+
+
 def test_theorem_suite_across_census(census):
     for algs in census.values():
         for alg in algs:

@@ -188,7 +188,7 @@ def test_fusion_tables_equal_oracle(n):
                 continue
             tables = oracle_fusion_tables(lat.up, one)
             for sigma in _involutions(lat):
-                assert _fusion_tables(lat, one, sigma) == [
+                assert _fusion_tables(lat, one, sigma, Counter()) == [
                     t for t in tables if _rotation_law_holds(lat.up, t, sigma)], (lat.up, one, sigma)
 
 
@@ -290,23 +290,10 @@ def test_max_results_caps_list():
         SearchConfig(size=4, max_results=-1)
 
 
-def test_max_results_seals_only_what_it_returns(monkeypatch):
-    calls = []
-
-    def counting_seal(cand):
-        calls.append(cand.name)
-        return seal(cand)
-
-    monkeypatch.setattr("clalg.search.seal", counting_seal)
-    result = run_search(SearchConfig(size=5, max_results=1))
-    assert [a.name for a in result.algebras] == calls == ["cl5_l0_0"]
-    assert result.total == 21
-
-
 @pytest.mark.parametrize("max_results", [None, 0, 1])
 def test_one_full_validation_per_key(monkeypatch, max_results):
-    # seal reaches validate through the validator module, the keys
-    # beyond max_results through the search module
+    # every key is sealed, and seal reaches validate through the
+    # validator module
     calls = []
 
     def counting_validate(cand):
@@ -314,9 +301,10 @@ def test_one_full_validation_per_key(monkeypatch, max_results):
         return validate(cand)
 
     monkeypatch.setattr("clalg.validator.validate", counting_validate)
-    monkeypatch.setattr("clalg.search.validate", counting_validate)
     result = run_search(SearchConfig(size=5, max_results=max_results))
     assert result.total == 21
+    if max_results == 1:
+        assert [a.name for a in result.algebras] == ["cl5_l0_0"]
     assert sorted(calls) == sorted(f"cl5_l{row.lattice_index}_{k}"
                                    for row in result.rows for k in range(row.count))
 
@@ -400,6 +388,13 @@ def test_order_that_is_not_antisymmetric_is_rejected(up):
     order = OrderRelation(len(up), up)
     with pytest.raises(ValueError, match="antisymmetric"):
         run_search(SearchConfig(size=order.n, lattice=order))
+
+
+def test_fixed_lattice_without_a_least_element_is_rejected():
+    # a two-element antichain: antisymmetric, with no least element
+    with pytest.raises(ValueError) as exc:
+        run_search(SearchConfig(size=2, lattice=OrderRelation(2, (0b01, 0b10))))
+    assert str(exc.value) == "order has no least element"
 
 
 def test_rejected_completion_is_loud(monkeypatch):

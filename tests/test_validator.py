@@ -8,6 +8,7 @@ from oracles import oracle_validate
 
 from clalg.core import AlgebraCandidate, FiniteCLAlgebra, OrderRelation
 from clalg.fixtures import linear_candidate, nonlinear_candidate
+from clalg.laws import Verdict
 from clalg.validator import (
     EquivalenceBroken,
     NotACLAlgebra,
@@ -224,3 +225,13 @@ def test_no_residual_witness_replays():
     )
     report = validate(cand)
     assert confirm_witness(cand, report.residuation)
+
+
+def test_replay_refuses_a_witness_no_law_declares(nonlinear6):
+    # an unknown law, and a kind no entry of a known law carries
+    from clalg.replay import confirm_witness
+
+    report = validate(nonlinear6)
+    assert not report.residuation and confirm_witness(nonlinear6, report.residuation)
+    for law, witness in (("no_such_law", ("adjunction", 0, 0, 0)), ("lattice", ("no_kind", 0))):
+        assert confirm_witness(nonlinear6, Verdict(law, False, witness)) is False

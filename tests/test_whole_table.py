@@ -1,9 +1,10 @@
-"""The whole-table tests that let a law skip its point scan (laws.Law.holds)
-change no result: every verdict and witness matches an independent
-oracle, the fast domain answers exactly as the plain one (the same
-exception at the same pair where the order is no lattice or not
-transitive), and on census algebras no scan runs behind a passing
-verdict, the cubic ones included."""
+"""The whole-table tests that let a law skip its point scan (laws.Law.holds,
+required of every entry) change no result: every verdict and witness
+matches an independent oracle, each entry answers exactly as its plain
+scan, `_plain` (the same exception at the same pair where the order is
+no lattice or not transitive), and, counted by the `scans` fixture, no
+passing check scans a point on census algebras, the cubic ones
+included."""
 
 import random
 from collections import Counter
@@ -20,13 +21,11 @@ from oracles import (
     oracle_prime,
 )
 from test_identities import _force_seal
-from test_memo import _count_scans
 
 import clalg.core
 import clalg.ideals
 import clalg.identities
 import clalg.quotient
-import clalg.search
 import clalg.validator
 from clalg.core import (TOTAL, AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice,
                         OrderRelation)
@@ -59,8 +58,6 @@ from clalg.validator import (
     MONOID,
     RESIDUATION,
     _imp_or_derive,
-    is_distributive_lattice,
-    is_residuated_lattice,
     validate,
 )
 
@@ -177,8 +174,7 @@ def _contexts(cand, rng):
         yield from ((entries, resolved) for entries in (RESIDUATION, INVOLUTION))
     forced = _force_seal(cand)
     yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
-    subsets = _zero_subsets(cand)
-    for bits in rng.sample(subsets, min(6, len(subsets))):
+    for bits in _zero_subsets(cand):
         yield from ((entries, (cand, bits))
                     for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
     yield IDEAL, (cand, rng.choice([bits for bits in range(1, 1 << cand.n)
@@ -197,12 +193,9 @@ def _declared_laws():
     yield from (entries for _ctx, entries in clalg.identities.LAWS.values())
 
 
-def test_every_declared_entry_has_a_whole_table_test():
-    # an entry without one would scan every point on every passing check
-    entries = {entry for entries in (*_declared_laws(), clalg.search._ANTISYMMETRY)
-               for entry in entries}
-    assert len(entries) == 43
-    assert [entry for entry in entries if entry.holds is None] == []
+def _plain(entry):
+    """`entry` with a test that never passes: its plain scan."""
+    return entry._replace(holds=lambda ctx: False)
 
 
 def _outcome(entry, ctx):
@@ -218,17 +211,18 @@ def _unscannable(ctx):
 
 
 def test_law_holds_skips_the_scan_only_where_it_passes():
-    entry = Law("entry", _unscannable, lambda ctx, x: None)
-    skipped = entry._replace(holds=lambda ctx: True)
-    assert first_violation("law", (skipped,), 5) == Verdict("law", True)
-    for holds in (None, lambda ctx: False):
-        with pytest.raises(AssertionError, match="the domain was scanned"):
-            first_violation("law", (entry._replace(holds=holds),), 5)
-    # behind a failing test the verdict is the plain scan's, witness included
-    odd = Law("odd", lambda n: ((x,) for x in range(n)), lambda n, x: () if x % 2 else None)
+    with pytest.raises(TypeError, match="holds"):  # every entry carries its test
+        Law("entry", _unscannable, lambda ctx, x: None)
+    entry = Law("entry", _unscannable, lambda ctx, x: None, lambda ctx: True)
+    assert first_violation("law", (entry,), 5) == Verdict("law", True)
+    with pytest.raises(AssertionError, match="the domain was scanned"):
+        first_violation("law", (_plain(entry),), 5)
+    # behind a failing test the verdict is the scan's, witness included
+    odd = Law("odd", lambda n: ((x,) for x in range(n)), lambda n, x: () if x % 2 else None,
+              lambda n: n < 2)
     for n, plain in ((5, Verdict("law", False, ("odd", 1))), (1, Verdict("law", True))):
-        assert first_violation("law", (odd,), n) == plain
-        assert first_violation("law", (odd._replace(holds=lambda ctx: False),), n) == plain
+        assert first_violation("law", (odd,), n) == first_violation("law", (_plain(odd),), n)
+        assert first_violation("law", (_plain(odd),), n) == plain
 
 
 def test_fast_domains_answer_as_the_plain_scan(census):
@@ -238,16 +232,13 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     for cand in candidates:
         for entries, ctx in _contexts(cand, rng):
             for entry in entries:
-                if entry.holds is None:
-                    continue
                 fast = _outcome(entry, ctx)
-                assert fast == _outcome(entry._replace(holds=None), ctx), (
-                    cand.name, entry.kind, cand.order.up, cand.mult_table)
+                assert fast == _outcome(_plain(entry), ctx), (
+                    cand.name, entry.kind, cand.order.up, cand.mult_table, cand.imp_table)
                 taken[entry.holds, entry.holds(ctx)] += 1
     # every whole-table test the package declares is compared, and each
     # both passed and fell through somewhere
-    tests = {entry.holds for entries in _declared_laws() for entry in entries
-             if entry.holds is not None}
+    tests = {entry.holds for entries in _declared_laws() for entry in entries}
     assert {holds for holds, _passed in taken} == tests and len(tests) == 43
     assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
@@ -259,125 +250,47 @@ def test_missing_meet_is_raised_at_the_scan_pair(census):
     cand = replace(alg.as_candidate(), order=OrderRelation.from_covers(4, [(0, 1), (0, 2), (0, 3)]))
     for entries, ctx in ((DISTRIBUTIVE_LATTICE, cand),
                          (DISTRIBUTIVE_IDEAL, (cand, 1 << cand.zero))):
-        plain = _outcome(entries[0]._replace(holds=None), ctx)
+        plain = _outcome(_plain(entries[0]), ctx)
         assert plain[0].__name__ == "NotALattice"
         assert _outcome(entries[0], ctx) == plain
 
 
 # --- the fast path is taken -------------------------------------------------
 
-# (module, name) of the tuples of entries the test below counts, as its
-# callers read it
-PATCHED = (
-    (clalg.validator, "LATTICE"), (clalg.validator, "MONOID"),
-    (clalg.validator, "RESIDUATION"), (clalg.validator, "INTEGRAL"),
-    (clalg.validator, "DISTRIBUTIVE_LATTICE"), (clalg.quotient, "DISTRIBUTIVE_LATTICE"),
-    (clalg.ideals, "PRIME"), (clalg.ideals, "DISTRIBUTIVE_IDEAL"), (clalg.ideals, "IMPLICATIVE"),
-    (clalg.quotient, "CONGRUENCE"), (clalg.quotient, "ORDER_CRITERION"),
-)
+def _passing(scans):
+    """The entries `scans` counted that found no violation."""
+    return {key: count for key, count in scans.items() if len(key) == 3 and not key[2]}
 
 
-def _count_violations(monkeypatch, calls):
-    """Count the violation calls of every entry with a whole-table test,
-    by (name, kind)."""
-    def counted(entry, name):
-        if entry.holds is None:
-            return entry
-
-        def violation(ctx, *point):
-            calls[name, entry.kind] += 1
-            return entry.violation(ctx, *point)
-        return entry._replace(violation=violation)
-
-    for module, name in PATCHED:
-        monkeypatch.setattr(module, name, tuple(counted(e, name) for e in getattr(module, name)))
-    for tag, (ctx, entries) in list(clalg.identities.LAWS.items()):
-        monkeypatch.setitem(clalg.identities.LAWS, tag,
-                            (ctx, tuple(counted(e, tag) for e in entries)))
-
-
-def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, monkeypatch):
-    calls = Counter()
-    _count_violations(monkeypatch, calls)
-    algebras = [replace(alg) for n in sorted(census) for alg in census[n]]  # empty memos
-    ideals = 0
-    checks = (is_prime, is_distributive_ideal,
-              lambda alg, ideal: is_implicative(alg, ideal.subset))
-    for alg in algebras:
-        # validate and the identity suite, cubic scans included
-        assert validate(alg.as_candidate()).algebra == alg
-        assert all(run_identity_suite(alg).values())
-        assert not calls, (alg.name, calls)
-        for flag in (is_residuated_lattice, is_distributive_lattice):
-            holds = flag(alg)
-            assert bool(calls) != holds, (alg.name, flag.__name__, calls)
-            calls.clear()
-        for ideal in all_ideals(alg):
-            for check in checks:
-                verdict = check(alg, ideal)
-                assert bool(calls) != verdict.ok, (alg.name, ideal.bits, verdict, calls)
-                calls.clear()
-            # the congruence certificate, the order criterion, the
-            # quotient's validation and the distributive-quotient claim
-            assert theorem_suite(alg, ideal).ok
-            assert not calls, (alg.name, ideal.bits, calls)
-            ideals += 1
-    assert (len(algebras), ideals) == (33, 75)
-    # the counting reaches the scans: a defective table set runs them
-    validate(nonlinear6)
-    run_identity_suite(_force_seal(nonlinear6))
-    assert calls["RESIDUATION", "adjunction"] and calls["P2_7", None] and calls["P2_1", None]
-
-
-def _count_passing_scans(monkeypatch, scans):
-    """Count the violation calls of every entry that finds no violation,
-    by (law, kind), in each first_violation call of the package: the
-    calls of any entry but the one whose witness the verdict carries."""
-    def counting(law, entries, ctx, detail=""):
-        calls, hits = Counter(), Counter()
-
-        def counted(entry):
-            def violation(c, *point):
-                extra = entry.violation(c, *point)
-                calls[entry] += 1
-                hits[entry] += extra is not None
-                return extra
-            return entry._replace(violation=violation)
-
-        verdict = first_violation(law, tuple(map(counted, entries)), ctx, detail)
-        scans.update({(law, entry.kind): count for entry, count in calls.items()
-                      if not hits[entry]})
-        return verdict
-
-    # every module that runs laws.first_violation
-    for module in (clalg.core, clalg.validator, clalg.identities, clalg.ideals, clalg.quotient,
-                   clalg.search):
-        monkeypatch.setattr(module, "first_violation", counting)
-
-
-def test_no_passing_check_scans_points(census_2_6, linear5, nonlinear6, monkeypatch):
-    scans = Counter()
-    _count_passing_scans(monkeypatch, scans)
+def test_no_passing_check_scans_points(census_2_6, linear5, nonlinear6, monkeypatch, scans):
     for n in range(2, 7):
         assert run_search(SearchConfig(size=n)).algebras
     ideals = 0
     # fresh copies (empty memos); the defective fixture forced into the
     # sealed type, so its identities are scanned too
     for alg in [replace(alg) for alg in census_2_6 + [linear5]] + [_force_seal(nonlinear6)]:
-        flags = validate(alg.as_candidate()).flags  # computed when read
-        assert (flags is None) == (alg.name == "nonlinear6")
-        run_identity_suite(alg)
+        sealed = alg.name != "nonlinear6"
+        report = validate(alg.as_candidate())
+        assert (report.algebra == alg) is sealed and (report.flags is None) is not sealed
+        assert all(run_identity_suite(alg).values()) is sealed
         for ideal in all_ideals(alg):
             certify_ideal(alg, ideal.subset)
-            _raised(theorem_suite, alg, ideal)  # raises where no congruence is induced
+            is_prime(alg, ideal)
+            is_distributive_ideal(alg, ideal)
+            is_implicative(alg, ideal.subset)
+            # raises where no congruence is induced
+            outcome = _raised(theorem_suite, alg, ideal)
+            assert not sealed or outcome.ok, (alg.name, ideal.bits, outcome)
             ideals += 1
     assert ideals == 318 + 3 + 4
-    assert not scans, scans
-    # the counting reaches the scans behind tests that cannot pass
-    monkeypatch.setattr(clalg.validator, "LATTICE",
-                        tuple(entry._replace(holds=lambda A: False) for entry in LATTICE))
+    assert not _passing(scans), _passing(scans)
+    # the counting reaches the scans: the defective fixture runs them ...
+    assert {("residuation", "adjunction", True), ("P2_7", None, True),
+            ("P2_1", None, True)} <= scans.keys(), scans
+    # ... and so do tests that cannot pass
+    monkeypatch.setattr(clalg.validator, "LATTICE", tuple(map(_plain, LATTICE)))
     assert validate(linear5.as_candidate()).lattice
-    assert scans.keys() == {("lattice", entry.kind) for entry in LATTICE}, scans
+    assert _passing(scans).keys() == {("lattice", entry.kind, False) for entry in LATTICE}
 
 
 def _plain_scan_candidates(census, rng):
@@ -398,18 +311,6 @@ def _plain_scan_candidates(census, rng):
     yield replace(l3, name="l3_preorder", order=OrderRelation(3, (0b111, 0b110, 0b110)))
 
 
-def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
-    taken = Counter()
-    for cand in _plain_scan_candidates(census, random.Random(12)):
-        for bits in _zero_subsets(cand):
-            for entry in PRIME + DISTRIBUTIVE_IDEAL + IMPLICATIVE:
-                fast = _outcome(entry, (cand, bits))
-                assert fast == _outcome(entry._replace(holds=None), (cand, bits)), (
-                    cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
-                taken[entry.holds, entry.holds((cand, bits))] += 1
-    assert len(taken) == 6, taken  # each test both passed and fell through
-
-
 # the whole-table tests whose answer `classify` and `all_ideals` read
 # directly, without a scan behind a failing one (ideals._passes)
 READ_DIRECTLY = (PRIME[0], DISTRIBUTIVE_IDEAL[0], IMPLICATIVE[0], clalg.ideals._CLOSED)
@@ -426,8 +327,7 @@ def test_tests_read_directly_are_exact_both_ways(census_2_6):
         for bits in _zero_subsets(cand):
             for entry in READ_DIRECTLY:
                 holds = entry.holds((cand, bits))
-                scan = entry._replace(holds=None)
-                assert holds is first_violation("law", (scan,), (cand, bits)).ok, (
+                assert holds is first_violation("law", (_plain(entry),), (cand, bits)).ok, (
                     cand.name, bits, cand.mult_table, cand.imp_table, cand.zero, entry.kind)
                 answers[entry.holds, holds] += 1
     assert len(answers) == 2 * len(READ_DIRECTLY), answers
@@ -444,7 +344,7 @@ def _classify_by_scans(alg, ideal):
 def _ideals_by_scans(alg):
     """The zero-containing down-sets that pass the closure scan, scanned
     in the order `all_ideals` takes them."""
-    closed = (clalg.ideals._CLOSED._replace(holds=None),)
+    closed = (_plain(clalg.ideals._CLOSED),)
     found = [bits for bits in clalg.ideals._down_sets(alg)
              if bits >> alg.zero & 1 and first_violation("ideal", closed, (alg, bits))]
     return [Ideal(Subset(alg.n, bits)) for bits in sorted(found)]
@@ -474,10 +374,7 @@ def test_flags_and_ideals_raise_as_the_scans_where_tests_cannot_decide(census):
     assert raised[ImplicationAbsent] and raised[NotALattice] and raised[None], raised
 
 
-def test_flags_and_ideals_run_no_ideal_scan_on_census_algebras(census_2_6, monkeypatch):
-    scans = Counter()
-    _count_scans(monkeypatch, scans, clalg.quotient)
-    _count_scans(monkeypatch, scans, clalg.ideals)
+def test_flags_and_ideals_run_no_ideal_scan_on_census_algebras(census_2_6, scans):
     ideals = 0
     for alg in map(replace, census_2_6):  # fresh copies: empty memos
         for ideal in all_ideals(alg):
@@ -485,13 +382,13 @@ def test_flags_and_ideals_run_no_ideal_scan_on_census_algebras(census_2_6, monke
             theorem_suite(alg, ideal)
             ideals += 1
     assert ideals == 318
-    assert not scans.keys() & {"prime", "distributive_ideal", "implicative", "ideal"}, scans
+    assert not {key[0] for key in scans} & {"prime", "distributive_ideal", "implicative", "ideal"}
     # the counting reaches the ideal scans
     is_ideal(alg, ideal.subset)
     is_prime(alg, ideal)
     is_distributive_ideal(alg, ideal)
     is_implicative(alg, ideal.subset)
-    assert [scans[law] for law in ("prime", "distributive_ideal", "implicative", "ideal")] == [1] * 4
+    assert [scans[law,] for law in ("prime", "distributive_ideal", "implicative", "ideal")] == [1] * 4
 
 
 # --- the byte kernel against reading row by row --------------------------
