@@ -58,6 +58,8 @@ from clalg.validator import (
     MONOID,
     RESIDUATION,
     _imp_or_derive,
+    is_distributive_lattice,
+    is_residuated_lattice,
     validate,
 )
 
@@ -174,7 +176,8 @@ def _contexts(cand, rng):
         yield from ((entries, resolved) for entries in (RESIDUATION, INVOLUTION))
     forced = _force_seal(cand)
     yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
-    for bits in _zero_subsets(cand):
+    subsets = _zero_subsets(cand)
+    for bits in rng.sample(subsets, min(6, len(subsets))):
         yield from ((entries, (cand, bits))
                     for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
     yield IDEAL, (cand, rng.choice([bits for bits in range(1, 1 << cand.n)
@@ -257,9 +260,46 @@ def test_missing_meet_is_raised_at_the_scan_pair(census):
 
 # --- the fast path is taken -------------------------------------------------
 
+def _scanned(scans):
+    """The entries `scans` counted, found violation or not."""
+    return {key: count for key, count in scans.items() if len(key) == 3}
+
+
 def _passing(scans):
     """The entries `scans` counted that found no violation."""
-    return {key: count for key, count in scans.items() if len(key) == 3 and not key[2]}
+    return {key: count for key, count in _scanned(scans).items() if not key[2]}
+
+
+def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, scans):
+    algebras = [replace(alg) for n in sorted(census) for alg in census[n]]  # empty memos
+    ideals = 0
+    checks = (is_prime, is_distributive_ideal,
+              lambda alg, ideal: is_implicative(alg, ideal.subset))
+    for alg in algebras:
+        # validate and the identity suite, cubic scans included
+        assert validate(alg.as_candidate()).algebra == alg
+        assert all(run_identity_suite(alg).values())
+        assert not _scanned(scans), (alg.name, scans)
+        for flag in (is_residuated_lattice, is_distributive_lattice):
+            holds = flag(alg)
+            assert bool(_scanned(scans)) != holds, (alg.name, flag.__name__, scans)
+            scans.clear()
+        for ideal in all_ideals(alg):
+            for check in checks:
+                verdict = check(alg, ideal)
+                assert bool(_scanned(scans)) != verdict.ok, (alg.name, ideal.bits, verdict, scans)
+                scans.clear()
+            # the congruence certificate, the order criterion, the
+            # quotient's validation and the distributive-quotient claim
+            assert theorem_suite(alg, ideal).ok
+            assert not _scanned(scans), (alg.name, ideal.bits, scans)
+            ideals += 1
+    assert (len(algebras), ideals) == (33, 75)
+    # the counting reaches the scans: a defective table set runs them
+    validate(nonlinear6)
+    run_identity_suite(_force_seal(nonlinear6))
+    assert {("residuation", "adjunction", True), ("P2_7", None, True),
+            ("P2_1", None, True)} <= scans.keys(), scans
 
 
 def test_no_passing_check_scans_points(census_2_6, linear5, nonlinear6, monkeypatch, scans):
@@ -309,6 +349,18 @@ def _plain_scan_candidates(census, rng):
     yield l3
     # the same tables with p1 and p2 below each other: not antisymmetric
     yield replace(l3, name="l3_preorder", order=OrderRelation(3, (0b111, 0b110, 0b110)))
+
+
+def test_fast_ideal_domains_answer_as_the_plain_scan_on_every_subset(census):
+    taken = Counter()
+    for cand in _plain_scan_candidates(census, random.Random(12)):
+        for bits in _zero_subsets(cand):
+            for entry in PRIME + DISTRIBUTIVE_IDEAL + IMPLICATIVE:
+                fast = _outcome(entry, (cand, bits))
+                assert fast == _outcome(_plain(entry), (cand, bits)), (
+                    cand.name, bits, cand.order.up, cand.mult_table, cand.imp_table)
+                taken[entry.holds, entry.holds((cand, bits))] += 1
+    assert len(taken) == 6, taken  # each test both passed and fell through
 
 
 # the whole-table tests whose answer `classify` and `all_ideals` read
