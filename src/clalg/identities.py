@@ -1,10 +1,11 @@
 """Derived-law suite checked exhaustively on sealed algebras.
 
 Each identity is declared once, in `IDENTITIES`: its tag (a plain
-string, in suite order) maps to its instance predicate, its formula and
-its whole-table test.  The arity is the number of element arguments of
-the predicate (laws.Law.arity), and `LAWS`, the entries that checking
-and replay read, is built from the table.
+string, in suite order) maps to its formula and its whole-table test.
+The formula is the law: laws.formula_law compiles it into the scanned
+violation, over the tuples of its variables in alphabetical order, and
+it is the verdict's detail.  `LAWS`, the entries that checking and
+replay read, is built from the table.
 
 Every law is a theorem of the four axioms, so on any algebra the
 validator promoted the whole suite must pass; a failure here means the
@@ -32,91 +33,13 @@ and comparisons of whole rows chain along it.
 
 from __future__ import annotations
 
-from functools import wraps
-
 from .core import AlgebraError, FiniteCLAlgebra
-from .laws import (Law, Verdict, associates, compose, cube, distributes, first_violation,
+from .laws import (Verdict, associates, compose, distributes, first_violation, formula_law,
                    translation)
 
 
 class UnknownIdentity(AlgebraError):
     pass
-
-
-def _p2_1(A, x, y, z):
-    return A.mult(x, A.join(y, z)) == A.join(A.mult(x, y), A.mult(x, z))
-
-
-def _p2_2(A, y):
-    return A.leq(y, A.imp(A.bot, A.bot))
-
-
-def _p2_3(A, x, y):
-    if not (A.leq(x, A.one) and A.leq(y, A.one)):
-        return True
-    return A.leq(A.mult(x, y), A.meet(x, y))
-
-
-def _p2_4(A, x, y):
-    if not (A.leq(A.one, x) and A.leq(A.one, y)):
-        return True
-    return A.leq(A.join(x, y), A.mult(x, y))
-
-
-def _p2_5(A, x, y, z):
-    return A.leq(A.mult(A.imp(x, y), A.imp(y, z)), A.imp(x, z))
-
-
-def _p2_6(A, x):
-    return A.imp(A.one, x) == x
-
-
-def _p2_7(A, x, x1, y, y1):
-    if not (A.leq(x, x1) and A.leq(y, y1)):
-        return True
-    return A.leq(A.mult(x, y), A.mult(x1, y1)) and A.leq(A.imp(x1, y), A.imp(x, y1))
-
-
-def _p2_8(A, x, y, z):
-    return A.imp(x, A.imp(y, z)) == A.imp(A.mult(x, y), z)
-
-
-def _p2_9(A, x, y):
-    return A.leq(A.mult(x, A.imp(x, y)), y)
-
-
-def _p2_10(A, x, y):
-    if not A.leq(x, y):
-        return True
-    return A.leq(A.neg(y), A.neg(x))
-
-
-def _p2_11(A, x, y):
-    return A.join(x, y) == A.neg(A.meet(A.neg(x), A.neg(y)))
-
-
-def _p2_12(A, x, y):
-    return A.meet(x, y) == A.neg(A.join(A.neg(x), A.neg(y)))
-
-
-def _p2_13(A, x, y):
-    return A.imp(x, y) == A.neg(A.mult(x, A.neg(y)))
-
-
-def _p2_14(A, x, y):
-    return A.imp(A.neg(x), y) == A.neg(A.mult(A.neg(x), A.neg(y)))
-
-
-def _p2_15(A):
-    return A.neg(A.top) == A.bot
-
-
-def _p2_16(A):
-    return A.mult(A.neg(A.top), A.top) == A.bot
-
-
-def _lemma_meet_imp(A, x, y, z):
-    return A.meet(A.imp(z, x), A.imp(z, y)) == A.imp(z, A.meet(x, y))
 
 
 def _negated(row, negs):
@@ -147,57 +70,45 @@ def _leq_on(A, members, lhs, rhs) -> bool:
                for x in members)
 
 
-# tag -> (instance predicate, human formula, exact whole-table test), in
-# suite order
+# tag -> (formula, exact whole-table test), in suite order
 IDENTITIES = {
-    "P2_1": (_p2_1, "x*(y|z) == (x*y)|(x*z)",
-             lambda A: distributes(A.mult_table, A.order.lubs)),
-    "P2_2": (_p2_2, "y <= bot->bot",
-             lambda A: A.order.dn[A.imp(A.bot, A.bot)] == (1 << A.n) - 1),
-    "P2_3": (_p2_3, "x,y <= 1 implies x*y <= x&y", lambda A: _leq_on(
+    "P2_1": ("x*(y|z) == (x*y)|(x*z)", lambda A: distributes(A.mult_table, A.order.lubs)),
+    "P2_2": ("y <= bot->bot", lambda A: A.order.dn[A.imp(A.bot, A.bot)] == (1 << A.n) - 1),
+    "P2_3": ("x,y <= 1 implies x*y <= x&y", lambda A: _leq_on(
         A, [x for x in range(A.n) if A.leq(x, A.one)], A.mult_table, A.order.glbs)),
-    "P2_4": (_p2_4, "1 <= x,y implies x|y <= x*y", lambda A: _leq_on(
+    "P2_4": ("1 <= x,y implies x|y <= x*y", lambda A: _leq_on(
         A, [x for x in range(A.n) if A.leq(A.one, x)], A.order.lubs, A.mult_table)),
-    "P2_5": (_p2_5, "(x->y)*(y->z) <= x->z", _chains),
-    "P2_6": (_p2_6, "1->x == x", lambda A: A.imp_table[A.one] == tuple(range(A.n))),
-    "P2_7": (_p2_7, "x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
-    "P2_8": (_p2_8, "x->(y->z) == (x*y)->z",
+    "P2_5": ("(x->y)*(y->z) <= x->z", _chains),
+    "P2_6": ("1->x == x", lambda A: A.imp_table[A.one] == tuple(range(A.n))),
+    "P2_7": ("x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
+    "P2_8": ("x->(y->z) == (x*y)->z",
              lambda A: associates(A.imp_table, A.mult_table, A.imp_table)),
-    "P2_9": (_p2_9, "x*(x->y) <= y", lambda A: all(
+    "P2_9": ("x*(x->y) <= y", lambda A: all(
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
         for x, row in enumerate(A.imp_table))),
-    "P2_10": (_p2_10, "x <= y implies ~y <= ~x", lambda A: all(
+    "P2_10": ("x <= y implies ~y <= ~x", lambda A: all(
         A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers())),
-    "P2_11": (_p2_11, "x|y == ~(~x & ~y)", lambda A: all(
+    "P2_11": ("x|y == ~(~x & ~y)", lambda A: all(
         A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
-    "P2_12": (_p2_12, "x&y == ~(~x | ~y)", lambda A: all(
+    "P2_12": ("x&y == ~(~x | ~y)", lambda A: all(
         A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs))),
-    "P2_13": (_p2_13, "x->y == ~(x * ~y)", lambda A: all(
+    "P2_13": ("x->y == ~(x * ~y)", lambda A: all(
         row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table))),
-    "P2_14": (_p2_14, "~x->y == ~(~x * ~y)", lambda A: all(
+    "P2_14": ("~x->y == ~(~x * ~y)", lambda A: all(
         A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs)),
-    "P2_15": (_p2_15, "~top == bot", lambda A: A.negs[A.top] == A.bot),
-    "P2_16": (_p2_16, "~top * top == bot", lambda A: A.mult_table[A.negs[A.top]][A.top] == A.bot),
-    "LEMMA_MEET_IMP": (_lemma_meet_imp, "(z->x)&(z->y) == z->(x&y)",
+    "P2_15": ("~top == bot", lambda A: A.negs[A.top] == A.bot),
+    "P2_16": ("~top * top == bot", lambda A: A.mult_table[A.negs[A.top]][A.top] == A.bot),
+    "LEMMA_MEET_IMP": ("(z->x)&(z->y) == z->(x&y)",
                        lambda A: distributes(A.imp_table, A.order.glbs)),
 }
 
 
-def _law(pred, holds) -> Law:
-    """The identity as one untagged law over the tuples of its arity,
-    scanned where `holds` fails (module docstring)."""
-    @wraps(pred)
-    def violation(A, *point):
-        return None if pred(A, *point) else ()
-
-    law = Law(None, None, violation, lambda A: A.lattice_with_imp and holds(A))
-    return law._replace(domain=cube(law.arity))
-
-
-# law -> (context from the algebra, ideal bits and class index; entries)
+# law -> (context from the algebra, ideal bits and class index; entries);
+# each test runs where lattice_with_imp holds (module docstring)
 LAWS = {
-    tag: (lambda alg, *_: alg, (_law(pred, holds),))
-    for tag, (pred, _formula, holds) in IDENTITIES.items()
+    tag: (lambda alg, *_: alg,
+          (formula_law(formula, lambda A, holds=holds: A.lattice_with_imp and holds(A)),))
+    for tag, (formula, holds) in IDENTITIES.items()
 }
 
 
@@ -209,7 +120,7 @@ def check_identity(alg: FiniteCLAlgebra, tag: str) -> Verdict:
     """
     if tag not in IDENTITIES:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
-    return first_violation(tag, LAWS[tag][1], alg, IDENTITIES[tag][1])
+    return first_violation(tag, LAWS[tag][1], alg, IDENTITIES[tag][0])
 
 
 def run_identity_suite(alg: FiniteCLAlgebra) -> dict[str, Verdict]:

@@ -43,10 +43,23 @@ for the table T's rows joined in `flat`; the rows a row selects,
 `b"".join(map(rows.__getitem__, row))`, give T[row[y]][z].  So a test
 makes about 2n long calls where reading row by row makes n^2 short
 ones.  The byte views are built inside each call and kept nowhere.
+
+A point law written as an equation is stated once, as its formula
+(`formula_law`), in the notation of the residuated-lattice literature:
+`~` binds tightest, then `*`, `&`, `|` and `->` (right-associative),
+over variables (a letter and optional digits, such as `x` or `y1`) and
+the constants `bot`, `top`, `0` and `1`.  Terms are compared by `<=`
+or `==`; a comma list compares each term on one side with each on the
+other (`x,y <= 1`), or joins comparisons (`x<=x1, y<=y1`), as `and`
+does, and `implies` binds loosest.  The formula is compiled once into
+the violation `lambda A, <variables>: None if <expression> else ()`,
+the variables in alphabetical order, read through the context's
+`mult`, `meet`, `join`, `imp`, `neg` and `leq`.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, NamedTuple
 
@@ -91,9 +104,8 @@ class Law(NamedTuple):
     @property
     def arity(self) -> int:
         """Number of witness entries that locate the point: the positional
-        parameters after the context of the violation, or of the function
-        it wraps."""
-        return getattr(self.violation, "__wrapped__", self.violation).__code__.co_argcount - 1
+        parameters of the violation after the context."""
+        return self.violation.__code__.co_argcount - 1
 
 
 def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Verdict:
@@ -160,3 +172,74 @@ def rising_pairs(ctx) -> Iterable[tuple]:
 def cube(arity: int) -> Callable[[object], Iterable[tuple]]:
     """All `arity`-tuples of elements, lexicographically."""
     return lambda ctx: product(range(ctx.n), repeat=arity)
+
+
+# binary operator -> (binding power, context method); `~` binds at 5
+_BINARY = {"*": (4, "mult"), "&": (3, "meet"), "|": (2, "join"), "->": (1, "imp")}
+_CONSTANTS = {"bot": "A.bot", "top": "A.top", "0": "A.zero", "1": "A.one"}
+_RELATIONS = ("<=", "==")
+
+
+def formula_law(formula: str, holds: Callable[[object], bool]) -> Law:
+    """The untagged law over all tuples of its variables that `formula`
+    states (module docstring), skipped where `holds` passes.  Any token
+    or phrase outside the grammar raises ValueError."""
+    tokens, names, at = re.findall(r"->|<=|==|\w+|\S", formula) + [""], set(), 0
+
+    def take(*expected: str) -> str:
+        nonlocal at
+        token = tokens[at]
+        if expected and token not in expected:
+            raise ValueError(f"{formula!r}: unexpected {token or 'end'!r}")
+        at += 1
+        return token
+
+    def term(power: int = 0) -> str:
+        token = take()
+        if token == "~":
+            left = f"A.neg({term(5)})"
+        elif token == "(":
+            left = term()
+            take(")")
+        elif token in _CONSTANTS:
+            left = _CONSTANTS[token]
+        elif re.fullmatch(r"[a-z]\d*", token):
+            names.add(token)
+            left = token
+        else:
+            raise ValueError(f"{formula!r}: unexpected {token or 'end'!r}")
+        while tokens[at] in _BINARY and _BINARY[tokens[at]][0] > power:
+            bp, method = _BINARY[take()]  # a lower bound on the right: -> nests there
+            left = f"A.{method}({left}, {term(bp - (method == 'imp'))})"
+        return left
+
+    def comparison() -> str:
+        nonlocal at
+        lhs = [term()]
+        while tokens[at] == ",":
+            take()
+            lhs.append(term())
+        relation, rhs = take(*_RELATIONS), [term()]
+        while tokens[at] == ",":
+            start = at
+            take()
+            item = term()
+            if tokens[at] in _RELATIONS:  # the term opens the next comparison
+                at = start
+                break
+            rhs.append(item)
+        return " and ".join(f"A.leq({a}, {b})" if relation == "<=" else f"{a} == {b}"
+                            for a in lhs for b in rhs)
+
+    def condition() -> str:
+        parts = [comparison()]
+        while tokens[at] in (",", "and"):
+            take()
+            parts.append(comparison())
+        both = " and ".join(parts)
+        return f"not ({both}) or {condition()}" if take("implies", "") else both
+
+    body = condition()
+    variables = ", ".join(["A", *sorted(names)])
+    violation = eval(f"lambda {variables}: None if {body} else ()", {"__builtins__": {}})
+    return Law(None, cube(len(names)), violation, holds)

@@ -430,11 +430,14 @@ def _fusion_tables(order: OrderRelation, one: int, sigma: tuple[int, ...],
 
 
 def _check_lattice(order: OrderRelation) -> None:
-    """Raise ValueError for an order that is not antisymmetric or has no
-    least element, NotALattice for one without all joins."""
+    """Raise ValueError for an order that is not antisymmetric, not a
+    preorder or has no least element, NotALattice for one without all
+    joins."""
     verdict = first_violation("antisymmetry", _ANTISYMMETRY, order)
     if not verdict:
         raise ValueError(f"order is not antisymmetric: {verdict.witness}")
+    if not order.is_preorder:
+        raise ValueError("order is not reflexive and transitive")
     if order.least() is None:
         raise ValueError("order has no least element")
     for x, row in enumerate(order.lubs):

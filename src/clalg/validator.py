@@ -50,6 +50,7 @@ from .laws import (
     cube,
     distributes,
     first_violation,
+    formula_law,
     rising_pairs,
 )
 
@@ -281,11 +282,8 @@ def seal(cand: AlgebraCandidate) -> FiniteCLAlgebra:
     return report.algebra
 
 
-# mult is integral: x * y <= x for all (x, y)
-INTEGRAL = (
-    Law(None, cube(2), lambda A, x, y: None if A.leq(A.mult(x, y), x) else (),
-        holds=lambda A: all(A.order.all_leq(row, repeat(x)) for x, row in enumerate(A.mult_table))),
-)
+INTEGRAL = (formula_law("x*y <= x", lambda A: all(
+    A.order.all_leq(row, repeat(x)) for x, row in enumerate(A.mult_table))),)
 
 
 def is_residuated_lattice(alg: FiniteCLAlgebra) -> bool:
@@ -316,12 +314,8 @@ def is_linear(alg: AlgebraCandidate) -> bool:
     return alg.order.is_total()
 
 
-# meet distributes over join; the witness is the first failing (x, y, z)
-DISTRIBUTIVE_LATTICE = (
-    Law(None, cube(3), lambda A, x, y, z:
-        None if A.meet(x, A.join(y, z)) == A.join(A.meet(x, y), A.meet(x, z)) else (),
-        holds=lambda A: A.order.has_meets_and_joins and distributes(A.order.glbs, A.order.lubs)),
-)
+DISTRIBUTIVE_LATTICE = (formula_law("x&(y|z) == (x&y)|(x&z)", lambda A: (
+    A.order.has_meets_and_joins and distributes(A.order.glbs, A.order.lubs))),)
 
 
 def is_distributive_lattice(alg: AlgebraCandidate) -> bool:

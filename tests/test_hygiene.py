@@ -7,8 +7,9 @@ validator asks a part of `lattice_with_imp` on its own, no
 two modules declare a law under the same tag, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
 imports another's private names, no line is longer than 100
-characters, and the `scans` fixture counts the scans of every module
-that runs laws."""
+characters, the `scans` fixture counts the scans of every module
+that runs laws, and only laws.formula_law compiles source (eval, exec
+or compile)."""
 
 import ast
 import importlib
@@ -130,6 +131,16 @@ def test_the_scan_counter_wraps_every_module_that_scans():
     assert scanning == {module.__name__.rpartition(".")[2] for module in SCANNING}
 
 
+def test_only_laws_compiles_source():
+    # formula_law compiles a checked term language; source built anywhere
+    # else would run unchecked
+    compiling = {path.name for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) in ("eval", "exec", "compile")}
+    assert compiling == {"laws.py"}
+
+
 # what `AlgebraCandidate.lattice_with_imp` decides once per algebra
 PRECONDITION_PARTS = {"has_meets_and_joins", "is_preorder", "is_transitive", "has_imp"}
 
@@ -166,8 +177,7 @@ def test_law_tags_are_declared_once():
 
 
 def test_law_arity_counts_the_violation_parameters():
-    # Law.arity reads the code object; the signature, which follows
-    # functools.wraps to the predicate, is the oracle
+    # Law.arity reads the code object; the signature is the oracle
     entries = [entry for _context, laws in chain(replay.LAWS.values(), identities.LAWS.values())
                for entry in laws]
     assert len(entries) > 26

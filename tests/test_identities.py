@@ -2,6 +2,7 @@ import pytest
 
 from clalg.core import FiniteCLAlgebra
 from clalg.identities import IDENTITIES, UnknownIdentity, check_identity, run_identity_suite
+from clalg.laws import first_violation, formula_law
 
 # the suite order, which `clalg identities` prints
 SUITE_ORDER = [
@@ -113,3 +114,26 @@ def test_identity_witnesses_replay(nonlinear6):
     forced = _force_seal(nonlinear6)
     for ident, verdict in run_identity_suite(forced).items():
         assert confirm_witness(forced, verdict), ident
+
+
+@pytest.mark.parametrize("formula", ["x*(y", "x <= ", "x $ y", "x,y", "x == y z", "xy <= x",
+                                     "__import__ == x", ""])
+def test_formula_outside_the_grammar_is_rejected(formula):
+    with pytest.raises(ValueError):
+        formula_law(formula, lambda A: False)
+
+
+def _scan(formula, alg):
+    # holds is always False, so every point is scanned
+    return first_violation("law", (formula_law(formula, lambda A: False),), alg)
+
+
+@pytest.mark.parametrize("formula", ["x|y&z == x|(y&z)", "x->y->z == x->(y->z)"])
+def test_precedence_and_associativity_group_as_written_out(census, formula):
+    # & binds tighter than |, and -> associates to the right; no formula
+    # of the suite has an unparenthesised -> chain
+    assert all(_scan(formula, alg) for algs in census.values() for alg in algs)
+
+
+def test_the_other_grouping_fails_on_the_three_chain(census):
+    assert not any(_scan("x|y&z == (x|y)&z", alg) for alg in census[3])

@@ -390,6 +390,16 @@ def test_order_that_is_not_antisymmetric_is_rejected(up):
         run_search(SearchConfig(size=order.n, lattice=order))
 
 
+@pytest.mark.parametrize("up", [(15, 6, 12, 10), (31, 2, 6, 14, 26)])
+def test_order_that_is_not_transitive_is_rejected(up):
+    # the cycle 1 <= 2 <= 3 <= 1, and 4 <= 3 <= 2 without 4 <= 2: both
+    # antisymmetric, with a least element; the first would count 0
+    # algebras, the second die in seal
+    order = OrderRelation(len(up), up)
+    with pytest.raises(ValueError, match="transitive"):
+        run_search(SearchConfig(size=order.n, lattice=order))
+
+
 def test_fixed_lattice_without_a_least_element_is_rejected():
     # a two-element antichain: antisymmetric, with no least element
     with pytest.raises(ValueError) as exc:

@@ -527,15 +527,15 @@ CONVERTED = (
      lambda A: _associates_by_rows(A.mult_table, A.mult_table, A.mult_table)),
     (clalg.validator._adjoint,
      lambda A: _associates_by_rows(A.order.matrix, A.mult_table, A.imp_table)),
-    (IDENTITIES["P2_8"][2],
+    (IDENTITIES["P2_8"][1],
      lambda A: _associates_by_rows(A.imp_table, A.mult_table, A.imp_table)),
-    (IDENTITIES["P2_1"][2],
+    (IDENTITIES["P2_1"][1],
      lambda A: _distributes_by_rows(A.mult_table, A.order.lubs)),
-    (IDENTITIES["LEMMA_MEET_IMP"][2],
+    (IDENTITIES["LEMMA_MEET_IMP"][1],
      lambda A: _distributes_by_rows(A.imp_table, A.order.glbs)),
     (DISTRIBUTIVE_LATTICE[0].holds,
      lambda A: _distributes_by_rows(A.order.glbs, A.order.lubs)),
-    (IDENTITIES["P2_5"][2], lambda A: all(
+    (IDENTITIES["P2_5"][1], lambda A: all(
         A.order.all_leq(compose(A.mult_table[v], A.imp_table[y]), row)
         for row in A.imp_table for y, v in enumerate(row))),
 )
