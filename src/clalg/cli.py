@@ -23,6 +23,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .core import AlgebraCandidate, NoResidual, NotALattice, derive_implication
@@ -216,11 +217,11 @@ def _cmd_identities(run: _Run) -> None:
 def _cmd_ideals(run: _Run) -> None:
     alg = run.alg
     if alg.imp_table is None:
-        alg = alg.with_imp(derive_implication(alg.order, alg.mult_table))
+        alg = replace(alg, imp_table=derive_implication(alg.order, alg.mult_table))
     if run.args.generate is not None:
         seed = _ideal_subset(alg, run.args.generate)
         ideal = generated_ideal(alg, seed)
-        entry = {"ideal": ideal.subset.render(alg)}
+        entry = {"ideal": ideal.render(alg)}
         if run.args.classify:
             entry["classification"] = classify(alg, ideal)._asdict()
         run.payload["generated"] = entry
@@ -231,7 +232,7 @@ def _cmd_ideals(run: _Run) -> None:
         return
     items = []
     for ideal in all_ideals(alg):
-        entry = {"ideal": ideal.subset.render(alg)}
+        entry = {"ideal": ideal.render(alg)}
         if run.args.classify:
             entry["classification"] = classify(alg, ideal)._asdict()
         items.append(entry)
@@ -274,7 +275,7 @@ def _cmd_quotient(run: _Run) -> None:
     cert_entry = run.verdict_entry(alg, cong.certificate,
                                    ideal_bits=ideal.bits, class_index=cong.class_index)
     run.payload["congruence"] = {"classes": classes, "certificate": cert_entry}
-    run.human.append(f"congruence modulo {ideal.subset.render(alg)}: {len(classes)} classes")
+    run.human.append(f"congruence modulo {ideal.render(alg)}: {len(classes)} classes")
     for r, cls in zip(cong.representatives(), classes):
         run.human.append(f"  [{alg.name_of(r)}] = {cls}")
     run.human.append("certificate: " + cert_entry["status"]
@@ -333,7 +334,7 @@ def _cmd_theorems(run: _Run) -> None:
         if c.status == "blocked":
             return _render_index(alg, c.witness)
         if c.claim == "zero_downset_singleton_classes":
-            return [c.witness[0], alg.render_subset(c.witness[1])]
+            return [c.witness[0], Subset(alg.n, c.witness[1]).render(alg)]
         return [class_names[i] if isinstance(i, int) else i for i in c.witness]
 
     claims = [
@@ -341,12 +342,12 @@ def _cmd_theorems(run: _Run) -> None:
         for c in report.claims
     ]
     run.payload["theorems"] = {
-        "ideal": ideal.subset.render(alg),
-        "certificate": "pass" if report.certificate else "fail",
+        "ideal": ideal.render(alg),
+        "certificate": "pass" if report.congruence.certificate else "fail",
         "quotient_valid": report.quotient_valid,
         "claims": claims,
     }
-    run.human.append(f"theorem suite for ideal {ideal.subset.render(alg)}")
+    run.human.append(f"theorem suite for ideal {ideal.render(alg)}")
     run.human.append(f"quotient valid: {report.quotient_valid}")
     for c in claims:
         line = f"claim {c['claim']}: {c['status']}"

@@ -2,9 +2,9 @@
 
 A candidate bundles a finite universe with a partial order, a fusion
 table, an optional implication table, and designated elements bot, zero
-and one.  Nothing here assumes the axioms hold: a candidate may be an
-arbitrary (even inconsistent) table set, and the validator module is the
-only place that decides whether it is an actual CL-algebra.
+and one.  Nothing here assumes the axioms hold or runs a law: a candidate
+may be an arbitrary (even inconsistent) table set, and the validator
+module is the only place that decides whether it is an actual CL-algebra.
 
 Universe elements are dense indices 0..n-1; display names are kept
 alongside for parsing and reporting.  Subsets of the universe and order
@@ -14,11 +14,11 @@ every subset fits in one machine word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Iterator
 
-from .laws import Law, ascending_pairs, compose, first_violation
+from .laws import compose
 
 MAX_UNIVERSE = 64
 
@@ -199,9 +199,6 @@ class OrderRelation:
     def least(self) -> int | None:
         return self.least_in((1 << self.n) - 1)
 
-    def is_total(self) -> bool:
-        return first_violation("linear", TOTAL, self).ok
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (lo, hi), sorted by (lo, hi); an element equivalent
         to lo or hi does not lie between them, so the edges of a cyclic
@@ -213,15 +210,6 @@ class OrderRelation:
                 if between == 0:
                     out.append((lo, hi))
         return tuple(out)
-
-
-# a total order: every pair comparable; the witness is the first
-# incomparable pair (x, y), x < y.  Its test: every x is comparable to
-# all, up[x] | dn[x] the full mask
-TOTAL = (
-    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else (),
-        holds=lambda o: all(u | d == (1 << o.n) - 1 for u, d in zip(o.up, o.dn))),
-)
 
 
 def _check_table(label: str, table, n: int) -> None:
@@ -347,30 +335,11 @@ class AlgebraCandidate:
     def derived_top(self) -> int:
         return self.imp(self.bot, self.bot)
 
-    @property
-    def has_imp(self) -> bool:
-        return self.imp_table is not None
-
-    def with_imp(self, table: Table) -> "AlgebraCandidate":
-        return replace(self, imp_table=table)
-
     def as_candidate(self) -> "AlgebraCandidate":
         return AlgebraCandidate(
             self.name, self.elements, self.order, self.mult_table,
             self.imp_table, self.bot, self.zero, self.one,
         )
-
-    def subset_of_names(self, names) -> int:
-        """Bit mask for a comma-separated string or iterable of names."""
-        if isinstance(names, str):
-            names = [t for t in names.split(",") if t]
-        mask = 0
-        for nm in names:
-            mask |= 1 << self.index(nm)
-        return mask
-
-    def render_subset(self, mask: int) -> str:
-        return "{" + ",".join(self.elements[i] for i in iter_bits(mask)) + "}"
 
 
 @dataclass(frozen=True)

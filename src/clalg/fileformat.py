@@ -14,12 +14,14 @@ Grammar (line oriented, `#` starts a comment, sections in this order):
     <n rows of n ids>
     end
 
-Identifiers match [A-Za-z0-9_]+.  serialize_algebra emits the canonical
-form of this grammar (covers sorted by index pair), so parse o serialize
-is the identity on parsed values and on canonically written files.  The
-order need not be antisymmetric: elements that are each below the other
-get a cover edge in both directions, so a cyclic order is written as
-edges whose closure is the same relation.
+Identifiers are runs of ASCII letters, digits, `_`, `[` and `]`, enough
+for every name the package writes, a quotient's `[rep]` classes among
+them.  serialize_algebra emits the canonical form of this grammar
+(covers sorted by index pair), so parse o serialize is the identity on
+parsed values and on canonically written files.  The order need not be
+antisymmetric: elements that are each below the other get a cover edge
+in both directions, so a cyclic order is written as edges whose closure
+is the same relation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 
 from .core import MAX_UNIVERSE, AlgebraCandidate, OrderRelation
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
 
 
 class ParseError(Exception):
@@ -78,7 +80,7 @@ def parse_algebra(text: str) -> AlgebraCandidate:
         raise ParseError(no, "algebra NAME required")
     name_parts = body.split()
     if len(name_parts) != 2 or not _NAME_RE.match(name_parts[1]):
-        raise ParseError(no, "algebra name must be a single [A-Za-z0-9_]+ token")
+        raise ParseError(no, r"algebra name must be a single [A-Za-z0-9_\[\]]+ token")
     name = name_parts[1]
 
     no, names = _expect_header(lines, "elements:")
@@ -184,21 +186,17 @@ def serialize_algebra(cand: AlgebraCandidate) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_dot(alg, class_members: dict[int, str] | None = None) -> str:
+def export_dot(alg) -> str:
     """DOT text of the Hasse diagram, covering edges only, bottom-up.
 
     `alg` is an AlgebraCandidate, a FiniteCLAlgebra, or a
     quotient.QuotientAlgebra (detected by its `algebra` attribute, in
     which case class member sets are annotated on the nodes).
     """
+    members = ()
     if hasattr(alg, "algebra") and hasattr(alg, "congruence"):
-        quotient = alg
-        base = quotient.base
-        members = {
-            i: "{" + ",".join(base.elements[e] for e in cls) + "}"
-            for i, cls in enumerate(quotient.congruence.classes)
-        }
-        return export_dot(quotient.algebra, members)
+        members = [" = " + cls.render(alg.base) for cls in alg.congruence.classes]
+        alg = alg.algebra
 
     names = alg.elements
     tags: dict[int, list[str]] = {}
@@ -213,8 +211,8 @@ def export_dot(alg, class_members: dict[int, str] | None = None) -> str:
         label = nm
         if i in tags:
             label += " (" + ",".join(tags[i]) + ")"
-        if class_members is not None:
-            label += " = " + class_members[i]
+        if members:
+            label += members[i]
         out.append(f'  "{nm}" [label="{label}"];')
     for lo, hi in alg.order.covers():
         out.append(f'  "{names[lo]}" -> "{names[hi]}";')

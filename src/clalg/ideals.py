@@ -9,9 +9,10 @@ lexicographically first violation.
 All operations here only need total tables and a lattice order; they
 deliberately accept unvalidated candidates so that defective printed
 table sets can still be analysed and reported on (classification flags
-are only meaningful theorems on sealed algebras).  `Ideal` and
-`IdealClassification` are NamedTuples, cheaper to build at import than
-dataclasses; `Subset`, which validates its bits, is a dataclass.
+are only meaningful theorems on sealed algebras).  `Subset` validates
+its bits, and `Ideal` is a `Subset` whose conditions were verified, so
+both are dataclasses; `IdealClassification` is a NamedTuple, cheaper to
+build at import.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ class Subset:
 
     @classmethod
     def from_names(cls, alg: AlgebraCandidate, names) -> "Subset":
-        return cls(alg.n, alg.subset_of_names(names))
+        """From a comma-separated string or iterable of names."""
+        if isinstance(names, str):
+            names = [t for t in names.split(",") if t]
+        bits = 0
+        for nm in names:
+            bits |= 1 << alg.index(nm)
+        return cls(alg.n, bits)
 
     @classmethod
     def universe(cls, n: int) -> "Subset":
@@ -75,17 +82,12 @@ class Subset:
         return tuple(iter_bits(self.bits))
 
     def render(self, alg: AlgebraCandidate) -> str:
-        return alg.render_subset(self.bits)
+        return "{" + ",".join(alg.elements[i] for i in iter_bits(self.bits)) + "}"
 
 
-class Ideal(NamedTuple):
+@dataclass(frozen=True)
+class Ideal(Subset):
     """A subset whose three ideal conditions have been verified."""
-
-    subset: Subset
-
-    @property
-    def bits(self) -> int:
-        return self.subset.bits
 
 
 class IdealClassification(NamedTuple):
@@ -177,7 +179,7 @@ def certify_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
     verdict = is_ideal(alg, s)
     if not verdict:
         raise NotAnIdeal(verdict)
-    return Ideal(subset=s)
+    return Ideal(s.n, s.bits)
 
 
 def generated_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
@@ -231,7 +233,7 @@ def all_ideals(alg: AlgebraCandidate) -> list[Ideal]:
         if not bits & zero_bit:
             continue
         if _passes("ideal", (_CLOSED,), (alg, bits)):
-            found.append(Ideal(subset=Subset(alg.n, bits)))
+            found.append(Ideal(alg.n, bits))
     found.sort(key=lambda ideal: ideal.bits)
     return found
 
@@ -375,7 +377,7 @@ def is_implicative(alg: AlgebraCandidate, s: Subset) -> Verdict:
 
 
 def is_affine(alg: AlgebraCandidate, ideal: Ideal) -> bool:
-    return alg.mult(alg.derived_top(), alg.zero) in ideal.subset
+    return alg.mult(alg.derived_top(), alg.zero) in ideal
 
 
 def _passes(law: str, entries: tuple[Law, ...], ctx) -> bool:
@@ -394,7 +396,7 @@ def classify(alg: AlgebraCandidate, ideal: Ideal) -> IdealClassification:
     return IdealClassification(
         is_prime=_passes("prime", PRIME, ctx),
         is_distributive=_passes("distributive_ideal", DISTRIBUTIVE_IDEAL, ctx),
-        is_implicative=_passes("implicative", IMPLICATIVE, _with_zero(alg, ideal.subset)),
+        is_implicative=_passes("implicative", IMPLICATIVE, _with_zero(alg, ideal)),
         is_affine=is_affine(alg, ideal),
         is_zero_downset=ideal.bits == alg.order.dn[alg.zero],
     )

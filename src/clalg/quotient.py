@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
-    TOTAL,
     AlgebraCandidate,
     AlgebraError,
     FiniteCLAlgebra,
@@ -55,7 +54,7 @@ from .core import (
 )
 from .ideals import Ideal, Subset, classify
 from .laws import Law, Verdict, compose, cube, first_violation
-from .validator import DISTRIBUTIVE_LATTICE, ValidationReport, renamed, validate
+from .validator import DISTRIBUTIVE_LATTICE, TOTAL, ValidationReport, renamed, validate
 
 
 class NotEquivalence(AlgebraError):
@@ -291,7 +290,7 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
         tuple(cidx[alg.imp(ri, rj)] for rj in reps) for ri in reps
     )
     q_cand = AlgebraCandidate(
-        name=f"{alg.name}_mod_{'_'.join(alg.elements[i] for i in ideal.subset)}",
+        name=f"{alg.name}_mod_{'_'.join(alg.elements[i] for i in ideal)}",
         elements=names,
         order=OrderRelation.from_leq(k, q_leq),
         mult_table=q_mult,
@@ -327,14 +326,13 @@ class ClaimResult(NamedTuple):
 
 
 class TheoremReport(NamedTuple):
-    certificate: Verdict
     congruence: Congruence
     quotient_valid: bool
     claims: tuple[ClaimResult, ...]
 
     @property
     def ok(self) -> bool:
-        return bool(self.certificate) and self.quotient_valid and all(
+        return bool(self.congruence.certificate) and self.quotient_valid and all(
             c.status in ("holds", "vacuous") for c in self.claims
         )
 
@@ -401,7 +399,6 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
             ))
 
     return TheoremReport(
-        certificate=cong.certificate,
         congruence=cong,
         quotient_valid=quotient is not None,
         claims=tuple(claims),

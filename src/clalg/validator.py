@@ -18,12 +18,12 @@ witness agreement):
 
 Each law is declared once below as a list of laws.Law entries; validate
 and replay.confirm_witness both read those declarations.  Every entry,
-and those of the integral and distributive-lattice flags, scans only
-where its exact whole-table test (laws.Law.holds) fails, for the
-witness, which is that of the full scan.  Checks never mutate the
-candidate; a derived implication table is attached to the returned
-report/algebra only.  The report and its flags are NamedTuples, cheaper
-to build at import than dataclasses.
+and those of the linear (TOTAL, read on the order), integral and
+distributive-lattice flags, scans only where its exact whole-table test
+(laws.Law.holds) fails, for the witness, which is that of the full
+scan.  Checks never mutate the candidate; a derived implication table
+is attached to the returned report/algebra only.  The report and its
+flags are NamedTuples, cheaper to build at import than dataclasses.
 """
 
 from __future__ import annotations
@@ -207,14 +207,14 @@ def _no_residual(A, x, y):
 # read on the candidate with its implication table resolved by
 # _imp_or_derive: no_residual is scanned only where no table exists
 RESIDUATION = (
-    Law("no_residual", lambda A: () if A.has_imp else cube(2)(A), _no_residual,
-        lambda A: A.has_imp, "no implication table can satisfy residuation"),
+    Law("no_residual", lambda A: () if A.imp_table is not None else cube(2)(A), _no_residual,
+        lambda A: A.imp_table is not None, "no implication table can satisfy residuation"),
     Law("adjunction", cube(3), _nonadjoint, _adjoint, _adjunction_detail),
 )
 
 INVOLUTION = (
     Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else (),
-        holds=lambda A: A.has_imp and compose(A.negs, A.negs) == tuple(range(A.n))),
+        holds=lambda A: A.imp_table is not None and compose(A.negs, A.negs) == tuple(range(A.n))),
 )
 
 
@@ -222,10 +222,10 @@ def _imp_or_derive(cand: AlgebraCandidate) -> AlgebraCandidate:
     """The candidate carrying the implication table the residuation and
     involution laws read: its own, else the derived one; without a table
     when none is derivable."""
-    if cand.has_imp:
+    if cand.imp_table is not None:
         return cand
     try:
-        return cand.with_imp(derive_implication(cand.order, cand.mult_table))
+        return replace(cand, imp_table=derive_implication(cand.order, cand.mult_table))
     except NoResidual:
         return cand
 
@@ -243,7 +243,7 @@ def validate(cand: AlgebraCandidate) -> ValidationReport:
     monoid = first_violation("monoid", MONOID, cand)
     resolved = _imp_or_derive(cand)
     residuation = first_violation("residuation", RESIDUATION, resolved)
-    if not resolved.has_imp:
+    if resolved.imp_table is None:
         involution = Verdict(
             "involution", False, None,
             "not checkable: implication neither supplied nor derivable",
@@ -310,8 +310,16 @@ def is_idempotent(alg: AlgebraCandidate) -> bool:
     return all(alg.mult(x, x) == x for x in range(alg.n))
 
 
+# a total order, read on the order: the witness is the first incomparable
+# pair (x, y), x < y; its test: up[x] | dn[x] is the full mask at every x
+TOTAL = (
+    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else (),
+        holds=lambda o: all(u | d == (1 << o.n) - 1 for u, d in zip(o.up, o.dn))),
+)
+
+
 def is_linear(alg: AlgebraCandidate) -> bool:
-    return alg.order.is_total()
+    return first_violation("linear", TOTAL, alg.order).ok
 
 
 DISTRIBUTIVE_LATTICE = (formula_law("x&(y|z) == (x&y)|(x&z)", lambda A: (

@@ -117,7 +117,7 @@ def test_quotient_theorem_suite(census):
     for alg in _validated_universe(census):
         for ideal in all_ideals(alg):
             report = theorem_suite(alg, ideal)
-            assert report.certificate.ok, (alg.name, ideal.bits)
+            assert report.congruence.certificate.ok, (alg.name, ideal.bits)
             assert report.quotient_valid, (alg.name, ideal.bits)
             for claim in report.claims:
                 assert claim.status in ("holds", "vacuous"), (

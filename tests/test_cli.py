@@ -9,8 +9,9 @@ import pytest
 import clalg
 from clalg.cli import _build_parser, run_command
 from clalg.core import ImplicationAbsent
-from clalg.fileformat import serialize_algebra
+from clalg.fileformat import parse_algebra, serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
+from clalg.quotient import ClaimResult, theorem_suite
 from clalg.search import SearchConfig, run_search
 
 
@@ -61,6 +62,18 @@ def test_replay_confirms_witnesses(capsys, ex2_path):
     code, out, _ = run(capsys, "validate", str(ex2_path), "--replay")
     assert code == 1
     assert "replay=confirmed" in out
+
+
+def test_unreproducible_witness_is_reported_and_fails(capsys, monkeypatch, ex2_path):
+    monkeypatch.setattr("clalg.cli.confirm_witness", lambda *args: False)
+    code, out, _ = run(capsys, "validate", str(ex2_path), "--replay", "--json")
+    assert code == 1
+    assert [v.get("replay") for v in json.loads(out)["verdicts"]] == [
+        None, None, "NOT REPRODUCIBLE", None]
+    code, out, _ = run(capsys, "validate", str(ex2_path), "--replay")
+    assert code == 1
+    assert ("check residuation: FAIL  witness=['adjunction', '1', 'b', '0']"
+            "  [x <= imp(y,z) but not mult(x,y) <= z]  replay=NOT REPRODUCIBLE") in out
 
 
 def test_derive_imp(capsys, ex1_path, ex2_path):
@@ -158,6 +171,33 @@ def test_violated_zero_downset_claim_is_printed(capsys, tmp_path):
     claims = json.loads(out)["theorems"]["claims"]
     assert code == 1 and claims[-1] == {"claim": "zero_downset_singleton_classes",
                                         "status": "violated", "witness": witness}
+
+
+def test_printed_quotient_reads_back(capsys, ex1_path):
+    code, out, _ = run(capsys, "quotient", str(ex1_path), "--ideal", "bot,0,a,1",
+                       "--verify", "--json")
+    assert code == 0
+    assert parse_algebra(json.loads(out)["quotient"]["text"]).elements == ("[bot]", "[0]", "[top]")
+
+
+def test_violated_quotient_claim_names_its_classes(capsys, monkeypatch, ex1_path):
+    # no census algebra or small mutant violates a quotient claim, so one is
+    # stubbed in: its witness indexes quotient classes, printed as [rep]
+    def violated(alg, ideal):
+        report = theorem_suite(alg, ideal)
+        claims = list(report.claims)
+        claims[1] = ClaimResult("prime_ideal_linear_quotient", "violated", (2, 0))
+        return report._replace(claims=tuple(claims))
+
+    monkeypatch.setattr("clalg.cli.theorem_suite", violated)
+    code, out, _ = run(capsys, "theorems", str(ex1_path), "--ideal", "bot,0,a,1", "--json")
+    assert code == 1
+    assert json.loads(out)["theorems"]["claims"][1] == {
+        "claim": "prime_ideal_linear_quotient", "status": "violated",
+        "witness": ["[top]", "[bot]"]}
+    code, out, _ = run(capsys, "theorems", str(ex1_path), "--ideal", "bot,0,a,1")
+    assert code == 1
+    assert "claim prime_ideal_linear_quotient: violated  witness=['[top]', '[bot]']" in out
 
 
 def test_search_command(capsys):

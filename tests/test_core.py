@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -138,7 +139,7 @@ def test_no_residual_witness():
 
 
 def test_implication_absent(linear5_candidate):
-    bare = linear5_candidate.with_imp(None)
+    bare = replace(linear5_candidate, imp_table=None)
     with pytest.raises(ImplicationAbsent):
         bare.neg(0)
 

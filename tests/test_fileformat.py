@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from clalg.core import AlgebraCandidate, OrderRelation
 from clalg.fileformat import ParseError, export_dot, parse_algebra, serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
-from clalg.ideals import Subset, certify_ideal
+from clalg.ideals import Subset, all_ideals, certify_ideal
 from clalg.quotient import build_quotient
+from clalg.validator import is_linear
 
 
 def test_parse_linear_structure():
@@ -13,7 +14,7 @@ def test_parse_linear_structure():
     assert cand.name == "linear5"
     assert cand.elements == ("bot", "0", "1", "a", "top")
     assert (cand.bot, cand.zero, cand.one) == (0, 1, 2)
-    assert cand.order.is_total()
+    assert is_linear(cand)
     assert cand.mult_table[3][3] == 1  # a*a = 0
     assert cand.imp_table[3][1] == 3  # a->0 = a
 
@@ -21,7 +22,7 @@ def test_parse_linear_structure():
 def test_parse_nonlinear_structure():
     cand = parse_algebra(NONLINEAR_CLA)
     assert cand.n == 6
-    assert not cand.order.is_total()
+    assert not is_linear(cand)
     assert len(cand.order.covers()) == 6
 
 
@@ -75,7 +76,11 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("old, new, line, message", [
     ("algebra linear5", "algebra linear 5", 1,
-     "algebra name must be a single [A-Za-z0-9_]+ token"),
+     r"algebra name must be a single [A-Za-z0-9_\[\]]+ token"),
+    ("algebra linear5", "algebra b!", 1,
+     r"algebra name must be a single [A-Za-z0-9_\[\]]+ token"),
+    ("elements: bot 0 1 a top", "elements: [bot] 0 1 a{b} top", 2,
+     "bad element name 'a{b}'"),
     ("elements: bot 0 1 a top", "elements:", 2, "at least one element required"),
     ("elements: bot 0 1 a top", "elements: " + " ".join(f"e{i}" for i in range(65)), 2,
      "universe exceeds 64 elements"),
@@ -90,6 +95,18 @@ def test_parse_error_names_line_and_fault(old, new, line, message):
     with pytest.raises(ParseError) as exc:
         parse_algebra(LINEAR_CLA.replace(old, new))
     assert (exc.value.line, exc.value.message) == (line, message)
+
+
+def test_quotients_read_back_as_printed(census):
+    # a quotient's elements are named [rep] after its classes, and a quotient
+    # of a quotient is named after the first quotient
+    firsts = [build_quotient(alg, ideal).algebra
+              for n in sorted(census) for alg in census[n] for ideal in all_ideals(alg)]
+    seconds = [build_quotient(q, ideal).algebra for q in firsts for ideal in all_ideals(q)]
+    assert (len(firsts), len(seconds)) == (75, 126)
+    assert "cl5_l4_7_mod_e0_e1_e2_e3_e4_mod_[e0]" in {q.name for q in seconds}
+    for q in firsts + seconds:
+        assert parse_algebra(serialize_algebra(q)) == q.as_candidate(), q.name
 
 
 def test_error_line_numbers_point_at_the_offender():

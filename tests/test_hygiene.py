@@ -8,8 +8,9 @@ two modules declare a law under the same tag, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
 imports another's private names, no line is longer than 100
 characters, the `scans` fixture counts the scans of every module
-that runs laws, and only laws.formula_law compiles source (eval, exec
-or compile)."""
+that runs laws, only laws.formula_law compiles source (eval, exec or
+compile), and every function and class is named somewhere outside its
+own definition."""
 
 import ast
 import importlib
@@ -185,10 +186,10 @@ def test_law_arity_counts_the_violation_parameters():
         assert entry.arity == len(inspect.signature(entry.violation).parameters) - 1, entry
 
 
-# the dataclasses: each validates in __post_init__, the core three also
-# cache on themselves (cached_property), and the algebras are copied
-# with dataclasses.replace
-DATACLASSES = {"ideals.Subset", "search.SearchConfig", "core.OrderRelation",
+# the dataclasses: each validates in __post_init__ (an Ideal as the
+# Subset it is), the core three also cache on themselves
+# (cached_property), and the algebras are copied with dataclasses.replace
+DATACLASSES = {"ideals.Subset", "ideals.Ideal", "search.SearchConfig", "core.OrderRelation",
                "core.AlgebraCandidate", "core.FiniteCLAlgebra"}
 
 
@@ -201,3 +202,33 @@ def test_only_self_checking_values_are_dataclasses():
                   if isinstance(obj, type) and obj.__module__ == module.__name__
                   and hasattr(obj, "__dataclass_fields__")}
     assert found == DATACLASSES
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def _names_read(tree):
+    """(name, line) of each ast.Name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def test_every_definition_is_named_outside_itself():
+    # a function or class that only its own body names has no caller: it
+    # is kept for nothing (dunder methods are called by the language)
+    reads = {}
+    for path in MODULES + TESTS:
+        for name, line in _names_read(ast.parse(path.read_text(encoding="utf-8"))):
+            reads.setdefault(name, []).append((path, line))
+    unread = [f"{path.name}:{node.lineno} {node.name}" for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and not any(where != path or not node.lineno <= line <= node.end_lineno
+                           for where, line in reads.get(node.name, ()))]
+    assert not unread, unread

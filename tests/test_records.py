@@ -1,10 +1,11 @@
-"""The result records are NamedTuples: a verdict is falsy when it fails,
-and no record takes an assignment, to a field or to a new name."""
+"""The result records are NamedTuples, except the Ideal, a frozen
+dataclass because it is a Subset: a verdict is falsy when it fails, and
+no record takes an assignment, to a field or to a new name."""
 
 import pytest
 
 from clalg.fixtures import linear_candidate
-from clalg.ideals import classify, zero_downset
+from clalg.ideals import Ideal, classify, zero_downset
 from clalg.laws import Verdict
 from clalg.quotient import build_quotient, congruence_from_ideal, theorem_suite
 from clalg.search import SearchConfig, run_search
@@ -37,7 +38,9 @@ def test_every_record_kind_is_covered():
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_refuse_assignment(record):
+    # a dataclass has no `_fields`: an Ideal is tried on its `bits`
+    field = "bits" if isinstance(record, Ideal) else record._fields[0]
     with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], None)
+        setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None

@@ -117,12 +117,12 @@ def test_check_residuation_witness(linear5_candidate, nonlinear6):
 def test_check_involution_witness(linear5_candidate):
     rows = [list(r) for r in linear5_candidate.imp_table]
     rows[3][1] = 4  # ~a now top, and ~top = bot != a
-    cand = linear5_candidate.with_imp(tuple(tuple(r) for r in rows))
+    cand = replace(linear5_candidate, imp_table=tuple(tuple(r) for r in rows))
     assert validate(cand).involution.witness == ("involution", 3)
 
 
 def test_validate_derives_missing_implication(linear5_candidate):
-    bare = linear5_candidate.with_imp(None)
+    bare = replace(linear5_candidate, imp_table=None)
     report = validate(bare)
     assert report.passed
     assert report.algebra.imp_table == linear5_candidate.imp_table

@@ -22,13 +22,11 @@ from oracles import (
 )
 from test_identities import _force_seal
 
-import clalg.core
 import clalg.ideals
 import clalg.identities
 import clalg.quotient
 import clalg.validator
-from clalg.core import (TOTAL, AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice,
-                        OrderRelation)
+from clalg.core import AlgebraCandidate, AlgebraError, ImplicationAbsent, NotALattice, OrderRelation
 from clalg.ideals import (
     DISTRIBUTIVE_IDEAL,
     IDEAL,
@@ -57,6 +55,7 @@ from clalg.validator import (
     LATTICE,
     MONOID,
     RESIDUATION,
+    TOTAL,
     _imp_or_derive,
     is_distributive_lattice,
     is_residuated_lattice,
@@ -112,8 +111,8 @@ def test_identities_match_the_oracle_on_mutants(sealed_and_mutants):
 
 def test_special_ideals_match_the_oracle_on_mutants(sealed_and_mutants):
     checks = (
-        (lambda alg, s: is_prime(alg, Ideal(s)), oracle_prime),
-        (lambda alg, s: is_distributive_ideal(alg, Ideal(s)), oracle_distributive_ideal),
+        (lambda alg, s: is_prime(alg, Ideal(s.n, s.bits)), oracle_prime),
+        (lambda alg, s: is_distributive_ideal(alg, Ideal(s.n, s.bits)), oracle_distributive_ideal),
         (is_implicative, oracle_implicative),
     )
     outcomes = Counter()
@@ -172,7 +171,7 @@ def _contexts(cand, rng):
     """(entries, context) for each law with a whole-table test."""
     yield from ((entries, cand) for entries in (LATTICE, MONOID, INTEGRAL, DISTRIBUTIVE_LATTICE))
     yield TOTAL, cand.order
-    for resolved in (_imp_or_derive(cand), _imp_or_derive(cand.with_imp(None))):
+    for resolved in (_imp_or_derive(cand), _imp_or_derive(replace(cand, imp_table=None))):
         yield from ((entries, resolved) for entries in (RESIDUATION, INVOLUTION))
     forced = _force_seal(cand)
     yield from ((laws, forced) for _ctx, laws in clalg.identities.LAWS.values())
@@ -189,7 +188,7 @@ def _contexts(cand, rng):
 
 def _declared_laws():
     """Every tuple of law entries a package module declares."""
-    for module in (clalg.core, clalg.validator, clalg.identities, clalg.ideals, clalg.quotient):
+    for module in (clalg.validator, clalg.identities, clalg.ideals, clalg.quotient):
         for value in vars(module).values():
             if isinstance(value, tuple) and value and all(isinstance(e, Law) for e in value):
                 yield value
@@ -273,8 +272,7 @@ def _passing(scans):
 def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, scans):
     algebras = [replace(alg) for n in sorted(census) for alg in census[n]]  # empty memos
     ideals = 0
-    checks = (is_prime, is_distributive_ideal,
-              lambda alg, ideal: is_implicative(alg, ideal.subset))
+    checks = (is_prime, is_distributive_ideal, is_implicative)
     for alg in algebras:
         # validate and the identity suite, cubic scans included
         assert validate(alg.as_candidate()).algebra == alg
@@ -314,10 +312,10 @@ def test_no_passing_check_scans_points(census_2_6, linear5, nonlinear6, monkeypa
         assert (report.algebra == alg) is sealed and (report.flags is None) is not sealed
         assert all(run_identity_suite(alg).values()) is sealed
         for ideal in all_ideals(alg):
-            certify_ideal(alg, ideal.subset)
+            certify_ideal(alg, ideal)
             is_prime(alg, ideal)
             is_distributive_ideal(alg, ideal)
-            is_implicative(alg, ideal.subset)
+            is_implicative(alg, ideal)
             # raises where no congruence is induced
             outcome = _raised(theorem_suite, alg, ideal)
             assert not sealed or outcome.ok, (alg.name, ideal.bits, outcome)
@@ -389,7 +387,7 @@ def _classify_by_scans(alg, ideal):
     """The flags as the truth of the witness-bearing verdicts."""
     return IdealClassification(
         is_prime(alg, ideal).ok, is_distributive_ideal(alg, ideal).ok,
-        is_implicative(alg, ideal.subset).ok, is_affine(alg, ideal),
+        is_implicative(alg, ideal).ok, is_affine(alg, ideal),
         ideal.bits == alg.order.dn[alg.zero])
 
 
@@ -399,7 +397,7 @@ def _ideals_by_scans(alg):
     closed = (_plain(clalg.ideals._CLOSED),)
     found = [bits for bits in clalg.ideals._down_sets(alg)
              if bits >> alg.zero & 1 and first_violation("ideal", closed, (alg, bits))]
-    return [Ideal(Subset(alg.n, bits)) for bits in sorted(found)]
+    return [Ideal(alg.n, bits) for bits in sorted(found)]
 
 
 def _raised(fn, *args):
@@ -419,7 +417,7 @@ def test_flags_and_ideals_raise_as_the_scans_where_tests_cannot_decide(census):
             assert not cand.lattice_with_imp
             assert _raised(all_ideals, cand) == _raised(_ideals_by_scans, cand), cand.name
             for bits in _zero_subsets(cand):
-                ideal = Ideal(Subset(cand.n, bits))
+                ideal = Ideal(cand.n, bits)
                 outcome = _raised(classify, cand, ideal)
                 assert outcome == _raised(_classify_by_scans, cand, ideal), (cand.name, bits)
                 raised[None if isinstance(outcome, IdealClassification) else outcome[0]] += 1
@@ -436,10 +434,10 @@ def test_flags_and_ideals_run_no_ideal_scan_on_census_algebras(census_2_6, scans
     assert ideals == 318
     assert not {key[0] for key in scans} & {"prime", "distributive_ideal", "implicative", "ideal"}
     # the counting reaches the ideal scans
-    is_ideal(alg, ideal.subset)
+    is_ideal(alg, ideal)
     is_prime(alg, ideal)
     is_distributive_ideal(alg, ideal)
-    is_implicative(alg, ideal.subset)
+    is_implicative(alg, ideal)
     assert [scans[law,] for law in ("prime", "distributive_ideal", "implicative", "ideal")] == [1] * 4
 
 
