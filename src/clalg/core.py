@@ -14,6 +14,7 @@ every subset fits in one machine word.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Iterator
@@ -21,6 +22,8 @@ from typing import Iterable, Iterator
 from .laws import compose
 
 MAX_UNIVERSE = 64
+# the algebra and element names, as the file format reads them
+NAME = re.compile(r"[A-Za-z0-9_\[\]]+")
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -250,8 +253,10 @@ class AlgebraCandidate:
             raise ValueError(f"universe exceeds {MAX_UNIVERSE} elements")
         if len(set(self.elements)) != n:
             raise ValueError("element names must be pairwise distinct")
+        if not NAME.fullmatch(self.name):
+            raise ValueError(f"bad algebra name {self.name!r}")
         for nm in self.elements:
-            if not nm or any(c.isspace() for c in nm):
+            if not NAME.fullmatch(nm):
                 raise ValueError(f"bad element name {nm!r}")
         if self.order.n != n:
             raise ValueError("order size does not match universe")

@@ -14,23 +14,19 @@ Grammar (line oriented, `#` starts a comment, sections in this order):
     <n rows of n ids>
     end
 
-Identifiers are runs of ASCII letters, digits, `_`, `[` and `]`, enough
-for every name the package writes, a quotient's `[rep]` classes among
-them.  serialize_algebra emits the canonical form of this grammar
-(covers sorted by index pair), so parse o serialize is the identity on
-parsed values and on canonically written files.  The order need not be
-antisymmetric: elements that are each below the other get a cover edge
-in both directions, so a cyclic order is written as edges whose closure
-is the same relation.
+Identifiers are runs of ASCII letters, digits, `_`, `[` and `]`
+(`core.NAME`, the only names a candidate takes, a quotient's `[rep]`
+classes among them).  serialize_algebra emits the canonical form of
+this grammar (covers sorted by index pair), so parse o serialize is the
+identity on parsed values and on canonically written files.  The order
+need not be antisymmetric: elements that are each below the other get
+a cover edge in both directions, so a cyclic order is written as edges
+whose closure is the same relation.
 """
 
 from __future__ import annotations
 
-import re
-
-from .core import MAX_UNIVERSE, AlgebraCandidate, OrderRelation
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
+from .core import MAX_UNIVERSE, NAME, AlgebraCandidate, OrderRelation
 
 
 class ParseError(Exception):
@@ -79,8 +75,8 @@ def parse_algebra(text: str) -> AlgebraCandidate:
     if body is None or not body.startswith("algebra "):
         raise ParseError(no, "algebra NAME required")
     name_parts = body.split()
-    if len(name_parts) != 2 or not _NAME_RE.match(name_parts[1]):
-        raise ParseError(no, r"algebra name must be a single [A-Za-z0-9_\[\]]+ token")
+    if len(name_parts) != 2 or not NAME.fullmatch(name_parts[1]):
+        raise ParseError(no, f"algebra name must be a single {NAME.pattern} token")
     name = name_parts[1]
 
     no, names = _expect_header(lines, "elements:")
@@ -90,7 +86,7 @@ def parse_algebra(text: str) -> AlgebraCandidate:
         raise ParseError(no, f"universe exceeds {MAX_UNIVERSE} elements")
     seen = set()
     for nm in names:
-        if not _NAME_RE.match(nm):
+        if not NAME.fullmatch(nm):
             raise ParseError(no, f"bad element name {nm!r}")
         if nm in seen:
             raise ParseError(no, f"duplicate element name {nm!r}")

@@ -23,7 +23,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from .core import AlgebraCandidate, AlgebraError, iter_bits, memoised
-from .laws import Law, Verdict, cube, first_violation, rising_pairs, translation
+from .laws import Law, Verdict, cube, first_violation, translation
 
 
 class EmptySubset(AlgebraError):
@@ -341,7 +341,7 @@ def _implicative_holds(c) -> bool:
 
 # read on (algebra, ideal bits); witnesses carry the point and the
 # computed values that miss the ideal
-PRIME = (Law(None, lambda c: rising_pairs(c[0]), _prime, holds=_prime_holds),)
+PRIME = (Law(None, lambda c: cube(2)(c[0]), _prime, holds=_prime_holds),)
 DISTRIBUTIVE_IDEAL = (Law(None, lambda c: cube(3)(c[0]), _distributive, holds=_distributive_holds),)
 IMPLICATIVE = (Law(None, lambda c: cube(3)(c[0]), _implicative, holds=_implicative_holds),)
 
@@ -350,7 +350,8 @@ def is_prime(alg: AlgebraCandidate, ideal: Ideal) -> Verdict:
     """For every pair, ~(x->y) or ~(y->x) must land in the ideal.
 
     The witness carries the first failing pair together with both
-    computed values, (x, y, ~(x->y), ~(y->x)).
+    computed values, (x, y, ~(x->y), ~(y->x)).  All pairs are scanned;
+    the law is symmetric in (x, y), so that pair has x <= y by index.
     """
     return first_violation("prime", PRIME, (alg, ideal.bits))
 

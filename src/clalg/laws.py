@@ -44,23 +44,23 @@ for the table T's rows joined in `flat`; the rows a row selects,
 makes about 2n long calls where reading row by row makes n^2 short
 ones.  The byte views are built inside each call and kept nowhere.
 
-A point law written as an equation is stated once, as its formula
-(`formula_law`), in the notation of the residuated-lattice literature:
-`~` binds tightest, then `*`, `&`, `|` and `->` (right-associative),
-over variables (a letter and optional digits, such as `x` or `y1`) and
-the constants `bot`, `top`, `0` and `1`.  Terms are compared by `<=`
-or `==`; a comma list compares each term on one side with each on the
-other (`x,y <= 1`), or joins comparisons (`x<=x1, y<=y1`), as `and`
-does, and `implies` binds loosest.  The formula is compiled once into
-the violation `lambda A, <variables>: None if <expression> else ()`,
-the variables in alphabetical order, read through the context's
-`mult`, `meet`, `join`, `imp`, `neg` and `leq`.
+A point law is stated once, as its formula (`formula_law`), in the
+notation of the residuated-lattice literature: `~` binds tightest, then
+`*`, `&`, `|` and `->` (right-associative), over variables (a letter
+and optional digits, such as `x` or `y1`) and the constants `bot`,
+`top`, `0` and `1`.  Terms are compared by `<=` or `==`; a comma list
+compares each term on one side with each on the other (`x,y <= 1`), or
+joins comparisons (`x<=x1, y<=y1`), as `and` does; `implies` and `iff`
+bind loosest, to the right, with a whole condition on each side.  The
+formula is compiled once into `lambda A, <variables>: None if
+<expression> else ()`, the variables in alphabetical order, read
+through the context's `mult`, `meet`, `join`, `imp`, `neg` and `leq`.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, product
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -159,16 +159,6 @@ def distributes(f, g) -> bool:
                for fx in map(bytes, f))
 
 
-def ascending_pairs(ctx) -> Iterable[tuple]:
-    """(x, y) with x < y."""
-    return combinations(range(ctx.n), 2)
-
-
-def rising_pairs(ctx) -> Iterable[tuple]:
-    """(x, y) with x <= y."""
-    return combinations_with_replacement(range(ctx.n), 2)
-
-
 def cube(arity: int) -> Callable[[object], Iterable[tuple]]:
     """All `arity`-tuples of elements, lexicographically."""
     return lambda ctx: product(range(ctx.n), repeat=arity)
@@ -236,8 +226,10 @@ def formula_law(formula: str, holds: Callable[[object], bool]) -> Law:
         while tokens[at] in (",", "and"):
             take()
             parts.append(comparison())
-        both = " and ".join(parts)
-        return f"not ({both}) or {condition()}" if take("implies", "") else both
+        both, link = " and ".join(parts), take("implies", "iff", "")
+        if link == "iff":
+            return f"({both}) == ({condition()})"
+        return f"not ({both}) or {condition()}" if link else both
 
     body = condition()
     variables = ", ".join(["A", *sorted(names)])

@@ -70,6 +70,7 @@ from .core import (
     Table,
     iter_bits,
 )
+from .fileformat import serialize_algebra
 from .laws import first_violation
 from .validator import LATTICE, seal
 
@@ -515,8 +516,6 @@ def run_search(config: SearchConfig) -> SearchResult:
 
 def render_search_result(result: SearchResult) -> str:
     """Canonical text form of a census; identical across repeated runs."""
-    from .fileformat import serialize_algebra
-
     lines = [
         f"size {r.size} lattice {r.lattice_index} count {r.count}"
         for r in result.rows

@@ -1,23 +1,25 @@
 """Axiom checks for algebra candidates, with first-witness reporting.
 
 Every check runs its quantifiers in ascending element-index order,
-nested left to right, and stops at the first violation; the scan orders
-below are part of the module contract (the test-suite replays them
-against an independent brute-force oracle and expects witness-for-
-witness agreement):
+nested left to right, over all tuples, and stops at the first
+violation; the scan orders below are part of the module contract (the
+test-suite replays them against an independent brute-force oracle and
+expects witness-for-witness agreement).  Each pair law is symmetric in
+(x, y), so its first witness has x <= y (x < y for antisymmetry and
+commutativity, never violated on the diagonal):
 
-  lattice:  reflexivity x; antisymmetry (x, y) with x < y; transitivity
-            (x, y, z); missing joins (x, y) with x <= y; missing meets
-            likewise; declared bot not least.
-  monoid:   commutativity (x, y) with x < y; unit x; associativity
-            (x, y, z).
+  lattice:  reflexivity x; antisymmetry (x, y); transitivity (x, y, z);
+            missing joins (x, y); missing meets likewise; declared bot
+            not least.
+  monoid:   commutativity (x, y); unit x; associativity (x, y, z).
   residuation: without a derivable implication table, (x, y) whose
             residual does not exist; else (x, y, z) on the
-            biconditional mult(x,y) <= z iff x <= imp(y,z).
-  involution: x on neg(neg(x)) == x.
+            biconditional x*y <= z iff x <= y->z.
+  involution: x on ~~x == x.
 
-Each law is declared once below as a list of laws.Law entries; validate
-and replay.confirm_witness both read those declarations.  Every entry,
+Each law is declared once below as a list of laws.Law entries, each
+point axiom as its formula (laws.formula_law); validate and
+replay.confirm_witness both read those declarations.  Every entry,
 and those of the linear (TOTAL, read on the order), integral and
 distributive-lattice flags, scans only where its exact whole-table test
 (laws.Law.holds) fails, for the witness, which is that of the full
@@ -44,14 +46,12 @@ from .core import (
 from .laws import (
     Law,
     Verdict,
-    ascending_pairs,
     associates,
     compose,
     cube,
     distributes,
     first_violation,
     formula_law,
-    rising_pairs,
 )
 
 
@@ -124,11 +124,6 @@ def _no_bound(op):
     return violation
 
 
-def _intransitive(A, x, y, z):
-    up = A.order.up
-    return () if up[x] >> y & 1 and up[y] >> z & 1 and not up[x] >> z & 1 else None
-
-
 def _antisymmetric(A) -> bool:
     """No x is equivalent to another element: up[x] & dn[x] holds no
     bit but x.  Read on a candidate, or on a bare order
@@ -137,22 +132,19 @@ def _antisymmetric(A) -> bool:
     return all(u & d & ~(1 << x) == 0 for x, (u, d) in enumerate(zip(order.up, order.dn)))
 
 
+def _axiom(kind: str, formula: str, holds, detail="") -> Law:
+    """The law `formula` states (laws.formula_law), its witnesses tagged `kind`."""
+    return formula_law(formula, holds)._replace(kind=kind, detail=detail)
+
+
 LATTICE = (
-    Law("reflexivity", cube(1), lambda A, x: None if A.leq(x, x) else (),
-        holds=lambda A: all(u >> x & 1 for x, u in enumerate(A.order.up))),
-    Law("antisymmetry", ascending_pairs,
-        lambda A, x, y: () if A.leq(x, y) and A.leq(y, x) else None, holds=_antisymmetric),
-    Law("transitivity", cube(3), _intransitive, holds=lambda A: A.order.is_transitive),
-    Law("no_join", rising_pairs, _no_bound("join"), holds=lambda A: A.order.has_meets_and_joins),
-    Law("no_meet", rising_pairs, _no_bound("meet"), holds=lambda A: A.order.has_meets_and_joins),
-    Law("bot_not_least", cube(1), lambda A, x: None if A.leq(A.bot, x) else (),
-        holds=lambda A: A.order.up[A.bot] == (1 << A.n) - 1),
+    _axiom("reflexivity", "x <= x", lambda A: all(u >> x & 1 for x, u in enumerate(A.order.up))),
+    _axiom("antisymmetry", "x<=y, y<=x implies x == y", _antisymmetric),
+    _axiom("transitivity", "x<=y, y<=z implies x<=z", lambda A: A.order.is_transitive),
+    Law("no_join", cube(2), _no_bound("join"), holds=lambda A: A.order.has_meets_and_joins),
+    Law("no_meet", cube(2), _no_bound("meet"), holds=lambda A: A.order.has_meets_and_joins),
+    _axiom("bot_not_least", "bot <= x", lambda A: A.order.up[A.bot] == (1 << A.n) - 1),
 )
-
-
-def _nonassociative(A, x, y, z):
-    t = A.mult_table
-    return None if t[t[x][y]][z] == t[x][t[y][z]] else ()
 
 
 def _associative(A) -> bool:
@@ -168,19 +160,10 @@ def _unital(A) -> bool:
 
 
 MONOID = (
-    Law("commutativity", ascending_pairs,
-        lambda A, x, y: None if A.mult_table[x][y] == A.mult_table[y][x] else (),
-        holds=lambda A: A.mult_table == tuple(zip(*A.mult_table))),
-    Law("unit", cube(1),
-        lambda A, x: None if A.mult_table[A.one][x] == x == A.mult_table[x][A.one] else (),
-        holds=_unital),
-    Law("associativity", cube(3), _nonassociative, holds=_associative),
+    _axiom("commutativity", "x*y == y*x", lambda A: A.mult_table == tuple(zip(*A.mult_table))),
+    _axiom("unit", "1*x, x*1 == x", _unital),
+    _axiom("associativity", "(x*y)*z == x*(y*z)", _associative),
 )
-
-
-def _nonadjoint(A, x, y, z):
-    up = A.order.up
-    return None if up[A.mult_table[x][y]] >> z & 1 == up[x] >> A.imp_table[y][z] & 1 else ()
 
 
 def _adjoint(A) -> bool:
@@ -209,13 +192,11 @@ def _no_residual(A, x, y):
 RESIDUATION = (
     Law("no_residual", lambda A: () if A.imp_table is not None else cube(2)(A), _no_residual,
         lambda A: A.imp_table is not None, "no implication table can satisfy residuation"),
-    Law("adjunction", cube(3), _nonadjoint, _adjoint, _adjunction_detail),
+    _axiom("adjunction", "x*y <= z iff x <= y->z", _adjoint, _adjunction_detail),
 )
 
-INVOLUTION = (
-    Law("involution", cube(1), lambda A, x: None if A.neg(A.neg(x)) == x else (),
-        holds=lambda A: A.imp_table is not None and compose(A.negs, A.negs) == tuple(range(A.n))),
-)
+INVOLUTION = (_axiom("involution", "~~x == x", lambda A: (
+    A.imp_table is not None and compose(A.negs, A.negs) == tuple(range(A.n)))),)
 
 
 def _imp_or_derive(cand: AlgebraCandidate) -> AlgebraCandidate:
@@ -311,9 +292,9 @@ def is_idempotent(alg: AlgebraCandidate) -> bool:
 
 
 # a total order, read on the order: the witness is the first incomparable
-# pair (x, y), x < y; its test: up[x] | dn[x] is the full mask at every x
+# pair (x, y) off the diagonal, so x < y; its test: up[x] | dn[x] is full
 TOTAL = (
-    Law(None, ascending_pairs, lambda o, x, y: None if o.leq(x, y) or o.leq(y, x) else (),
+    Law(None, cube(2), lambda o, x, y: None if x == y or o.leq(x, y) or o.leq(y, x) else (),
         holds=lambda o: all(u | d == (1 << o.n) - 1 for u, d in zip(o.up, o.dn))),
 )
 

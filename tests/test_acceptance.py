@@ -6,6 +6,7 @@ lines; every stated runtime bound is asserted with time.perf_counter.
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     orders_isomorphic,
 )
 
+from clalg.core import OrderRelation
 from clalg.fileformat import export_dot, parse_algebra, serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA, linear_candidate, nonlinear_candidate
 from clalg.identities import run_identity_suite
@@ -70,7 +72,7 @@ def test_distributive_classification():
     _report("distributive classification on the linear fixture")
 
 
-def test_validator_oracle_agreement_on_mutations():
+def test_validator_oracle_agreement_on_mutations(census):
     rng = random.Random(20260810)
     fixtures = [linear_candidate(), nonlinear_candidate()]
 
@@ -86,6 +88,7 @@ def test_validator_oracle_agreement_on_mutations():
             assert verdict.ok == axiom.ok
             assert verdict.skipped == axiom.skipped
             assert verdict.witness == axiom.first
+        return report
 
     for cand in fixtures:
         agree(cand)
@@ -97,7 +100,20 @@ def test_validator_oracle_agreement_on_mutations():
         rows = [list(r) for r in table]
         rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         agree(replace(base, **{f"{which}_table": tuple(tuple(r) for r in rows)}))
-    _report("validator/oracle agreement on fixtures and 1000 mutants")
+    # then orders: 1 or 2 bits of the up masks toggled, which reaches the
+    # order laws' witnesses as well as the missing meets and joins
+    bases = fixtures + [alg.as_candidate() for n in (3, 4, 5) for alg in census[n]]
+    kinds = Counter()
+    for _ in range(1000):
+        base = rng.choice(bases)
+        up = list(base.order.up)
+        for _ in range(rng.choice((1, 2))):
+            up[rng.randrange(base.n)] ^= 1 << rng.randrange(base.n)
+        lattice = agree(replace(base, order=OrderRelation(base.n, tuple(up)))).lattice
+        kinds[lattice.witness and lattice.witness[0]] += 1
+    assert {"reflexivity", "antisymmetry", "transitivity", "no_join", "no_meet"} <= set(kinds)
+    _report(f"validator/oracle agreement on fixtures, 1000 table and 1000 order mutants "
+            f"(lattice witnesses {dict(sorted(kinds.items(), key=str))})")
 
 
 def _validated_universe(census):

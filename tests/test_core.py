@@ -188,6 +188,9 @@ _CHAIN2 = dict(name="c2", elements=("x", "y"), order=OrderRelation.from_covers(2
     (dict(order=OrderRelation.from_covers(3, [(0, 1)])), "order size does not match universe"),
     (dict(zero=2), "zero index 2 out of range"),
     (dict(bot=-1), "bot index -1 out of range"),
+    (dict(elements=("a!", "y")), "bad element name 'a!'"),
+    (dict(elements=("x", 'a"b')), "bad element name 'a\"b'"),
+    (dict(name="my alg"), "bad algebra name 'my alg'"),
 ])
 def test_malformed_candidate_is_rejected(fields, message):
     with pytest.raises(ValueError) as exc:

@@ -117,7 +117,7 @@ def test_identity_witnesses_replay(nonlinear6):
 
 
 @pytest.mark.parametrize("formula", ["x*(y", "x <= ", "x $ y", "x,y", "x == y z", "xy <= x",
-                                     "__import__ == x", ""])
+                                     "__import__ == x", "", "x <= y iff", "iff x <= y"])
 def test_formula_outside_the_grammar_is_rejected(formula):
     with pytest.raises(ValueError):
         formula_law(formula, lambda A: False)
@@ -128,10 +128,13 @@ def _scan(formula, alg):
     return first_violation("law", (formula_law(formula, lambda A: False),), alg)
 
 
-@pytest.mark.parametrize("formula", ["x|y&z == x|(y&z)", "x->y->z == x->(y->z)"])
+@pytest.mark.parametrize("formula", ["x|y&z == x|(y&z)", "x->y->z == x->(y->z)",
+                                     "x<=y, y<=x iff x == y"])
 def test_precedence_and_associativity_group_as_written_out(census, formula):
     # & binds tighter than |, and -> associates to the right; no formula
-    # of the suite has an unparenthesised -> chain
+    # of the suite has an unparenthesised -> chain.  iff, as implies,
+    # takes a whole condition on each side: "x<=y and (y<=x iff x == y)"
+    # would fail wherever x <= y fails
     assert all(_scan(formula, alg) for algs in census.values() for alg in algs)
 
 
