@@ -12,8 +12,12 @@ written.
 calls may share it.
 
 Machine-readable (--json) and human output are rendered from the same
-payload structure, so they cannot diverge; --replay re-checks every
-printed witness against the tables before reporting it.
+payload structure, so they cannot diverge.  --replay re-checks each
+printed witness of a law against the tables before reporting it: every
+verdict's, derive-imp's missing residual and the quotient's
+order-criterion mismatch, also where it blocks a theorem claim.  Two
+witnesses are no law and are not replayed: quotient's
+not_an_equivalence and a violated theorem claim's.
 """
 
 from __future__ import annotations
@@ -82,23 +86,32 @@ class _Run:
     def fail(self):
         self.exit_code = max(self.exit_code, 1)
 
-    def verdict_entry(self, alg, verdict: Verdict, ideal_bits=None, class_index=None) -> dict:
-        status = "skipped" if verdict.skipped else ("pass" if verdict.ok else "fail")
-        entry = {
-            "check": verdict.law,
-            "status": status,
-            "witness": _render_index(alg, verdict.witness),
-        }
+    def witnessed(self, entry: dict, alg, verdict: Verdict,
+                  ideal_bits=None, class_index=None) -> dict:
+        """`entry` with the verdict's witness as printed, its detail and,
+        under --replay, whether the tables reproduce the witness."""
+        entry["witness"] = _render_index(alg, verdict.witness)
         if verdict.detail:
             entry["detail"] = verdict.detail
-        if not verdict.ok:
-            self.fail()
         if verdict.witness is not None and self.args.replay:
             ok = confirm_witness(alg, verdict, ideal_bits, class_index)
             entry["replay"] = "confirmed" if ok else "NOT REPRODUCIBLE"
             if not ok:
                 self.fail()
         return entry
+
+    def verdict_entry(self, alg, verdict: Verdict, ideal_bits=None, class_index=None) -> dict:
+        if not verdict.ok:
+            self.fail()
+        status = "skipped" if verdict.skipped else ("pass" if verdict.ok else "fail")
+        return self.witnessed({"check": verdict.law, "status": status},
+                              alg, verdict, ideal_bits, class_index)
+
+    def verdicts(self, alg, verdicts) -> list[dict]:
+        """The entries of `verdicts`, their lines added to the human report."""
+        entries = [self.verdict_entry(alg, v) for v in verdicts]
+        self.human.extend(self.render_verdict_line(e) for e in entries)
+        return entries
 
     def render_verdict_line(self, entry: dict) -> str:
         status = entry["status"]
@@ -107,9 +120,15 @@ class _Run:
             line += f"  witness={entry['witness']}"
         if entry.get("detail"):
             line += f"  [{entry['detail']}]"
-        if entry.get("replay"):
-            line += f"  replay={entry['replay']}"
-        return line
+        return line + _replay_note(entry)
+
+
+def _replay_note(entry: dict) -> str:
+    return f"  replay={entry['replay']}" if entry.get("replay") else ""
+
+
+def _pairs(record: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in record.items())
 
 
 def _read_candidate(path: str) -> AlgebraCandidate:
@@ -137,18 +156,14 @@ def _ideal_subset(alg: AlgebraCandidate, names: str) -> Subset:
 def _cmd_validate(run: _Run) -> None:
     alg = run.alg
     report = validate(alg)
-    entries = [run.verdict_entry(alg, v) for v in report.verdicts]
-    run.payload["verdicts"] = entries
-    run.payload["promoted"] = report.algebra is not None
     run.human.append(f"algebra {alg.name} ({alg.n} elements)")
-    run.human.extend(run.render_verdict_line(e) for e in entries)
+    run.payload["verdicts"] = run.verdicts(alg, report.verdicts)
+    run.payload["promoted"] = report.algebra is not None
     if report.algebra is not None:
         run.payload["top"] = alg.name_of(report.top)
         run.payload["flags"] = report.flags._asdict()
         run.human.append(f"top: {alg.name_of(report.top)}")
-        run.human.append(
-            "flags: " + " ".join(f"{k}={v}" for k, v in run.payload["flags"].items())
-        )
+        run.human.append("flags: " + _pairs(run.payload["flags"]))
         run.human.append("result: CL-algebra")
     else:
         run.human.append("result: not a CL-algebra")
@@ -159,11 +174,11 @@ def _cmd_derive_imp(run: _Run) -> None:
     try:
         derived = derive_implication(alg.order, alg.mult_table)
     except NoResidual as exc:
-        witness = ["no_residual", alg.name_of(exc.x), alg.name_of(exc.y),
-                   [alg.name_of(m) for m in exc.frontier]]
         run.payload["derived"] = None
-        run.payload["witness"] = witness
-        run.human.append(f"no residual implication exists: witness={witness}")
+        run.witnessed(run.payload, alg, Verdict(
+            "residuation", False, ("no_residual", exc.x, exc.y, exc.frontier)))
+        run.human.append(f"no residual implication exists: witness={run.payload['witness']}"
+                         + _replay_note(run.payload))
         run.fail()
         return
     rows = [[alg.name_of(v) for v in row] for row in derived]
@@ -198,18 +213,14 @@ def _cmd_identities(run: _Run) -> None:
     alg = run.alg
     report = validate(alg)
     if report.algebra is None:
-        entries = [run.verdict_entry(alg, v) for v in report.verdicts]
-        run.payload["verdicts"] = entries
         run.human.append(f"algebra {alg.name} is not a CL-algebra; identities not run")
-        run.human.extend(run.render_verdict_line(e) for e in entries)
+        run.payload["verdicts"] = run.verdicts(alg, report.verdicts)
         run.fail()
         return
     sealed = report.algebra
     suite = run_identity_suite(sealed)
-    entries = [run.verdict_entry(sealed, v) for v in suite.values()]
-    run.payload["identities"] = entries
     run.human.append(f"algebra {alg.name}: identity suite")
-    run.human.extend(run.render_verdict_line(e) for e in entries)
+    entries = run.payload["identities"] = run.verdicts(sealed, suite.values())
     passed = sum(1 for e in entries if e["status"] == "pass")
     run.human.append(f"result: {passed}/{len(entries)} identities hold")
 
@@ -218,31 +229,26 @@ def _cmd_ideals(run: _Run) -> None:
     alg = run.alg
     if alg.imp_table is None:
         alg = replace(alg, imp_table=derive_implication(alg.order, alg.mult_table))
-    if run.args.generate is not None:
-        seed = _ideal_subset(alg, run.args.generate)
-        ideal = generated_ideal(alg, seed)
+    generate = run.args.generate
+    if generate is None:
+        ideals = all_ideals(alg)
+    else:
+        ideals = [generated_ideal(alg, _ideal_subset(alg, generate))]
+    entries, flags = [], []
+    for ideal in ideals:
         entry = {"ideal": ideal.render(alg)}
         if run.args.classify:
             entry["classification"] = classify(alg, ideal)._asdict()
-        run.payload["generated"] = entry
-        run.human.append(f"generated ideal: {entry['ideal']}")
-        if run.args.classify:
-            flags = entry["classification"].items()
-            run.human.append("  " + " ".join(f"{k}={v}" for k, v in flags))
+        entries.append(entry)
+        flags.append("  " + _pairs(entry["classification"]) if run.args.classify else "")
+    if generate is not None:
+        run.payload["generated"] = entries[0]
+        run.human.append(f"generated ideal: {entries[0]['ideal']}")
+        run.human.extend(f for f in flags if f)
         return
-    items = []
-    for ideal in all_ideals(alg):
-        entry = {"ideal": ideal.render(alg)}
-        if run.args.classify:
-            entry["classification"] = classify(alg, ideal)._asdict()
-        items.append(entry)
-    run.payload["ideals"] = items
-    run.human.append(f"algebra {alg.name}: {len(items)} ideals")
-    for entry in items:
-        line = f"ideal {entry['ideal']}"
-        if run.args.classify:
-            line += "  " + " ".join(f"{k}={v}" for k, v in entry["classification"].items())
-        run.human.append(line)
+    run.payload["ideals"] = entries
+    run.human.append(f"algebra {alg.name}: {len(entries)} ideals")
+    run.human.extend(f"ideal {e['ideal']}{f}" for e, f in zip(entries, flags))
 
 
 def _certified(run: _Run, alg: AlgebraCandidate, names: str):
@@ -290,8 +296,9 @@ def _cmd_quotient(run: _Run) -> None:
     except QuotientInvalid as exc:
         detail: dict = {"error": str(exc)}
         if exc.witness is not None:
-            detail["witness"] = _render_index(alg, exc.witness)
-        run.human.append(f"quotient invalid: {exc}")
+            run.witnessed(detail, alg, Verdict("order_criterion", False, exc.witness),
+                          ideal.bits, cong.class_index)
+        run.human.append(f"quotient invalid: {exc}" + _replay_note(detail))
         if exc.report is not None:
             detail["verdicts"] = [run.verdict_entry(exc.candidate, v) for v in exc.report.verdicts]
             run.human.extend("  " + run.render_verdict_line(entry)
@@ -322,28 +329,26 @@ def _cmd_theorems(run: _Run) -> None:
         run.human.append(f"congruence construction failed: {exc}")
         run.fail()
         return
-    class_names = [
-        f"[{alg.name_of(r)}]" for r in report.congruence.representatives()
-    ]
+    cong = report.congruence
+    class_names = [f"[{alg.name_of(r)}]" for r in cong.representatives()]
 
-    def claim_witness(c):
+    def claim_entry(c):
         # claim witnesses index quotient classes, except a blocked claim's
-        # order-criterion mismatch and the singleton claim's subset mask
-        if c.witness is None:
-            return None
+        # order-criterion mismatch (replayed) and the singleton claim's subset mask
+        entry = {"claim": c.claim, "status": c.status, "witness": c.witness}
         if c.status == "blocked":
-            return _render_index(alg, c.witness)
-        if c.claim == "zero_downset_singleton_classes":
-            return [c.witness[0], Subset(alg.n, c.witness[1]).render(alg)]
-        return [class_names[i] if isinstance(i, int) else i for i in c.witness]
+            return run.witnessed(entry, alg, Verdict("order_criterion", False, c.witness),
+                                 ideal.bits, cong.class_index)
+        if c.witness is not None and c.claim == "zero_downset_singleton_classes":
+            entry["witness"] = [c.witness[0], Subset(alg.n, c.witness[1]).render(alg)]
+        elif c.witness is not None:
+            entry["witness"] = [class_names[i] if isinstance(i, int) else i for i in c.witness]
+        return entry
 
-    claims = [
-        {"claim": c.claim, "status": c.status, "witness": claim_witness(c)}
-        for c in report.claims
-    ]
+    claims = [claim_entry(c) for c in report.claims]
     run.payload["theorems"] = {
         "ideal": ideal.render(alg),
-        "certificate": "pass" if report.congruence.certificate else "fail",
+        "certificate": "pass" if cong.certificate else "fail",
         "quotient_valid": report.quotient_valid,
         "claims": claims,
     }
@@ -353,7 +358,7 @@ def _cmd_theorems(run: _Run) -> None:
         line = f"claim {c['claim']}: {c['status']}"
         if c["witness"]:
             line += f"  witness={c['witness']}"
-        run.human.append(line)
+        run.human.append(line + _replay_note(c))
     if not report.ok:
         run.fail()
 
@@ -417,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="algebra file (.cla)")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
         p.add_argument("--replay", action="store_true",
-                       help="re-check every printed witness against the tables")
+                       help="re-check every printed law witness against the tables")
 
     common(sub.add_parser("validate", help="run the four axiom checks"))
     common(sub.add_parser("derive-imp", help="derive the implication table from residuation"))

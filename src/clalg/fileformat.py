@@ -36,128 +36,94 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
-class _Lines:
-    """Comment-stripped, non-blank lines with their 1-based numbers."""
-
-    def __init__(self, text: str):
-        self.items = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.items.append((no, body))
-        self.pos = 0
-        self.last_no = self.items[-1][0] if self.items else 1
-
-    def peek(self):
-        if self.pos < len(self.items):
-            return self.items[self.pos]
-        return (self.last_no, None)
-
-    def take(self):
-        item = self.peek()
-        if item[1] is not None:
-            self.pos += 1
-        return item
-
-
-def _expect_header(lines: _Lines, keyword: str) -> tuple[int, list[str]]:
-    no, body = lines.peek()
-    if body is None or not body.startswith(keyword):
-        raise ParseError(no, f"{keyword} required")
-    lines.take()
-    return no, body[len(keyword):].split()
-
-
 def parse_algebra(text: str) -> AlgebraCandidate:
-    lines = _Lines(text)
+    # the comment-stripped, non-blank lines with their 1-based numbers, then
+    # an end marker at the last line's number: a missing line is reported there
+    lines = [(no, body) for no, raw in enumerate(text.splitlines(), start=1)
+             if (body := raw.split("#", 1)[0].strip())]
+    lines.append((lines[-1][0] if lines else 1, None))
+    pos = 0
 
-    no, body = lines.take()
-    if body is None or not body.startswith("algebra "):
-        raise ParseError(no, "algebra NAME required")
-    name_parts = body.split()
-    if len(name_parts) != 2 or not NAME.fullmatch(name_parts[1]):
+    def take(keyword: str) -> tuple[int, list[str]]:
+        """The next line, which must start with `keyword`: its number and
+        the tokens after the keyword."""
+        nonlocal pos
+        no, body = lines[pos]
+        if not (body or "").startswith(keyword):
+            raise ParseError(no, "algebra NAME required" if keyword == "algebra "
+                             else f"{keyword} required")
+        pos += 1
+        return no, body[len(keyword):].split()
+
+    def indices(no: int, names: list[str]) -> tuple[int, ...]:
+        try:
+            return tuple(map(index.__getitem__, names))
+        except KeyError as exc:
+            raise ParseError(no, f"unknown element {exc.args[0]!r}") from None
+
+    no, toks = take("algebra ")
+    if len(toks) != 1 or not NAME.fullmatch(toks[0]):
         raise ParseError(no, f"algebra name must be a single {NAME.pattern} token")
-    name = name_parts[1]
+    name = toks[0]
 
-    no, names = _expect_header(lines, "elements:")
+    no, names = take("elements:")
     if not names:
         raise ParseError(no, "at least one element required")
     if len(names) > MAX_UNIVERSE:
         raise ParseError(no, f"universe exceeds {MAX_UNIVERSE} elements")
-    seen = set()
+    index: dict[str, int] = {}
     for nm in names:
         if not NAME.fullmatch(nm):
             raise ParseError(no, f"bad element name {nm!r}")
-        if nm in seen:
+        if nm in index:
             raise ParseError(no, f"duplicate element name {nm!r}")
-        seen.add(nm)
-    index = {nm: i for i, nm in enumerate(names)}
+        index[nm] = len(index)
     n = len(names)
 
     def one_name(keyword: str) -> int:
-        lno, toks = _expect_header(lines, keyword)
+        no, toks = take(keyword)
         if len(toks) != 1:
-            raise ParseError(lno, f"{keyword} takes exactly one element name")
-        if toks[0] not in index:
-            raise ParseError(lno, f"unknown element {toks[0]!r}")
-        return index[toks[0]]
+            raise ParseError(no, f"{keyword} takes exactly one element name")
+        return indices(no, toks)[0]
 
-    bot = one_name("bot:")
-    zero = one_name("zero:")
-    one = one_name("one:")
+    bot, zero, one = one_name("bot:"), one_name("zero:"), one_name("one:")
 
     covers = []
-    while True:
-        lno, body = lines.peek()
-        if body is None or not body.startswith("cover:"):
-            break
-        lines.take()
-        toks = body[len("cover:"):].split()
+    while (lines[pos][1] or "").startswith("cover:"):
+        no, toks = take("cover:")
         if len(toks) != 2:
-            raise ParseError(lno, "cover: takes exactly two element names")
-        for t in toks:
-            if t not in index:
-                raise ParseError(lno, f"unknown element {t!r}")
-        covers.append((index[toks[0]], index[toks[1]]))
+            raise ParseError(no, "cover: takes exactly two element names")
+        covers.append(indices(no, toks))
 
-    def table(keyword: str):
-        lno, toks = _expect_header(lines, keyword)
+    def table(keyword: str) -> tuple[tuple[int, ...], ...]:
+        nonlocal pos
+        no, toks = take(keyword)
         if toks:
-            raise ParseError(lno, f"{keyword} header takes no entries")
+            raise ParseError(no, f"{keyword} header takes no entries")
         rows = []
-        for r in range(n):
-            rno, body = lines.take()
+        for r in range(1, n + 1):
+            no, body = lines[pos]
             if body is None:
-                raise ParseError(rno, f"{keyword} row {r + 1} missing")
+                raise ParseError(no, f"{keyword} row {r} missing")
+            pos += 1
             cells = body.split()
             if len(cells) != n:
-                raise ParseError(
-                    rno, f"{keyword} row {r + 1} has {len(cells)} entries, expected {n}"
-                )
-            for c in cells:
-                if c not in index:
-                    raise ParseError(rno, f"unknown element {c!r}")
-            rows.append(tuple(index[c] for c in cells))
+                raise ParseError(no, f"{keyword} row {r} has {len(cells)} entries, expected {n}")
+            rows.append(indices(no, cells))
         return tuple(rows)
 
     mult = table("mult:")
+    imp = table("imp:") if (lines[pos][1] or "").startswith("imp:") else None
 
-    imp = None
-    lno, body = lines.peek()
-    if body is not None and body.startswith("imp:"):
-        imp = table("imp:")
-
-    lno, body = lines.peek()
+    no, body = lines[pos]
     if body != "end":
-        raise ParseError(lno, "end required")
-    lines.take()
-    lno, body = lines.peek()
+        raise ParseError(no, "end required")
+    no, body = lines[pos + 1]
     if body is not None:
-        raise ParseError(lno, f"unexpected content after end: {body!r}")
+        raise ParseError(no, f"unexpected content after end: {body!r}")
 
-    order = OrderRelation.from_covers(n, covers)
     return AlgebraCandidate(
-        name=name, elements=tuple(names), order=order,
+        name=name, elements=tuple(names), order=OrderRelation.from_covers(n, covers),
         mult_table=mult, imp_table=imp, bot=bot, zero=zero, one=one,
     )
 

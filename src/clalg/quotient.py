@@ -406,4 +406,4 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
 
 
 # law -> (context from the algebra, ideal bits and class index; entries)
-LAWS = {"congruence": (_Classes, CONGRUENCE)}
+LAWS = {"congruence": (_Classes, CONGRUENCE), "order_criterion": (_Classes, ORDER_CRITERION)}

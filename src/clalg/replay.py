@@ -6,7 +6,7 @@ laws.first_violation from a declared law entry: the entry's kind tag
 confirm_witness finds that entry by the verdict's law and the tag,
 re-evaluates its violation function at the witnessed point and returns
 True when the same extra values come back.  The CLI --replay flag
-drives this over every witness it prints.
+drives this over every law witness it prints.
 """
 
 from __future__ import annotations

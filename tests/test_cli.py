@@ -512,3 +512,68 @@ def test_failing_quotient_verdicts_are_printed(capsys, tmp_path):
         "  [x <= imp(y,z) but not mult(x,y) <= z]  replay=confirmed",
         "exit: 1",
     ]
+
+
+_CHAIN3 = (
+    "algebra cl3_l0_0\n"
+    "elements: e0 e1 e2\n"
+    "bot: e0\n"
+    "zero: e0\n"
+    "one: e2\n"
+    "cover: e0 e1\n"
+    "cover: e1 e2\n"
+    "mult:\n"
+    "e0 e0 e0\n"
+    "e0 e0 e1\n"
+    "e0 e1 e2\n"
+    "imp:\n"
+    "e2 e2 e2\n"
+    "e1 e2 e2\n"
+    "e0 e1 e2\n"
+    "end\n"
+)
+
+# the law witnesses printed outside a verdict: a quotient's order-criterion
+# mismatch, the same mismatch blocking theorem claims, and a missing residual
+_LAW_WITNESSES = {
+    "quotient": (NONLINEAR_CLA, ["--ideal", "bot,0", "--verify"],
+                 lambda payload: [payload["quotient"]],
+                 ["order_criterion", "1", "b", True, False]),
+    "theorems": (_CHAIN3.replace("e2 e2 e2", "e2 e0 e2"), ["--ideal", "e0"],
+                 lambda payload: [c for c in payload["theorems"]["claims"]
+                                  if c["status"] == "blocked"],
+                 ["order_criterion", "e0", "e1", True, False]),
+    "derive-imp": (_without_imp(_CHAIN3).replace("e0 e0 e1\ne0 e1 e2", "e0 e0 e1\ne1 e1 e2"),
+                   [], lambda payload: [payload], ["no_residual", "e2", "e0", []]),
+}
+
+
+def _law_witness_run(capsys, tmp_path, command, *flags):
+    text, args, entries, _ = _LAW_WITNESSES[command]
+    path = tmp_path / "witness.cla"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, command, str(path), *args, "--json", *flags)
+    assert code == 1
+    human_code, human, _ = run(capsys, command, str(path), *args, *flags)
+    assert human_code == 1
+    return entries(json.loads(out)), human
+
+
+@pytest.mark.parametrize("command", sorted(_LAW_WITNESSES))
+def test_law_witnesses_are_replayed(capsys, tmp_path, command):
+    witness = _LAW_WITNESSES[command][3]
+    entries, human = _law_witness_run(capsys, tmp_path, command)
+    assert entries and all(e["witness"] == witness and "replay" not in e for e in entries)
+    assert "replay=" not in human
+    entries, human = _law_witness_run(capsys, tmp_path, command, "--replay")
+    assert all(e["witness"] == witness and e["replay"] == "confirmed" for e in entries)
+    assert human.count("replay=confirmed") == len(entries)
+
+
+@pytest.mark.parametrize("command", sorted(_LAW_WITNESSES))
+def test_unreproducible_law_witness_is_reported_and_fails(capsys, monkeypatch, tmp_path,
+                                                          command):
+    monkeypatch.setattr("clalg.cli.confirm_witness", lambda *args: False)
+    entries, human = _law_witness_run(capsys, tmp_path, command, "--replay")
+    assert entries and all(e["replay"] == "NOT REPRODUCIBLE" for e in entries)
+    assert human.count("replay=NOT REPRODUCIBLE") == len(entries)

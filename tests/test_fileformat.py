@@ -89,6 +89,21 @@ def test_parse_errors():
     ("mult:", "mult: bot", 10, "mult: header takes no entries"),
     ("imp:\ntop top top top top\nbot 1 1 1 top\nbot 0 1 a top\nbot a 1 1 top\n"
      "bot bot bot bot top\nend\n", "imp:\ntop top top top top\n", 17, "imp: row 2 missing"),
+    # a missing line is reported at the last line read, an empty text at line 1
+    ("end\n", "", 21, "end required"),
+    ("end\n", "end\n\n# after\nend trailing\n", 25, "unexpected content after end: 'end trailing'"),
+    (LINEAR_CLA[LINEAR_CLA.index("bot:"):], "", 2, "bot: required"),
+    (LINEAR_CLA[LINEAR_CLA.index("bot 0 a 0 top"):], "", 13, "mult: row 4 missing"),
+    (LINEAR_CLA, "", 1, "algebra NAME required"),
+    (LINEAR_CLA, "# comments only\n\n# and blanks\n", 1, "algebra NAME required"),
+    ("bot 0 0 0 top", "bot 0 zz 0 top", 12, "unknown element 'zz'"),
+    ("cover: bot 0", "cover: zz", 6, "cover: takes exactly two element names"),
+    ("bot 0 a 0 top", "bot 0 a 0", 14, "mult: row 4 has 4 entries, expected 5"),
+    ("bot 0 a 0 top", "bot 0 a 0 zz top", 14, "mult: row 4 has 6 entries, expected 5"),
+    ("elements: bot 0 1 a top", "elements: bot 0 bot a! top", 2, "duplicate element name 'bot'"),
+    ("imp:", "imp: top", 16, "imp: header takes no entries"),
+    ("end", "end extra", 22, "end required"),
+    ("cover: 1 top\n", "cover: 1 top\nbot: bot\n", 9, "mult: required"),
 ])
 def test_parse_error_names_line_and_fault(old, new, line, message):
     assert old in LINEAR_CLA
