@@ -12,12 +12,13 @@ written.
 calls may share it.
 
 Machine-readable (--json) and human output are rendered from the same
-payload structure, so they cannot diverge.  --replay re-checks each
-printed witness of a law against the tables before reporting it: every
-verdict's, derive-imp's missing residual and the quotient's
-order-criterion mismatch, also where it blocks a theorem claim.  Two
-witnesses are no law and are not replayed: quotient's
-not_an_equivalence and a violated theorem claim's.
+payload structure, so they cannot diverge.  --json prints the report as
+one JSON line; `clalg ... --json | python -m json.tool` indents it.
+--replay re-checks each printed witness of a law against the tables
+before reporting it: every verdict's, derive-imp's missing residual
+and the quotient's order-criterion mismatch, also where it blocks a
+theorem claim.  Two witnesses are no law and are not replayed:
+quotient's not_an_equivalence and a violated theorem claim's.
 """
 
 from __future__ import annotations
@@ -272,9 +273,9 @@ def _cmd_quotient(run: _Run) -> None:
     try:
         cong = congruence_from_ideal(alg, ideal)
     except NotEquivalence as exc:
-        run.payload["congruence"] = {"error": "not_an_equivalence",
-                                     "witness": _render_index(alg, exc.witness)}
-        run.human.append(f"relation is not an equivalence: witness={exc.witness}")
+        witness = _render_index(alg, exc.witness)
+        run.payload["congruence"] = {"error": "not_an_equivalence", "witness": witness}
+        run.human.append(f"relation is not an equivalence: witness={witness}")
         run.fail()
         return
     classes = [cls.render(alg) for cls in cong.classes]
@@ -284,9 +285,7 @@ def _cmd_quotient(run: _Run) -> None:
     run.human.append(f"congruence modulo {ideal.render(alg)}: {len(classes)} classes")
     for r, cls in zip(cong.representatives(), classes):
         run.human.append(f"  [{alg.name_of(r)}] = {cls}")
-    run.human.append("certificate: " + cert_entry["status"]
-                     + (f" witness={cert_entry['witness']}" if cert_entry["witness"] else "")
-                     + (f" replay={cert_entry['replay']}" if cert_entry.get("replay") else ""))
+    run.human.append(run.render_verdict_line(cert_entry))
     if not cong.certificate:
         return
     if not (run.args.verify or run.args.dot):
@@ -488,7 +487,7 @@ def run_command(argv: list[str]) -> int:
     run.payload["exit_code"] = run.exit_code
 
     if args.json:
-        print(json.dumps(run.payload, indent=2))
+        print(json.dumps(run.payload))
     else:
         for line in run.human:
             print(line)

@@ -121,15 +121,15 @@ def test_quotient_verify(capsys, ex1_path):
     code, out, _ = run(capsys, "quotient", str(ex1_path), "--ideal", "bot,0", "--verify")
     assert code == 0
     assert "5 classes" in out
-    assert "certificate: pass" in out
+    assert "check congruence: pass" in out.splitlines()
     assert "passes validation" in out
 
 
 def test_quotient_incompatible_ideal(capsys, ex2_path):
     code, out, _ = run(capsys, "quotient", str(ex2_path), "--ideal", "bot,0,1", "--replay")
     assert code == 1
-    assert "certificate: fail" in out
-    assert "replay=confirmed" in out
+    assert ("check congruence: FAIL  witness=['mult', '0', '1', 'b', 'b']  replay=confirmed"
+            in out.splitlines())
 
 
 def test_quotient_invalid_reported(capsys, ex2_path):
@@ -393,7 +393,9 @@ def test_every_subcommand_reports_on_every_variant(capsys, tmp_path, variant, co
     code, out, _ = run(capsys, *argv, "--json")
     assert code in (0, 1, 2)
     if out:
-        assert all(r == "confirmed" for r in _replays(json.loads(out)))
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n"
+        assert all(r == "confirmed" for r in _replays(payload))
 
 
 def _outcome(capsys, argv):
@@ -577,3 +579,18 @@ def test_unreproducible_law_witness_is_reported_and_fails(capsys, monkeypatch, t
     entries, human = _law_witness_run(capsys, tmp_path, command, "--replay")
     assert entries and all(e["replay"] == "NOT REPRODUCIBLE" for e in entries)
     assert human.count("replay=NOT REPRODUCIBLE") == len(entries)
+
+
+def test_not_an_equivalence_witness_is_printed_by_name(capsys, tmp_path):
+    # with mult(e0,e2) = mult(e2,e0) = e1, e0 is not related to itself modulo {e0}
+    path = tmp_path / "unit_broken.cla"
+    path.write_text(_CHAIN3.replace("mult:\ne0 e0 e0\ne0 e0 e1\ne0 e1 e2",
+                                    "mult:\ne0 e0 e1\ne0 e0 e1\ne1 e1 e2"), encoding="utf-8")
+    code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0", "--json")
+    assert code == 1
+    assert json.loads(out)["congruence"] == {"error": "not_an_equivalence",
+                                             "witness": ["reflexivity", "e0"]}
+    code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0")
+    assert code == 1
+    assert out.splitlines() == [
+        "relation is not an equivalence: witness=['reflexivity', 'e0']", "exit: 1"]
