@@ -5,11 +5,15 @@ theorems, search, export-dot.  Exit codes: 0 all requested checks pass,
 1 a checked property fails (witnesses printed), 2 parse or usage error,
 including an input file that cannot be read or decoded as UTF-8 (a
 leading byte-order mark is skipped) and an -o/--dot path that cannot be
-written.
+written.  Run as a program (`main`), a reader that closes standard
+output early ends the run quietly with exit status 141 (128 + SIGPIPE,
+as a shell reports a process that SIGPIPE ended).
 
-`run_command` builds its argument parser once per process, on first use
-(not at import); after that the parser is only read, so concurrent
-calls may share it.
+`run_command` builds its argument parsers once per process, on first
+use (not at import), and parses each call once: argv goes straight to
+the parser of the subcommand that argv[0] names, and only anything else
+(no argv, -h, an unknown name) to the top-level parser.  After the
+build the parsers are only read, so concurrent calls may share them.
 
 Machine-readable (--json) and human output are rendered from the same
 payload structure, so they cannot diverge.  --json prints the report as
@@ -26,10 +30,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from .core import AlgebraCandidate, NoResidual, NotALattice, derive_implication
 from .fileformat import ParseError, export_dot, parse_algebra, serialize_algebra
@@ -134,7 +138,8 @@ def _pairs(record: dict) -> str:
 
 def _read_candidate(path: str) -> AlgebraCandidate:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
     return parse_algebra(text)
@@ -142,7 +147,8 @@ def _read_candidate(path: str) -> AlgebraCandidate:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc}") from exc
 
@@ -394,22 +400,12 @@ def _cmd_export_dot(run: _Run) -> None:
         run.human.extend(text.rstrip("\n").splitlines())
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "derive-imp": _cmd_derive_imp,
-    "identities": _cmd_identities,
-    "ideals": _cmd_ideals,
-    "quotient": _cmd_quotient,
-    "theorems": _cmd_theorems,
-    "search": _cmd_search,
-    "export-dot": _cmd_export_dot,
-}
-
-
 # built on the first run_command call, not at import: building costs far
-# more than a parse, and parse_args only reads the parser
+# more than a parse, and parse_args only reads the parsers
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its map of subcommand name to parser; each
+    subcommand's parser sets `handler`, the function that runs it."""
     parser = argparse.ArgumentParser(
         prog="clalg",
         description="Finite CL-algebra workbench: validate tables, compute "
@@ -417,52 +413,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("file", help="algebra file (.cla)")
-        p.add_argument("--json", action="store_true", help="emit the machine-readable report")
-        p.add_argument("--replay", action="store_true",
-                       help="re-check every printed law witness against the tables")
+    def add(name, handler, summary, file=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if file:
+            p.add_argument("file", help="algebra file (.cla)")
+            p.add_argument("--json", action="store_true",
+                           help="emit the machine-readable report")
+            p.add_argument("--replay", action="store_true",
+                           help="re-check every printed law witness against the tables")
+        return p
 
-    common(sub.add_parser("validate", help="run the four axiom checks"))
-    common(sub.add_parser("derive-imp", help="derive the implication table from residuation"))
-    common(sub.add_parser("identities", help="check the derived-law suite"))
+    add("validate", _cmd_validate, "run the four axiom checks")
+    add("derive-imp", _cmd_derive_imp, "derive the implication table from residuation")
+    add("identities", _cmd_identities, "check the derived-law suite")
 
-    p = sub.add_parser("ideals", help="enumerate (or generate) ideals")
-    common(p)
+    p = add("ideals", _cmd_ideals, "enumerate (or generate) ideals")
     p.add_argument("--classify", action="store_true", help="classify each ideal")
     p.add_argument("--generate", metavar="LIST",
                    help="comma-separated element names to generate from")
 
-    p = sub.add_parser("quotient", help="congruence and quotient by an ideal")
-    common(p)
+    p = add("quotient", _cmd_quotient, "congruence and quotient by an ideal")
     p.add_argument("--ideal", metavar="LIST", required=True,
                    help="comma-separated element names of the ideal")
     p.add_argument("--verify", action="store_true",
                    help="build the quotient and print its validated tables")
     p.add_argument("--dot", metavar="PATH", help="write the quotient Hasse diagram")
 
-    p = sub.add_parser("theorems", help="check the quotient theorems for an ideal")
-    common(p)
+    p = add("theorems", _cmd_theorems, "check the quotient theorems for an ideal")
     p.add_argument("--ideal", metavar="LIST", required=True)
 
-    p = sub.add_parser("search", help="enumerate CL-algebras up to isomorphism")
+    p = add("search", _cmd_search, "enumerate CL-algebras up to isomorphism", file=False)
     p.add_argument("--size", type=int, required=True, choices=range(SIZE_MIN, SIZE_MAX + 1),
                    metavar="N", help=f"universe size ({SIZE_MIN}..{SIZE_MAX})")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--max-results", type=int, metavar="K")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("export-dot", help="emit the Hasse diagram as DOT")
-    common(p)
+    p = add("export-dot", _cmd_export_dot, "emit the Hasse diagram as DOT")
     p.add_argument("-o", "--output", metavar="PATH")
 
-    return parser
+    return parser, sub.choices
 
 
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in subcommands:
+            args = subcommands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
@@ -472,13 +472,10 @@ def run_command(argv: list[str]) -> int:
         if "file" in args:
             run.alg = _read_candidate(args.file)
             run.payload["algebra"] = run.alg.name
-        _HANDLERS[args.cmd](run)
+        args.handler(run)
     except (ParseError, _Usage, EmptySubset) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotAnIdeal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NoResidual, NotALattice) as exc:
         # the candidate's own structure blocks the requested computation
         print(f"property failure: {exc}", file=sys.stderr)
@@ -496,7 +493,17 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit raises nothing either (the Python documentation's
+        # note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -248,12 +249,32 @@ def test_usage_errors_exit_2(capsys, ex1_path):
     assert run(capsys, "search", "--size", "3", "--max-results", "-1")[0] == 2
     assert run(capsys, "quotient", str(ex1_path), "--ideal", "bot,zz")[0] == 2
     assert run(capsys, "validate", "/nonexistent/x.cla")[0] == 2
+    assert run(capsys)[0] == 2  # no subcommand
+    assert run(capsys, "frobnicate", str(ex1_path))[0] == 2
+    # an unknown option after a subcommand is reported with that subcommand's usage
+    code, _, err = run(capsys, "validate", str(ex1_path), "--bogus")
+    assert code == 2
+    assert "usage: clalg validate" in err
+    assert "unrecognized arguments: --bogus" in err
 
 
-def test_missing_file_message(capsys):
+def test_every_subcommand_has_a_handler():
+    # run_command parses with the subcommand's own parser, so each one must
+    # name the function that runs it
+    _parser, subcommands = _build_parser()
+    handlers = {name: sub.get_default("handler") for name, sub in subcommands.items()}
+    assert all(callable(h) for h in handlers.values()), handlers
+    assert len(set(handlers.values())) == len(handlers) == 8
+
+
+def test_missing_file_message(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "/nonexistent/x.cla")
     assert code == 2
     assert "cannot read" in err
+    code, out, err = run(capsys, "validate", str(tmp_path))  # a directory
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
 
 
 def test_undecodable_file_is_usage_error(capsys, tmp_path):
@@ -269,13 +290,18 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
     ["validate"], ["ideals"], ["quotient", "--ideal", "bot,0,1,a"], ["export-dot"],
 ])
 def test_byte_order_mark_is_skipped(capsys, tmp_path, ex1_path, command):
-    # some editors start a UTF-8 file with a byte-order mark
-    bom = tmp_path / "linear5_bom.cla"
-    bom.write_bytes(b"\xef\xbb\xbf" + LINEAR_CLA.encode("utf-8"))
+    # some editors start a UTF-8 file with a byte-order mark, and some end
+    # lines with CRLF; both read as the plain file
     name, *options = command
-    result = run(capsys, name, str(bom), *options)
-    assert result == run(capsys, name, str(ex1_path), *options)
-    assert result[0] == 0
+    expected = run(capsys, name, str(ex1_path), *options)
+    assert expected[0] == 0
+    text = LINEAR_CLA.encode("utf-8")
+    crlf = text.replace(b"\n", b"\r\n")
+    for variant, data in [("bom", b"\xef\xbb\xbf" + text), ("crlf", crlf),
+                          ("bom_crlf", b"\xef\xbb\xbf" + crlf)]:
+        path = tmp_path / f"linear5_{variant}.cla"
+        path.write_bytes(data)
+        assert run(capsys, name, str(path), *options) == expected, variant
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,6 +488,23 @@ def test_importing_cli_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "0\n"
+
+
+def test_reader_closing_the_pipe_ends_the_run_quietly():
+    # the size-7 census prints about 135 KB, more than a pipe holds, so the
+    # program is still writing when the reader goes away after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(clalg.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "clalg.cli", "search", "--size", "7"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert first.startswith(b"size 7 ")
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 141
 
 
 # census algebra cl4_l1_2 with mult(e0, e0) changed from e0 to e1:
