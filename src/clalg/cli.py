@@ -138,8 +138,8 @@ def _pairs(record: dict) -> str:
 
 def _read_candidate(path: str) -> AlgebraCandidate:
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
     return parse_algebra(text)

@@ -9,14 +9,19 @@ module is the only place that decides whether it is an actual CL-algebra.
 Universe elements are dense indices 0..n-1; display names are kept
 alongside for parsing and reporting.  Subsets of the universe and order
 rows are bit masks, which caps the universe at MAX_UNIVERSE elements so
-every subset fits in one machine word.
+every subset fits in one machine word.  `iter_bits` reads the members
+of a mask below 256 from a table of bit tuples built at import, so the
+masks of a universe of up to 8 elements are walked at C speed.  Values
+derived from an immutable instance are cached on it by `cached_value`,
+which takes no lock: they are pure, so threads that race on a first
+read compute equal values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import reduce, wraps
 from typing import Iterable, Iterator
 
 from .laws import compose
@@ -62,12 +67,48 @@ class NoResidual(AlgebraError):
         super().__init__(f"residual undefined at ({x}, {y}); maximal candidates {frontier}")
 
 
+# _BITS[m] holds the set bits of m, ascending, for every byte m: each step
+# doubles the table, its upper half being the lower half with bit i added
+_BITS = reduce(lambda table, i: table + tuple(bits + (i,) for bits in table), range(8), ((),))
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, ascending."""
+    """Indices of the set bits of `mask`, ascending; ValueError on a
+    negative mask, whose set bits never end."""
+    if 0 <= mask < 256:
+        return iter(_BITS[mask])
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    return _lowest_first(mask)
+
+
+def _lowest_first(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class cached_value:
+    """`functools.cached_property` without its lock: the first read calls
+    `func` and stores the value in the instance `__dict__`, which then
+    shadows this non-data descriptor, also on a frozen dataclass.  A call
+    that raises stores nothing.  Before Python 3.12 the stdlib version
+    takes one RLock per property, shared by every instance, on each first
+    read; this class can go once requires-python reaches 3.12."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -116,7 +157,7 @@ class OrderRelation:
             up.append(mask)
         return cls(n, tuple(up))
 
-    @cached_property
+    @cached_value
     def dn(self) -> tuple[int, ...]:
         """dn[y] has bit x set iff x <= y."""
         dn = [0] * self.n
@@ -128,7 +169,7 @@ class OrderRelation:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
-    @cached_property
+    @cached_value
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """matrix[x][y] is 1 if x <= y, else 0."""
         return tuple(tuple(u >> y & 1 for y in range(self.n)) for u in self.up)
@@ -137,22 +178,22 @@ class OrderRelation:
         """lhs[i] <= rhs[i] at every i (up to the shorter of the two)."""
         return 0 not in map(tuple.__getitem__, compose(self.matrix, lhs), rhs)
 
-    @cached_property
+    @cached_value
     def is_transitive(self) -> bool:
         up = self.up
         return all(up[y] & ~ux == 0 for ux in up for y in iter_bits(ux))
 
-    @cached_property
+    @cached_value
     def is_preorder(self) -> bool:
         """Reflexive and transitive."""
         return all(u >> x & 1 for x, u in enumerate(self.up)) and self.is_transitive
 
-    @cached_property
+    @cached_value
     def has_meets_and_joins(self) -> bool:
         """Every pair has a unique meet and a unique join."""
         return not any(None in row for row in self.glbs + self.lubs)
 
-    @cached_property
+    @cached_value
     def glbs(self) -> tuple[tuple[int | None, ...], ...]:
         """glbs[x][y] is the greatest lower bound, or None when it does
         not exist uniquely.
@@ -164,7 +205,7 @@ class OrderRelation:
         relation scans each pair's lower bounds."""
         return self._bounds(self.dn, self.greatest_in)
 
-    @cached_property
+    @cached_value
     def lubs(self) -> tuple[tuple[int | None, ...], ...]:
         """Least upper bounds, as `glbs` with the order reversed."""
         return self._bounds(self.up, self.least_in)
@@ -206,6 +247,11 @@ class OrderRelation:
         """Hasse edges (lo, hi), sorted by (lo, hi); an element equivalent
         to lo or hi does not lie between them, so the edges of a cyclic
         order close to the same relation."""
+        return self.hasse
+
+    @cached_value
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse edges that `covers` returns, built once per order."""
         out = []
         for lo in range(self.n):
             for hi in iter_bits(self.up[lo] & ~(1 << lo)):
@@ -271,7 +317,7 @@ class AlgebraCandidate:
     def n(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @cached_value
     def memo(self) -> dict:
         """Results of pure functions of this algebra and its ideals, keyed
         by (function, *ideal bits); see `memoised`.  Not a field, so it is
@@ -312,7 +358,7 @@ class AlgebraCandidate:
             raise ImplicationAbsent("implication table neither supplied nor derived")
         return self.imp_table[x][y]
 
-    @cached_property
+    @cached_value
     def negs(self) -> tuple[int, ...]:
         """negs[x] is ~x = x -> zero; raises ImplicationAbsent (and
         caches nothing) without an implication table."""
@@ -321,7 +367,7 @@ class AlgebraCandidate:
     def neg(self, x: int) -> int:
         return self.negs[x]
 
-    @cached_property
+    @cached_value
     def lattice_with_imp(self) -> bool:
         """The order is a preorder with every meet and join, and an
         implication table is present: where every whole-table test outside

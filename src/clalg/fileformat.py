@@ -26,6 +26,8 @@ whose closure is the same relation.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import MAX_UNIVERSE, NAME, AlgebraCandidate, OrderRelation
 
 
@@ -56,10 +58,13 @@ def parse_algebra(text: str) -> AlgebraCandidate:
         return no, body[len(keyword):].split()
 
     def indices(no: int, names: list[str]) -> tuple[int, ...]:
+        """The indices of one or more names; of several unknown names the
+        first is reported, as itemgetter looks them up in order."""
         try:
-            return tuple(map(index.__getitem__, names))
+            found = itemgetter(*names)(index)
         except KeyError as exc:
             raise ParseError(no, f"unknown element {exc.args[0]!r}") from None
+        return found if len(names) > 1 else (found,)
 
     no, toks = take("algebra ")
     if len(toks) != 1 or not NAME.fullmatch(toks[0]):

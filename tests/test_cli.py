@@ -291,17 +291,26 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
 ])
 def test_byte_order_mark_is_skipped(capsys, tmp_path, ex1_path, command):
     # some editors start a UTF-8 file with a byte-order mark, and some end
-    # lines with CRLF; both read as the plain file
+    # lines with CRLF or a lone CR; each reads as the plain file
     name, *options = command
     expected = run(capsys, name, str(ex1_path), *options)
     assert expected[0] == 0
     text = LINEAR_CLA.encode("utf-8")
     crlf = text.replace(b"\n", b"\r\n")
     for variant, data in [("bom", b"\xef\xbb\xbf" + text), ("crlf", crlf),
-                          ("bom_crlf", b"\xef\xbb\xbf" + crlf)]:
+                          ("bom_crlf", b"\xef\xbb\xbf" + crlf),
+                          ("cr", text.replace(b"\n", b"\r"))]:
         path = tmp_path / f"linear5_{variant}.cla"
         path.write_bytes(data)
         assert run(capsys, name, str(path), *options) == expected, variant
+    # a parse error is reported at the line number of the LF file
+    broken = text.replace(b"one: 1", b"one: zz")
+    lf, bom_crlf = tmp_path / "broken_lf.cla", tmp_path / "broken_bom_crlf.cla"
+    lf.write_bytes(broken)
+    bom_crlf.write_bytes(b"\xef\xbb\xbf" + broken.replace(b"\n", b"\r\n"))
+    reported = (2, "", "error: line 5: unknown element 'zz'\n")
+    assert run(capsys, name, str(lf), *options) == reported
+    assert run(capsys, name, str(bom_crlf), *options) == reported
 
 
 @pytest.mark.parametrize("argv", [

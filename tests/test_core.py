@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,19 +16,39 @@ from clalg.core import (
     NoResidual,
     NotALattice,
     OrderRelation,
+    cached_value,
     derive_implication,
     iter_bits,
 )
+from clalg.fileformat import export_dot, parse_algebra, serialize_algebra
+from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
+from clalg.identities import run_identity_suite
 from clalg.search import enumerate_lattices
+from clalg.validator import seal
 
 # element indices in the fixtures (declaration order)
 B, Z, U, A, T = 0, 1, 2, 3, 4  # linear5: bot 0 1 a top
 B2, Z2, U2, A2, BB, T2 = 0, 1, 2, 3, 4, 5  # nonlinear6: bot 0 1 a b top
 
 
+def _bits_one_by_one(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101001)) == [0, 3, 5]
+    # below 256 the bits come from a table, above from a loop: both sides
+    # of the seam, every 12-bit mask and random masks up to 64 bits
+    rng = random.Random(65)
+    masks = [*range(1 << 12), 255, 256, 1 << 63, (1 << 64) - 1,
+             *(rng.getrandbits(rng.randint(1, 64)) for _ in range(3000))]
+    for mask in masks:
+        assert list(iter_bits(mask)) == _bits_one_by_one(mask), mask
+    # a negative int has infinitely many set bits
+    for mask in (-1, -256, -(1 << 64)):
+        with pytest.raises(ValueError, match="negative mask"):
+            next(iter_bits(mask))
 
 
 def test_order_from_covers_is_closed(linear5_candidate):
@@ -42,6 +64,52 @@ def test_covers_recovered(linear5_candidate, nonlinear6):
     assert nonlinear6.order.covers() == (
         (B2, Z2), (B2, A2), (Z2, U2), (U2, BB), (A2, T2), (BB, T2)
     )
+
+
+def _cached_names(cls):
+    return {name for name, attr in vars(cls).items() if isinstance(attr, cached_value)}
+
+
+def _counting(monkeypatch, classes):
+    """Counter of (value name, id of instance) over every computation of a
+    cached value of `classes`."""
+    reads = Counter()
+    for cls in classes:
+        for name in _cached_names(cls):
+            def counted(obj, func=vars(cls)[name].func, name=name):
+                reads[name, id(obj)] += 1
+                return func(obj)
+            monkeypatch.setattr(vars(cls)[name], "func", counted)
+    return reads
+
+
+def test_covers_are_built_once_per_order(monkeypatch):
+    # the identity suite reads the Hasse edges twice, and writing the file
+    # and the DOT text read them again
+    reads = _counting(monkeypatch, [OrderRelation])
+    linear, nonlinear = seal(parse_algebra(LINEAR_CLA)), parse_algebra(NONLINEAR_CLA)
+    run_identity_suite(linear)
+    for alg in (linear, nonlinear):
+        serialize_algebra(alg)
+        export_dot(alg)
+        assert alg.order.covers() is alg.order.covers()
+    assert {key: count for key, count in reads.items() if key[0] == "hasse"} == {
+        ("hasse", id(linear.order)): 1, ("hasse", id(nonlinear.order)): 1}
+
+
+def test_cached_values_are_per_instance_and_computed_once(monkeypatch):
+    reads = _counting(monkeypatch, [OrderRelation, AlgebraCandidate])
+    first, second = parse_algebra(LINEAR_CLA), parse_algebra(LINEAR_CLA)
+    pairs = [(first.order, second.order, name) for name in _cached_names(OrderRelation)]
+    pairs += [(first, second, name) for name in _cached_names(AlgebraCandidate)]
+    assert len(pairs) == 11
+    for _ in range(2):
+        for a, b, name in pairs:
+            assert getattr(a, name) == getattr(b, name)
+    # each instance computed each value once and keeps it in its own __dict__
+    assert reads == Counter({(name, id(obj)): 1 for a, b, name in pairs for obj in (a, b)})
+    assert all(vars(obj)[name] is getattr(obj, name) for a, b, name in pairs for obj in (a, b))
+    assert first.memo is not second.memo
 
 
 def test_leq_examples(linear5_candidate, nonlinear6):
@@ -138,10 +206,15 @@ def test_no_residual_witness():
     assert exc.value.frontier == (2, 3)  # an antichain of maximal candidates
 
 
-def test_implication_absent(linear5_candidate):
+def test_implication_absent(monkeypatch, linear5_candidate):
+    reads = _counting(monkeypatch, [AlgebraCandidate])
     bare = replace(linear5_candidate, imp_table=None)
-    with pytest.raises(ImplicationAbsent):
-        bare.neg(0)
+    for _ in range(2):
+        with pytest.raises(ImplicationAbsent):
+            bare.neg(0)
+    # negs caches nothing when it raises, so each read raises afresh
+    assert "negs" not in vars(bare)
+    assert reads["negs", id(bare)] == 2
 
 
 def test_universe_cap():

@@ -26,7 +26,12 @@ def test_parse_nonlinear_structure():
     assert len(cand.order.covers()) == 6
 
 
-@pytest.mark.parametrize("text", [LINEAR_CLA, NONLINEAR_CLA])
+# every line names a single element
+ONE_ELEMENT_CLA = ("algebra one\nelements: e0\nbot: e0\nzero: e0\none: e0\n"
+                   "mult:\ne0\nimp:\ne0\nend\n")
+
+
+@pytest.mark.parametrize("text", [LINEAR_CLA, NONLINEAR_CLA, ONE_ELEMENT_CLA])
 def test_round_trip_value_and_text(text):
     cand = parse_algebra(text)
     assert serialize_algebra(cand) == text  # fixtures are canonically written
@@ -104,6 +109,10 @@ def test_parse_errors():
     ("imp:", "imp: top", 16, "imp: header takes no entries"),
     ("end", "end extra", 22, "end required"),
     ("cover: 1 top\n", "cover: 1 top\nbot: bot\n", 9, "mult: required"),
+    ("bot: bot", "bot: zz", 3, "unknown element 'zz'"),
+    ("cover: bot 0", "cover: bot zz", 6, "unknown element 'zz'"),
+    # of two unknown names in a row, the first is reported
+    ("bot 0 0 0 top", "bot yy 0 zz top", 12, "unknown element 'yy'"),
 ])
 def test_parse_error_names_line_and_fault(old, new, line, message):
     assert old in LINEAR_CLA

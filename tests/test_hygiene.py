@@ -1,7 +1,8 @@
 """Source rules for the package: internal invariants raise exceptions
 (an `assert` vanishes under `python -O`), the runtime needs nothing
 beyond the standard library, results are cached on the immutable
-values they belong to, never in a module-level cache, only the
+values they belong to, never in a module-level cache, and by
+core.cached_value, never by functools.cached_property, only the
 validator builds sealed algebras, no whole-table test outside the
 validator asks a part of `lattice_with_imp` on its own, no
 two modules declare a law under the same tag, and only the values that
@@ -98,11 +99,23 @@ def _cache_uses(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_cache(path):
     # a module-level cache outlives the values it was computed from;
-    # per-value results belong in cached_property or AlgebraCandidate.memo
+    # per-value results belong in core.cached_value or AlgebraCandidate.memo
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     problems = [f"line {line}: functools cache on {name or 'an expression'}"
                 for line, name in _cache_uses(tree)
                 if (path.name, name) not in CACHE_ALLOWED]
+    assert not problems, problems
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cached_property(path):
+    # before Python 3.12 functools.cached_property takes a lock shared by
+    # every instance on each first read; core.cached_value takes none
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = [f"line {node.lineno}: cached_property" for node in ast.walk(tree)
+                if "cached_property" in (getattr(node, "attr", None), getattr(node, "id", None))
+                or isinstance(node, ast.ImportFrom)
+                and "cached_property" in [alias.name for alias in node.names]]
     assert not problems, problems
 
 
@@ -188,7 +201,7 @@ def test_law_arity_counts_the_violation_parameters():
 
 # the dataclasses: each validates in __post_init__ (an Ideal as the
 # Subset it is), the core three also cache on themselves
-# (cached_property), and the algebras are copied with dataclasses.replace
+# (core.cached_value), and the algebras are copied with dataclasses.replace
 DATACLASSES = {"ideals.Subset", "ideals.Ideal", "search.SearchConfig", "core.OrderRelation",
                "core.AlgebraCandidate", "core.FiniteCLAlgebra"}
 

@@ -179,6 +179,18 @@ def test_equivalence_broken_on_tampered_algebra(linear5):
         is_residuated_lattice(fake)
 
 
+def test_equivalence_broken_on_integral_algebra_with_another_top(census):
+    # force top != one on tables whose fusion is integral
+    alg = next(alg for n in sorted(census) for alg in census[n] if alg.top == alg.one)
+    assert is_residuated_lattice(alg)
+    fake = FiniteCLAlgebra(
+        alg.name, alg.elements, alg.order, alg.mult_table,
+        alg.imp_table, alg.bot, alg.zero, alg.one, top=alg.bot,
+    )
+    with pytest.raises(EquivalenceBroken, match="top != one"):
+        is_residuated_lattice(fake)
+
+
 def test_structural_predicates(linear5, nonlinear6):
     assert is_linear(linear5)
     assert is_distributive_lattice(linear5)  # chains are distributive
