@@ -40,7 +40,6 @@ from .ideals import (
 from .quotient import (
     Congruence,
     NotACongruence,
-    NotEquivalence,
     QuotientAlgebra,
     QuotientInvalid,
     TheoremReport,

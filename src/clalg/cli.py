@@ -19,10 +19,11 @@ Machine-readable (--json) and human output are rendered from the same
 payload structure, so they cannot diverge.  --json prints the report as
 one JSON line; `clalg ... --json | python -m json.tool` indents it.
 --replay re-checks each printed witness of a law against the tables
-before reporting it: every verdict's, derive-imp's missing residual
-and the quotient's order-criterion mismatch, also where it blocks a
-theorem claim.  Two witnesses are no law and are not replayed:
-quotient's not_an_equivalence and a violated theorem claim's.
+before reporting it: every verdict's, the congruence's (one verdict
+line, printed alike by quotient and theorems), derive-imp's missing
+residual and the quotient's order-criterion mismatch, also where it
+blocks a theorem claim.  The one witness that is no law, and is not
+replayed, is a violated theorem claim's.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .ideals import (
 )
 from .quotient import (
     NotACongruence,
-    NotEquivalence,
     QuotientInvalid,
     build_quotient,
     congruence_from_ideal,
@@ -91,26 +91,24 @@ class _Run:
     def fail(self):
         self.exit_code = max(self.exit_code, 1)
 
-    def witnessed(self, entry: dict, alg, verdict: Verdict,
-                  ideal_bits=None, class_index=None) -> dict:
+    def witnessed(self, entry: dict, alg, verdict: Verdict, ideal_bits=None) -> dict:
         """`entry` with the verdict's witness as printed, its detail and,
         under --replay, whether the tables reproduce the witness."""
         entry["witness"] = _render_index(alg, verdict.witness)
         if verdict.detail:
             entry["detail"] = verdict.detail
         if verdict.witness is not None and self.args.replay:
-            ok = confirm_witness(alg, verdict, ideal_bits, class_index)
+            ok = confirm_witness(alg, verdict, ideal_bits)
             entry["replay"] = "confirmed" if ok else "NOT REPRODUCIBLE"
             if not ok:
                 self.fail()
         return entry
 
-    def verdict_entry(self, alg, verdict: Verdict, ideal_bits=None, class_index=None) -> dict:
+    def verdict_entry(self, alg, verdict: Verdict, ideal_bits=None) -> dict:
         if not verdict.ok:
             self.fail()
         status = "skipped" if verdict.skipped else ("pass" if verdict.ok else "fail")
-        return self.witnessed({"check": verdict.law, "status": status},
-                              alg, verdict, ideal_bits, class_index)
+        return self.witnessed({"check": verdict.law, "status": status}, alg, verdict, ideal_bits)
 
     def verdicts(self, alg, verdicts) -> list[dict]:
         """The entries of `verdicts`, their lines added to the human report."""
@@ -271,6 +269,16 @@ def _certified(run: _Run, alg: AlgebraCandidate, names: str):
     return None
 
 
+def _certificate(run: _Run, ideal, verdict: Verdict, congruence: dict) -> bool:
+    """Report the congruence law's verdict modulo `ideal` as the payload's
+    "congruence", `congruence` with its "certificate" entry added, and
+    as a verdict line; whether the law holds."""
+    entry = congruence["certificate"] = run.verdict_entry(run.alg, verdict, ideal.bits)
+    run.payload["congruence"] = congruence
+    run.human.append(run.render_verdict_line(entry))
+    return verdict.ok
+
+
 def _cmd_quotient(run: _Run) -> None:
     alg = run.alg
     ideal = _certified(run, alg, run.args.ideal)
@@ -278,21 +286,14 @@ def _cmd_quotient(run: _Run) -> None:
         return
     try:
         cong = congruence_from_ideal(alg, ideal)
-    except NotEquivalence as exc:
-        witness = _render_index(alg, exc.witness)
-        run.payload["congruence"] = {"error": "not_an_equivalence", "witness": witness}
-        run.human.append(f"relation is not an equivalence: witness={witness}")
-        run.fail()
+    except NotACongruence as exc:  # no equivalence, so no classes
+        _certificate(run, ideal, exc.certificate, {})
         return
     classes = [cls.render(alg) for cls in cong.classes]
-    cert_entry = run.verdict_entry(alg, cong.certificate,
-                                   ideal_bits=ideal.bits, class_index=cong.class_index)
-    run.payload["congruence"] = {"classes": classes, "certificate": cert_entry}
     run.human.append(f"congruence modulo {ideal.render(alg)}: {len(classes)} classes")
     for r, cls in zip(cong.representatives(), classes):
         run.human.append(f"  [{alg.name_of(r)}] = {cls}")
-    run.human.append(run.render_verdict_line(cert_entry))
-    if not cong.certificate:
+    if not _certificate(run, ideal, cong.certificate, {"classes": classes}):
         return
     if not (run.args.verify or run.args.dot):
         return
@@ -301,8 +302,7 @@ def _cmd_quotient(run: _Run) -> None:
     except QuotientInvalid as exc:
         detail: dict = {"error": str(exc)}
         if exc.witness is not None:
-            run.witnessed(detail, alg, Verdict("order_criterion", False, exc.witness),
-                          ideal.bits, cong.class_index)
+            run.witnessed(detail, alg, Verdict("order_criterion", False, exc.witness), ideal.bits)
         run.human.append(f"quotient invalid: {exc}" + _replay_note(detail))
         if exc.report is not None:
             detail["verdicts"] = [run.verdict_entry(exc.candidate, v) for v in exc.report.verdicts]
@@ -329,10 +329,8 @@ def _cmd_theorems(run: _Run) -> None:
         return
     try:
         report = theorem_suite(alg, ideal)
-    except (NotEquivalence, NotACongruence) as exc:
-        run.payload["error"] = str(exc)
-        run.human.append(f"congruence construction failed: {exc}")
-        run.fail()
+    except NotACongruence as exc:
+        _certificate(run, ideal, exc.certificate, {})
         return
     cong = report.congruence
     class_names = [f"[{alg.name_of(r)}]" for r in cong.representatives()]
@@ -343,7 +341,7 @@ def _cmd_theorems(run: _Run) -> None:
         entry = {"claim": c.claim, "status": c.status, "witness": c.witness}
         if c.status == "blocked":
             return run.witnessed(entry, alg, Verdict("order_criterion", False, c.witness),
-                                 ideal.bits, cong.class_index)
+                                 ideal.bits)
         if c.witness is not None and c.claim == "zero_downset_singleton_classes":
             entry["witness"] = [c.witness[0], Subset(alg.n, c.witness[1]).render(alg)]
         elif c.witness is not None:
@@ -353,7 +351,7 @@ def _cmd_theorems(run: _Run) -> None:
     claims = [claim_entry(c) for c in report.claims]
     run.payload["theorems"] = {
         "ideal": ideal.render(alg),
-        "certificate": "pass" if cong.certificate else "fail",
+        "certificate": "pass",  # theorem_suite raised on a failing one
         "quotient_valid": report.quotient_valid,
         "claims": claims,
     }

@@ -243,15 +243,11 @@ class OrderRelation:
     def least(self) -> int | None:
         return self.least_in((1 << self.n) - 1)
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (lo, hi), sorted by (lo, hi); an element equivalent
-        to lo or hi does not lie between them, so the edges of a cyclic
-        order close to the same relation."""
-        return self.hasse
-
     @cached_value
-    def hasse(self) -> tuple[tuple[int, int], ...]:
-        """The Hasse edges that `covers` returns, built once per order."""
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Hasse edges (lo, hi), sorted by (lo, hi), built once per order;
+        an element equivalent to lo or hi does not lie between them, so
+        the edges of a cyclic order close to the same relation."""
         out = []
         for lo in range(self.n):
             for hi in iter_bits(self.up[lo] & ~(1 << lo)):

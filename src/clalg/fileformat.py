@@ -140,7 +140,7 @@ def serialize_algebra(cand: AlgebraCandidate) -> str:
     out.append(f"bot: {names[cand.bot]}")
     out.append(f"zero: {names[cand.zero]}")
     out.append(f"one: {names[cand.one]}")
-    for lo, hi in cand.order.covers():
+    for lo, hi in cand.order.covers:
         out.append(f"cover: {names[lo]} {names[hi]}")
     out.append("mult:")
     for row in cand.mult_table:
@@ -181,7 +181,7 @@ def export_dot(alg) -> str:
         if members:
             label += members[i]
         out.append(f'  "{nm}" [label="{label}"];')
-    for lo, hi in alg.order.covers():
+    for lo, hi in alg.order.covers:
         out.append(f'  "{names[lo]}" -> "{names[hi]}";')
     out.append("}")
     return "\n".join(out) + "\n"

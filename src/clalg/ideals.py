@@ -403,11 +403,11 @@ def classify(alg: AlgebraCandidate, ideal: Ideal) -> IdealClassification:
     )
 
 
-def _context(alg, ideal_bits, _class_index):
+def _context(alg, ideal_bits):
     return (alg, ideal_bits)
 
 
-# law -> (context from the algebra, ideal bits and class index; entries)
+# law -> (context from the algebra and the ideal bits; entries)
 LAWS = {
     "ideal": (_context, IDEAL),
     "prime": (_context, PRIME),

@@ -53,7 +53,7 @@ def _monotone(A) -> bool:
     mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))
     return all(leq(mult[x], mult[x1]) and leq(mult_cols[x], mult_cols[x1])
                and leq(imp[x1], imp[x]) and leq(imp_cols[x], imp_cols[x1])
-               for x, x1 in A.order.covers())
+               for x, x1 in A.order.covers)
 
 
 def _chains(A) -> bool:
@@ -87,7 +87,7 @@ IDENTITIES = {
         A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
         for x, row in enumerate(A.imp_table))),
     "P2_10": ("x <= y implies ~y <= ~x", lambda A: all(
-        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers())),
+        A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers)),
     "P2_11": ("x|y == ~(~x & ~y)", lambda A: all(
         A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
     "P2_12": ("x&y == ~(~x | ~y)", lambda A: all(
@@ -103,10 +103,10 @@ IDENTITIES = {
 }
 
 
-# law -> (context from the algebra, ideal bits and class index; entries);
-# each test runs where lattice_with_imp holds (module docstring)
+# law -> (context from the algebra and the ideal bits; entries); each
+# test runs where lattice_with_imp holds (module docstring)
 LAWS = {
-    tag: (lambda alg, *_: alg,
+    tag: (lambda alg, _ideal_bits: alg,
           (formula_law(formula, lambda A, holds=holds: A.lattice_with_imp and holds(A)),))
     for tag, (formula, holds) in IDENTITIES.items()
 }

@@ -1,30 +1,38 @@
 """Ideal-induced congruences and quotient algebras.
 
 x and y are congruent modulo an ideal I when x * ~y and y * ~x both lie
-in I.  Nothing is taken on trust: the relation is verified to be an
-equivalence, compatibility with every operation is certified, the
+in I.  Nothing is taken on trust: one law, `CONGRUENCE`, certifies that
+the relation is an equivalence compatible with every operation, the
 quotient is rebuilt from class representatives and re-validated from
 scratch, and the class order derived from meets is cross-checked
 against the membership criterion ~(x->y) in I.  Each of those
 verifications can fail on defective candidates, and each failure is a
-first-class reported result rather than an internal error.  Only a
-quotient whose tables are the ones a sealed base passed validation with
-(every class a singleton, as modulo the zero down-set, and the base's
-tables unchanged since; FiniteCLAlgebra.validated) is not re-validated:
-no verdict reads a name, so it is the base renamed (validator.renamed).
+first-class reported result rather than an internal error; every
+witness but a violated theorem claim's is a law's, replayed from the
+algebra and the ideal alone.  Only a quotient whose tables are the ones
+a sealed base passed validation with (every class a singleton, as
+modulo the zero down-set, and the base's tables unchanged since;
+FiniteCLAlgebra.validated) is not re-validated: no verdict reads a
+name, so it is the base renamed (validator.renamed).
 
-A binary operation is compatible exactly when cls(op(x, y)) ==
-cls(op(r x, r y)) for all (x, y), r the class representative: given
-that test and an equivalence, x ~ x' and y ~ y' give op(x, y) ~
-op(r x, r y) = op(r x', r y') ~ op(x', y'), and the test is itself
+The laws read the relation as one mask per element, rel[x], symmetric
+by construction; `CONGRUENCE` checks reflexivity, transitivity, then
+meet, join, mult and imp compatibility.  A symmetric relation is an
+equivalence exactly when x ~ x and rel[r] == rel[x] for r = min rel[x]:
+for y ~ x, r ~ y, so r' = min rel[y] <= r, and r' ~ r, so r <= r';
+then rel[y] == rel[x].  On an equivalence a binary operation is
+compatible exactly when cls(op(x, y)) == cls(op(r x, r y)) for all (x,
+y), r the class representative: x ~ x' and y ~ y' give op(x, y) ~ op(r
+x, r y) = op(r x', r y') ~ op(x', y'), and the test is itself
 compatibility at x' = r x, y' = r y.  So this O(n^2) test decides pass
-or fail, and the O(n^4) scan of related quads runs only on a failing
-operation, to find the lexicographically first violating quad as the
-witness.  The test runs only where `lattice_with_imp` holds; there no
-call raises, so it skips the pairs of representatives, where both sides
-are the same call, and passes at once on a single class.  Compatibility
-with ~x = x -> 0 follows from that of imp at y = y' = 0, so neg needs
-no entry of its own.
+or fail (it is False on any other relation), and the O(n^4) scan of
+related quads runs only on a failing operation, to find the
+lexicographically first violating quad as the witness.  The test runs
+only where `lattice_with_imp` holds; there no call raises, so it skips
+the pairs of representatives, where both sides are the same call, and
+passes at once on a single class.  Compatibility with ~x = x -> 0
+follows from that of imp at y = y' = 0, so neg needs no entry of its
+own.
 
 Classes are named after their minimal-index representative in brackets,
 and quotient elements are ordered by ascending representative index.
@@ -35,13 +43,15 @@ distributive and affine flags guard the theorems, so `theorem_suite`,
 `check_order_criterion` and `ideals.classify` compute each of them once
 per algebra and ideal.  The flags come from the whole-table tests alone
 (laws module docstring); no witness of a failing flag is sought.  A
-construction that fails (NotEquivalence, NotACongruence,
-QuotientInvalid) is not kept: every call raises it afresh.  The result
-records are NamedTuples, cheaper to build at import than dataclasses.
+construction that fails (NotACongruence, QuotientInvalid) is not kept:
+every call raises it afresh.  The result records are NamedTuples,
+cheaper to build at import than dataclasses.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import and_
 from typing import NamedTuple
 
 from .core import (
@@ -53,23 +63,17 @@ from .core import (
     memoised,
 )
 from .ideals import Ideal, Subset, classify
-from .laws import Law, Verdict, compose, cube, first_violation
+from .laws import Law, Verdict, cube, first_violation
 from .validator import DISTRIBUTIVE_LATTICE, TOTAL, ValidationReport, renamed, validate
 
 
-class NotEquivalence(AlgebraError):
-    """The induced relation is not an equivalence; witness is
-    ("reflexivity", x) or ("transitivity", x, y, z)."""
-
-    def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"relation is not an equivalence: {witness}")
-
-
 class NotACongruence(AlgebraError):
+    """The ideal induces no congruence: `certificate` is the congruence
+    law's failing verdict, at an equivalence or a compatibility entry."""
+
     def __init__(self, certificate: Verdict):
         self.certificate = certificate
-        super().__init__(f"compatibility fails: {certificate.witness}")
+        super().__init__(f"congruence fails: {certificate.witness}")
 
 
 class QuotientInvalid(AlgebraError):
@@ -86,15 +90,12 @@ class QuotientInvalid(AlgebraError):
 
 
 class Congruence(NamedTuple):
-    """Partition induced by an ideal, plus its compatibility certificate.
-
-    The certificate takes the operations in the order meet, join, mult,
-    imp.  Each passes or fails by the class-level test cls(op(x, y)) ==
-    cls(op(r x, r y)) over all (x, y); on a failure, argument tuples (x,
-    x', y, y') are scanned lexicographically over related pairs, and the
-    first incompatibility is the witness.  neg = imp(-, zero) is
-    compatible wherever imp is (module docstring).
-    """
+    """Partition induced by an ideal, plus the congruence law's verdict,
+    whose equivalence entries pass.  Each operation, in the order meet,
+    join, mult, imp, passes or fails by its class-level test; on a
+    failure, argument tuples (x, x', y, y') are scanned lexicographically
+    over related pairs, and the first incompatibility is the witness
+    (module docstring)."""
 
     classes: tuple[Subset, ...]
     class_index: tuple[int, ...]
@@ -103,102 +104,103 @@ class Congruence(NamedTuple):
     def representatives(self) -> tuple[int, ...]:
         return tuple(cls.members()[0] for cls in self.classes)
 
-
-@memoised
-def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
-    """Compute the relation, verify it is an equivalence (reflexivity,
-    symmetry, transitivity, in that scan order), partition the universe,
-    and certify compatibility of the four binary operations."""
-    n = alg.n
-    ibits = ideal.bits
-    neg = alg.negs
-
-    rel = []
-    for x in range(n):
-        mask = 0
-        for y in range(n):
-            if ibits >> alg.mult(x, neg[y]) & 1 and ibits >> alg.mult(y, neg[x]) & 1:
-                mask |= 1 << y
-        rel.append(mask)
-
-    for x in range(n):
-        if not rel[x] >> x & 1:
-            raise NotEquivalence(("reflexivity", x))
-    # symmetric by construction; transitivity needs checking
-    for x in range(n):
-        for y in iter_bits(rel[x]):
-            extra = rel[y] & ~rel[x]
-            if extra:
-                z = next(iter_bits(extra))
-                raise NotEquivalence(("transitivity", x, y, z))
-
-    class_index = [-1] * n
-    classes = []
-    for x in range(n):
-        if class_index[x] < 0:
-            idx = len(classes)
-            classes.append(Subset(n, rel[x]))
-            for y in iter_bits(rel[x]):
-                class_index[y] = idx
-
-    certificate = first_violation("congruence", CONGRUENCE, _Classes(alg, ibits, class_index))
-    return Congruence(
-        classes=tuple(classes), class_index=tuple(class_index), certificate=certificate,
-    )
+    def related(self, alg: AlgebraCandidate, ideal_bits: int) -> _Related:
+        """The laws' context, read off the classes, not built again: an
+        equivalence, so rep[x] is the least member of x's class."""
+        rel = [self.classes[k].bits for k in self.class_index]
+        return _Related(alg, ideal_bits, rel, [(m & -m).bit_length() - 1 for m in rel])
 
 
-class _Classes(NamedTuple):
-    """What the compatibility and order laws read: the algebra, the
-    ideal and the class of each element."""
+class _Related(NamedTuple):
+    """What the laws read: the algebra, the ideal, the relation it
+    induces (rel[x] the mask of the elements related to x) and rep[x] =
+    min rel[x], or None where the relation is no equivalence."""
 
     alg: AlgebraCandidate
     ideal_bits: int
-    class_index: tuple[int, ...]
+    rel: list[int]
+    rep: list[int] | None
+
+
+def _related(alg: AlgebraCandidate, ideal_bits: int) -> _Related:
+    """x ~ y iff x * ~y and y * ~x lie in the ideal (inside[x][y] is 1
+    where x * ~y does); its equivalence is decided once, here."""
+    inside = [[ideal_bits >> row[v] & 1 for v in alg.negs] for row in alg.mult_table]
+    bits = [1 << y for y in range(alg.n)]
+    rel = [sum(compress(bits, map(and_, r, c))) for r, c in zip(inside, zip(*inside))]
+    rep = [(m & -m).bit_length() - 1 for m in rel]
+    equivalence = all(m >> x & 1 and rel[r] == m for x, (m, r) in enumerate(zip(rel, rep)))
+    return _Related(alg, ideal_bits, rel, rep if equivalence else None)
+
+
+@memoised
+def congruence_from_ideal(alg: AlgebraCandidate, ideal: Ideal) -> Congruence:
+    """Run the congruence law on the relation and partition the universe;
+    a relation that is no equivalence has no partition, so its failing
+    verdict raises NotACongruence."""
+    ctx = _related(alg, ideal.bits)
+    certificate = first_violation("congruence", CONGRUENCE, ctx)
+    if ctx.rep is None:
+        raise NotACongruence(certificate)
+    reps = [x for x, r in enumerate(ctx.rep) if r == x]
+    return Congruence(tuple(Subset(alg.n, ctx.rel[r]) for r in reps),
+                      tuple(map(reps.index, ctx.rep)), certificate)
+
+
+def _pairs(c: _Related) -> list[tuple[int, int]]:
+    """The related pairs (x, x'), lexicographically."""
+    return [(x, x1) for x, m in enumerate(c.rel) for x1 in iter_bits(m)]
 
 
 def _class_level(op: str):
-    """The class-level test of `op` (module docstring), exact because
-    a class index is an equivalence."""
-    def holds(c: _Classes) -> bool:
-        if not c.alg.lattice_with_imp:
+    """The class-level test of `op` (module docstring)."""
+    def holds(c: _Related) -> bool:
+        rel, rep = c.rel, c.rep
+        if rep is None or not c.alg.lattice_with_imp:
             return False
-        cidx = c.class_index
-        if max(cidx) == 0:
+        if rel[0] == (1 << len(rel)) - 1:
             return True  # a single class
         fn = getattr(c.alg, op)
-        rep = [cidx.index(i) for i in cidx]  # least member of each class
         moved = [x for x, r in enumerate(rep) if r != x]
-        return all(cidx[fn(x, y)] == cidx[fn(r, rep[y])]
+        return all(rel[fn(x, y)] >> fn(r, rep[y]) & 1
                    for x, r in enumerate(rep) for y in (moved if r == x else range(len(rep))))
     return holds
 
 
-def _quads(c: _Classes):
+def _quads(c: _Related):
     """Quads (x, x', y, y') over related pairs, lexicographically,
     generated lazily, only to find the first violating one."""
-    cidx = c.class_index
-    pairs = [(x, x1) for x, k in enumerate(cidx) for x1, k1 in enumerate(cidx) if k == k1]
+    pairs = _pairs(c)
     return (p + q for p in pairs for q in pairs)
 
 
 def _compatible(op: str):
-    """Violation of "x ~ x' and y ~ y' give op(x, y) ~ op(x', y')"."""
+    """Violation of "x ~ x' and y ~ y' give op(x, y) ~ op(x', y')"; an
+    unrelated pair violates nothing, so no replay confirms one."""
     def violation(c, x, x1, y, y1):
-        fn = getattr(c.alg, op)
-        return None if c.class_index[fn(x, y)] == c.class_index[fn(x1, y1)] else ()
+        fn, rel = getattr(c.alg, op), c.rel
+        related = rel[x] >> x1 & rel[y] >> y1 & 1
+        return () if related and not rel[fn(x, y)] >> fn(x1, y1) & 1 else None
     return violation
 
 
-CONGRUENCE = tuple(
-    Law(op, _quads, _compatible(op), holds=_class_level(op))
-    for op in ("meet", "join", "mult", "imp")
-)
+# "x ~ x", "x ~ y and y ~ z give x ~ z", then compatibility
+CONGRUENCE = (
+    Law("reflexivity", lambda c: ((x,) for x in range(len(c.rel))),
+        lambda c, x: None if c.rel[x] >> x & 1 else (),
+        holds=lambda c: c.rep is not None or all(m >> x & 1 for x, m in enumerate(c.rel))),
+    Law("transitivity", lambda c: (p + (z,) for p in _pairs(c) for z in range(len(c.rel))),
+        lambda c, x, y, z: () if c.rel[x] >> y & c.rel[y] >> z & ~c.rel[x] >> z & 1 else None,
+        holds=lambda c: (c.rep is not None
+                         or all(c.rel[y] & ~m == 0 for m in c.rel for y in iter_bits(m)))),
+) + tuple(Law(op, _quads, _compatible(op), holds=_class_level(op))
+          for op in ("meet", "join", "mult", "imp"))
 
 
-def _order_sides(c: _Classes, x: int, y: int) -> tuple[bool, bool]:
+def _order_sides(c: _Related, x: int, y: int) -> tuple[bool, bool]:
     """(class(x) <= class(y), ~(x->y) in I), by the class of the meet."""
-    alg, cidx = c.alg, c.class_index
-    return cidx[alg.meet(x, y)] == cidx[x], bool(c.ideal_bits >> alg.neg(alg.imp(x, y)) & 1)
+    alg = c.alg
+    return bool(c.rel[x] >> alg.meet(x, y) & 1), bool(c.ideal_bits >> alg.neg(alg.imp(x, y)) & 1)
 
 
 def _order_mismatch(c, x, y):
@@ -206,15 +208,15 @@ def _order_mismatch(c, x, y):
     return None if sides[0] == sides[1] else sides
 
 
-def _order_agrees(c: _Classes) -> bool:
-    """Row by row: the class of meet(x, y) is x's exactly where ~(x->y)
-    is in the ideal; run only where `lattice_with_imp` holds."""
-    alg, cidx = c.alg, c.class_index
+def _order_agrees(c: _Related) -> bool:
+    """meet(x, y) is related to x exactly where ~(x->y) is in the ideal,
+    read off the tables; run only where `lattice_with_imp` holds."""
+    alg = c.alg
     if not alg.lattice_with_imp:
         return False
-    neg_in = tuple(c.ideal_bits >> v & 1 for v in alg.negs)
-    return all(compose(tuple(int(k == cidx[x]) for k in cidx), meets) == compose(neg_in, imp)
-               for x, (meets, imp) in enumerate(zip(alg.order.glbs, alg.imp_table)))
+    neg_in = [c.ideal_bits >> v & 1 for v in alg.negs]
+    rows = zip(c.rel, alg.order.glbs, alg.imp_table)
+    return all(m >> v & 1 == neg_in[w] for m, meets, imp in rows for v, w in zip(meets, imp))
 
 
 ORDER_CRITERION = (
@@ -244,7 +246,7 @@ def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
     sealed base whose validated tables it has is renamed instead; module
     docstring).
 
-    Raises NotACongruence when the compatibility certificate fails,
+    Raises NotACongruence when the ideal induces no congruence,
     and QuotientInvalid when the class order disagrees with the
     membership criterion or the class tables fail full validation.
     The quotient is kept in `alg.memo` for the congruence it was built
@@ -272,8 +274,7 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
             q_leq[i][j] = cidx[alg.meet(ri, rj)] == i
 
     # cross-check the meet-derived order against the membership criterion
-    mismatch = first_violation("order_criterion", ORDER_CRITERION,
-                               _Classes(alg, ideal.bits, cidx))
+    mismatch = first_violation("order_criterion", ORDER_CRITERION, cong.related(alg, ideal.bits))
     if not mismatch:
         x, y = mismatch.witness[1:3]
         raise QuotientInvalid(
@@ -315,8 +316,7 @@ def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal,
 
     Returned as (left, right) so callers can assert the biconditional.
     """
-    cong = congruence_from_ideal(alg, ideal)
-    return _order_sides(_Classes(alg, ideal.bits, cong.class_index), x, y)
+    return _order_sides(congruence_from_ideal(alg, ideal).related(alg, ideal.bits), x, y)
 
 
 class ClaimResult(NamedTuple):
@@ -332,9 +332,7 @@ class TheoremReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return bool(self.congruence.certificate) and self.quotient_valid and all(
-            c.status in ("holds", "vacuous") for c in self.claims
-        )
+        return self.quotient_valid and all(c.status in ("holds", "vacuous") for c in self.claims)
 
 
 def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
@@ -405,5 +403,5 @@ def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
     )
 
 
-# law -> (context from the algebra, ideal bits and class index; entries)
-LAWS = {"congruence": (_Classes, CONGRUENCE), "order_criterion": (_Classes, ORDER_CRITERION)}
+# law -> (context from the algebra and the ideal bits; entries)
+LAWS = {"congruence": (_related, CONGRUENCE), "order_criterion": (_related, ORDER_CRITERION)}

@@ -5,8 +5,10 @@ laws.first_violation from a declared law entry: the entry's kind tag
 (if any), the point, and the extra values the violation returned.
 confirm_witness finds that entry by the verdict's law and the tag,
 re-evaluates its violation function at the witnessed point and returns
-True when the same extra values come back.  The CLI --replay flag
-drives this over every law witness it prints.
+True when the same extra values come back, from a context built of the
+algebra and the ideal bits alone.  The CLI --replay flag drives this
+over every witness it prints but a violated theorem claim's, which
+indexes quotient classes and which no law declares.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ LAWS = {**validator.LAWS, **ideals.LAWS, **quotient.LAWS, **identities.LAWS}
 
 
 def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
-                    ideal_bits: int | None = None,
-                    class_index: tuple[int, ...] | None = None) -> bool:
+                    ideal_bits: int | None = None) -> bool:
     """Re-check one verdict's witness against the tables.
 
-    `ideal_bits` is required for ideal-membership laws and `class_index`
-    for congruence compatibility witnesses.  Pass verdicts and skipped
-    verdicts confirm trivially (there is nothing to replay).
+    `ideal_bits` is required for the laws of an ideal and of the
+    congruence it induces.  Pass verdicts and skipped verdicts confirm
+    trivially (there is nothing to replay).
     """
     if verdict.ok or verdict.skipped or verdict.witness is None:
         return True
@@ -39,4 +40,4 @@ def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
         return False
     start = 0 if entry.kind is None else 1
     point, extra = w[start:start + entry.arity], w[start + entry.arity:]
-    return entry.violation(context(alg, ideal_bits, class_index), *point) == extra
+    return entry.violation(context(alg, ideal_bits), *point) == extra

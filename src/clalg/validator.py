@@ -311,16 +311,16 @@ def is_distributive_lattice(alg: AlgebraCandidate) -> bool:
     return first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, alg).ok
 
 
-def _context(alg, _ideal_bits, _class_index):
+def _context(alg, _ideal_bits):
     return alg
 
 
 # the laws whose witnesses are replayed -> (the context their violations
-# read, built from the algebra, the ideal bits and the class index a
-# witness is replayed against; entries)
+# read, built from the algebra and the ideal bits a witness is replayed
+# against; entries)
 LAWS = {
     "lattice": (_context, LATTICE),
     "monoid": (_context, MONOID),
-    "residuation": (lambda alg, *_: _imp_or_derive(alg), RESIDUATION),
-    "involution": (lambda alg, *_: _imp_or_derive(alg), INVOLUTION),
+    "residuation": (lambda alg, _ideal_bits: _imp_or_derive(alg), RESIDUATION),
+    "involution": (lambda alg, _ideal_bits: _imp_or_derive(alg), INVOLUTION),
 }

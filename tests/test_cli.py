@@ -587,23 +587,40 @@ _CHAIN3 = (
     "end\n"
 )
 
-# the law witnesses printed outside a verdict: a quotient's order-criterion
-# mismatch, the same mismatch blocking theorem claims, and a missing residual
+# with mult(e0,e2) = mult(e2,e0) = e1, e0 is not related to itself modulo {e0}
+_CHAIN3_IRREFLEXIVE = _CHAIN3.replace("mult:\ne0 e0 e0\ne0 e0 e1\ne0 e1 e2",
+                                      "mult:\ne0 e0 e1\ne0 e0 e1\ne1 e1 e2")
+
+
+def _certificate(payload):
+    return [payload["congruence"]["certificate"]]
+
+
+# law witnesses that quotient, theorems and derive-imp print, each row
+# keyed by its command (and what it shows, after a colon): a quotient's
+# order-criterion mismatch, the same mismatch blocking theorem claims, a
+# missing residual and a failed congruence, printed alike by quotient and
+# theorems
 _LAW_WITNESSES = {
     "quotient": (NONLINEAR_CLA, ["--ideal", "bot,0", "--verify"],
                  lambda payload: [payload["quotient"]],
                  ["order_criterion", "1", "b", True, False]),
+    "quotient:reflexivity": (_CHAIN3_IRREFLEXIVE, ["--ideal", "e0"], _certificate,
+                             ["reflexivity", "e0"]),
     "theorems": (_CHAIN3.replace("e2 e2 e2", "e2 e0 e2"), ["--ideal", "e0"],
                  lambda payload: [c for c in payload["theorems"]["claims"]
                                   if c["status"] == "blocked"],
                  ["order_criterion", "e0", "e1", True, False]),
+    "theorems:mult": (NONLINEAR_CLA, ["--ideal", "bot,0,1"], _certificate,
+                      ["mult", "0", "1", "b", "b"]),
     "derive-imp": (_without_imp(_CHAIN3).replace("e0 e0 e1\ne0 e1 e2", "e0 e0 e1\ne1 e1 e2"),
                    [], lambda payload: [payload], ["no_residual", "e2", "e0", []]),
 }
 
 
-def _law_witness_run(capsys, tmp_path, command, *flags):
-    text, args, entries, _ = _LAW_WITNESSES[command]
+def _law_witness_run(capsys, tmp_path, row, *flags):
+    text, args, entries, _ = _LAW_WITNESSES[row]
+    command = row.partition(":")[0]
     path = tmp_path / "witness.cla"
     path.write_text(text, encoding="utf-8")
     code, out, _ = run(capsys, command, str(path), *args, "--json", *flags)
@@ -613,36 +630,32 @@ def _law_witness_run(capsys, tmp_path, command, *flags):
     return entries(json.loads(out)), human
 
 
-@pytest.mark.parametrize("command", sorted(_LAW_WITNESSES))
-def test_law_witnesses_are_replayed(capsys, tmp_path, command):
-    witness = _LAW_WITNESSES[command][3]
-    entries, human = _law_witness_run(capsys, tmp_path, command)
+@pytest.mark.parametrize("row", sorted(_LAW_WITNESSES))
+def test_law_witnesses_are_replayed(capsys, tmp_path, row):
+    witness = _LAW_WITNESSES[row][3]
+    entries, human = _law_witness_run(capsys, tmp_path, row)
     assert entries and all(e["witness"] == witness and "replay" not in e for e in entries)
     assert "replay=" not in human
-    entries, human = _law_witness_run(capsys, tmp_path, command, "--replay")
+    entries, human = _law_witness_run(capsys, tmp_path, row, "--replay")
     assert all(e["witness"] == witness and e["replay"] == "confirmed" for e in entries)
     assert human.count("replay=confirmed") == len(entries)
 
 
-@pytest.mark.parametrize("command", sorted(_LAW_WITNESSES))
-def test_unreproducible_law_witness_is_reported_and_fails(capsys, monkeypatch, tmp_path,
-                                                          command):
+@pytest.mark.parametrize("row", sorted(_LAW_WITNESSES))
+def test_unreproducible_law_witness_is_reported_and_fails(capsys, monkeypatch, tmp_path, row):
     monkeypatch.setattr("clalg.cli.confirm_witness", lambda *args: False)
-    entries, human = _law_witness_run(capsys, tmp_path, command, "--replay")
+    entries, human = _law_witness_run(capsys, tmp_path, row, "--replay")
     assert entries and all(e["replay"] == "NOT REPRODUCIBLE" for e in entries)
     assert human.count("replay=NOT REPRODUCIBLE") == len(entries)
 
 
 def test_not_an_equivalence_witness_is_printed_by_name(capsys, tmp_path):
-    # with mult(e0,e2) = mult(e2,e0) = e1, e0 is not related to itself modulo {e0}
     path = tmp_path / "unit_broken.cla"
-    path.write_text(_CHAIN3.replace("mult:\ne0 e0 e0\ne0 e0 e1\ne0 e1 e2",
-                                    "mult:\ne0 e0 e1\ne0 e0 e1\ne1 e1 e2"), encoding="utf-8")
+    path.write_text(_CHAIN3_IRREFLEXIVE, encoding="utf-8")
     code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0", "--json")
     assert code == 1
-    assert json.loads(out)["congruence"] == {"error": "not_an_equivalence",
-                                             "witness": ["reflexivity", "e0"]}
+    assert json.loads(out)["congruence"] == {"certificate": {
+        "check": "congruence", "status": "fail", "witness": ["reflexivity", "e0"]}}
     code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0")
     assert code == 1
-    assert out.splitlines() == [
-        "relation is not an equivalence: witness=['reflexivity', 'e0']", "exit: 1"]
+    assert out.splitlines() == ["check congruence: FAIL  witness=['reflexivity', 'e0']", "exit: 1"]

@@ -23,7 +23,7 @@ def test_parse_nonlinear_structure():
     cand = parse_algebra(NONLINEAR_CLA)
     assert cand.n == 6
     assert not is_linear(cand)
-    assert len(cand.order.covers()) == 6
+    assert len(cand.order.covers) == 6
 
 
 # every line names a single element

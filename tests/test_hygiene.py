@@ -9,7 +9,8 @@ two modules declare a law under the same tag, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
 imports another's private names, no line is longer than 100
 characters, the `scans` fixture counts the scans of every module
-that runs laws, only laws.formula_law compiles source (eval, exec or
+that runs laws, every replay context is built from the algebra and the
+ideal bits alone, only laws.formula_law compiles source (eval, exec or
 compile), and every function and class is named somewhere outside its
 own definition."""
 
@@ -197,6 +198,15 @@ def test_law_arity_counts_the_violation_parameters():
     assert len(entries) > 26
     for entry in entries:
         assert entry.arity == len(inspect.signature(entry.violation).parameters) - 1, entry
+
+
+def test_replay_contexts_take_the_algebra_and_the_ideal_bits():
+    # a witness replays from the algebra and the ideal alone: a context
+    # that asked for more (a partition, say) would trust its caller's copy
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    for tag, (context, _entries) in replay.LAWS.items():
+        kinds = [p.kind for p in inspect.signature(context).parameters.values()]
+        assert kinds == [positional, positional], tag
 
 
 # the dataclasses: each validates in __post_init__ (an Ideal as the

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import chain, product
 
 import pytest
 
@@ -10,9 +11,9 @@ import clalg.quotient
 import clalg.validator
 from clalg.core import AlgebraCandidate, FiniteCLAlgebra, NotALattice, OrderRelation
 from clalg.ideals import Ideal, Subset, all_ideals, certify_ideal, zero_downset
+from clalg.laws import Verdict
 from clalg.quotient import (
     NotACongruence,
-    NotEquivalence,
     QuotientInvalid,
     build_quotient,
     check_order_criterion,
@@ -124,6 +125,15 @@ def test_nonlinear_small_ideal_breaks_compatibility(nonlinear6):
         build_quotient(nonlinear6, ideal)
 
 
+def test_replay_refuses_a_quad_outside_the_related_pairs(linear5):
+    # modulo the zero down-set 1*1 = 1 and top*1 = top lie in different
+    # classes, but 1 and top are not related, so (1, top, 1, 1) is no witness
+    ideal = zero_downset(linear5)
+    assert congruence_from_ideal(linear5, ideal).certificate.ok
+    fake = Verdict("congruence", False, ("mult", 2, 4, 2, 2))
+    assert confirm_witness(linear5, fake, ideal.bits) is False
+
+
 def test_nonlinear_zero_downset_quotient_reported_invalid(nonlinear6):
     # singleton classes reproduce the defective base tables; the order
     # criterion cross-check catches the disagreement instead of sealing
@@ -149,9 +159,9 @@ def _non_transitive_candidate():
 def test_not_equivalence_is_reported_never_repaired():
     cand = _non_transitive_candidate()
     ideal = certify_ideal(cand, Subset(3, 0b001))
-    with pytest.raises(NotEquivalence) as exc:
+    with pytest.raises(NotACongruence) as exc:
         congruence_from_ideal(cand, ideal)
-    assert exc.value.witness == ("transitivity", 0, 1, 2)
+    assert exc.value.certificate.witness == ("transitivity", 0, 1, 2)
 
 
 def test_theorem_suite_on_linear_fixture(linear5):
@@ -283,7 +293,7 @@ def test_certificate_matches_oracle_on_mutants(census):
     rng = random.Random(8)
     algebras = [alg for n in (3, 4, 5) for alg in census[n]]
     algebras += run_search(SearchConfig(size=6)).algebras
-    checked = failing = 0
+    checked = failing = broken = 0
     for alg in algebras:
         for cand in _mutants(alg, rng):
             n, dn = cand.n, cand.order.dn
@@ -291,21 +301,30 @@ def test_certificate_matches_oracle_on_mutants(census):
                 if not bits >> cand.zero & 1 or any(
                         dn[y] & ~bits for y in range(n) if bits >> y & 1):
                     continue
-                equivalence = oracle_congruence(cand, bits)[1]
+                rel, equivalence, _classes = oracle_congruence(cand, bits)
                 try:
                     cong = congruence_from_ideal(cand, Ideal(n, bits))
-                except NotEquivalence:
+                except NotACongruence as exc:
+                    # no equivalence: the first failing reflexivity, else
+                    # transitivity, point is the witness, and it replays
+                    cert = exc.certificate
                     assert not equivalence, (cand.name, bits)
+                    assert cert.witness == next(chain(
+                        (("reflexivity", x) for x in range(n) if not rel[x] >> x & 1),
+                        (("transitivity", x, y, z) for x, y, z in product(range(n), repeat=3)
+                         if rel[x] >> y & rel[y] >> z & 1 and not rel[x] >> z & 1))), cert
+                    assert confirm_witness(cand, cert, bits)
+                    broken += 1
                     continue
                 assert equivalence, (cand.name, bits)
                 ok, witness = oracle_congruence_certificate(cand, bits)
                 cert = cong.certificate
                 assert (cert.ok, cert.witness) == (ok, witness), (cand.mult_table,
                                                                   cand.imp_table, bits)
-                assert confirm_witness(cand, cert, bits, cong.class_index)
+                assert confirm_witness(cand, cert, bits)
                 checked += 1
                 failing += not ok
-    assert checked > 2000 and failing > 500
+    assert checked > 2000 and failing > 500 and broken, (checked, failing, broken)
 
 
 def test_missing_join_is_raised_at_the_quad_scan_pair():

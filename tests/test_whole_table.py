@@ -46,7 +46,7 @@ from clalg.ideals import (
 )
 from clalg.identities import IDENTITIES, check_identity, run_identity_suite
 from clalg.laws import Law, Verdict, associates, compose, distributes, first_violation
-from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Classes as _classes, theorem_suite
+from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Related, _related, theorem_suite
 from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
@@ -159,12 +159,13 @@ def test_lattice_with_imp_fails_where_the_tests_fall_through(census):
             assert not replace(cand, order=order).lattice_with_imp, order.up
 
 def _partitions(n, rng):
-    """Class indexes: all singletons, one class, and two seeded ones."""
-    yield tuple(range(n))
-    yield (0,) * n
+    """Equivalences as one class mask per element: all singletons, one
+    class, and two seeded ones."""
+    yield [1 << x for x in range(n)]
+    yield [(1 << n) - 1] * n
     for _ in range(2):
         labels = [rng.randrange(n) for _ in range(n)]
-        yield tuple(sorted(set(labels), key=labels.index).index(v) for v in labels)
+        yield [sum(1 << y for y, w in enumerate(labels) if w == v) for v in labels]
 
 
 def _contexts(cand, rng):
@@ -179,11 +180,14 @@ def _contexts(cand, rng):
     for bits in rng.sample(subsets, min(6, len(subsets))):
         yield from ((entries, (cand, bits))
                     for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
+        # the relation the subset really induces, an equivalence or not
+        yield CONGRUENCE + ORDER_CRITERION, _related(cand, bits)
     yield IDEAL, (cand, rng.choice([bits for bits in range(1, 1 << cand.n)
                                     if not bits >> cand.zero & 1]))
-    for class_index in _partitions(cand.n, rng):
+    for rel in _partitions(cand.n, rng):
         bits = rng.choice(_zero_subsets(cand))
-        yield CONGRUENCE + ORDER_CRITERION, _classes(cand, bits, class_index)
+        rep = [(m & -m).bit_length() - 1 for m in rel]  # the least of each class
+        yield CONGRUENCE + ORDER_CRITERION, _Related(cand, bits, rel, rep)
 
 
 def _declared_laws():
@@ -241,7 +245,7 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     # every whole-table test the package declares is compared, and each
     # both passed and fell through somewhere
     tests = {entry.holds for entries in _declared_laws() for entry in entries}
-    assert {holds for holds, _passed in taken} == tests and len(tests) == 43
+    assert {holds for holds, _passed in taken} == tests and len(tests) == 45
     assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
 
