@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce, wraps
+from operator import getitem
 from typing import Iterable, Iterator
 
 from .laws import compose
@@ -175,8 +176,10 @@ class OrderRelation:
         return tuple(tuple(u >> y & 1 for y in range(self.n)) for u in self.up)
 
     def all_leq(self, lhs: Iterable[int], rhs: Iterable[int]) -> bool:
-        """lhs[i] <= rhs[i] at every i (up to the shorter of the two)."""
-        return 0 not in map(tuple.__getitem__, compose(self.matrix, lhs), rhs)
+        """lhs[i] <= rhs[i] at every i (up to the shorter of the two): the
+        matrix rows lhs selects, read at rhs, in two C-level calls, so an
+        order test calls it once on its whole sides (laws module docstring)."""
+        return 0 not in map(getitem, compose(self.matrix, lhs), rhs)
 
     @cached_value
     def is_transitive(self) -> bool:

@@ -108,7 +108,10 @@ def _member_pairs(c):
 
 
 def _not_closed(c, kind, x, y):
+    """The sum or join outside the members, for members x <= y by index."""
     alg, bits = c
+    if x > y or not bits >> x & bits >> y & 1:
+        return None
     v = getattr(alg, _CLOSURE[kind])(x, y)
     return None if bits >> v & 1 else (v,)
 
@@ -156,7 +159,8 @@ def _down_closed(c) -> bool:
 # coordinate of its point
 _CLOSED = Law(None, _member_pairs, _not_closed, holds=_closed_holds)
 IDEAL = (
-    Law("zero_missing", lambda c: ((c[0].zero,),), lambda c, z: None if c[1] >> z & 1 else (),
+    Law("zero_missing", lambda c: ((c[0].zero,),),
+        lambda c, z: None if z != c[0].zero or c[1] >> z & 1 else (),
         holds=lambda c: bool(c[1] >> c[0].zero & 1)),
     _CLOSED,
     Law("not_down_closed", lambda c: cube(2)(c[0]), _not_down_closed, holds=_down_closed),

@@ -23,15 +23,19 @@ the full scan.  Each test runs only where `lattice_with_imp` holds
 (a preorder with every meet and join, and an implication table), and
 falls through to the scan elsewhere.  The cubic tests run as byte
 planes (laws module docstring): the equations through laws.associates
-and laws.distributes, P2_5 as one comparison per x.  P2_7's test is
-monotonicity of mult in each argument and of imp (antitone in the
-first): then x*y <= x1*y <= x1*y1 and x1->y <= x->y <= x->y1 chain.
-The tests of P2_7 and P2_10 read only the cover pairs: on a preorder
-every x <= x1 is reflexive or a chain of covers (OrderRelation.covers),
-and comparisons of whole rows chain along it.
+and laws.distributes, P2_5 as its planes joined.  Each order test
+(P2_3, P2_4, P2_5, P2_7, P2_9) calls `all_leq` once, on its whole
+sides.  P2_7's test is monotonicity of mult in each argument and of imp
+(antitone in the first): then x*y <= x1*y <= x1*y1 and x1->y <= x->y
+<= x->y1 chain.  The tests of P2_7 and P2_10 read only the cover pairs:
+on a preorder every x <= x1 is reflexive or a chain of covers
+(OrderRelation.covers), and comparisons of whole rows chain along it.
+The negation laws P2_11..P2_14 compare whole tables as bytes.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 from .core import AlgebraError, FiniteCLAlgebra
 from .laws import (Verdict, associates, compose, distributes, first_violation, formula_law,
@@ -42,32 +46,36 @@ class UnknownIdentity(AlgebraError):
     pass
 
 
-def _negated(row, negs):
-    """y -> ~row[~y]."""
-    return compose(negs, compose(row, negs))
+def _negated(table, negs) -> bytes:
+    """~row[~y] at every (row, y) of `table`, the rows joined as bytes."""
+    negs = bytes(negs)
+    return b"".join(map(negs.translate, map(translation, table))).translate(translation(negs))
 
 
 def _monotone(A) -> bool:
-    """P2_7 at every point (module docstring)."""
-    mult, imp, leq = A.mult_table, A.imp_table, A.order.all_leq
+    """P2_7 at every point (module docstring): the rows each cover
+    (lo, hi) compares, all joined; imp's rows compare the other way."""
+    mult, imp = A.mult_table, A.imp_table
     mult_cols, imp_cols = tuple(zip(*mult)), tuple(zip(*imp))
-    return all(leq(mult[x], mult[x1]) and leq(mult_cols[x], mult_cols[x1])
-               and leq(imp[x1], imp[x]) and leq(imp_cols[x], imp_cols[x1])
-               for x, x1 in A.order.covers)
+    lo, hi = tuple(zip(*A.order.covers)) or ((), ())
+    lhs = compose(mult, lo) + compose(mult_cols, lo) + compose(imp, hi) + compose(imp_cols, lo)
+    rhs = compose(mult, hi) + compose(mult_cols, hi) + compose(imp, lo) + compose(imp_cols, hi)
+    return A.order.all_leq(chain.from_iterable(lhs), chain.from_iterable(rhs))
 
 
 def _chains(A) -> bool:
     """P2_5 at every point, one plane (y, z) per x (laws module
     docstring): mult[x->y][y->z] against the row x->z repeated n times."""
     mult, imp = tuple(map(translation, A.mult_table)), tuple(map(bytes, A.imp_table))
-    return all(A.order.all_leq(b"".join(imp[y].translate(mult[v]) for y, v in enumerate(row)),
-                               row * A.n) for row in imp)
+    lhs = b"".join(imp[y].translate(mult[v]) for row in imp for y, v in enumerate(row))
+    return A.order.all_leq(lhs, b"".join(row * A.n for row in imp))
 
 
 def _leq_on(A, members, lhs, rhs) -> bool:
     """lhs(x, y) <= rhs(x, y) for x, y in `members`."""
-    return all(A.order.all_leq(compose(lhs[x], members), compose(rhs[x], members))
-               for x in members)
+    def side(table):
+        return chain.from_iterable(map(compose, compose(table, members), repeat(members)))
+    return A.order.all_leq(side(lhs), side(rhs))
 
 
 # tag -> (formula, exact whole-table test), in suite order
@@ -83,19 +91,18 @@ IDENTITIES = {
     "P2_7": ("x<=x1, y<=y1 implies x*y <= x1*y1 and x1->y <= x->y1", _monotone),
     "P2_8": ("x->(y->z) == (x*y)->z",
              lambda A: associates(A.imp_table, A.mult_table, A.imp_table)),
-    "P2_9": ("x*(x->y) <= y", lambda A: all(
-        A.order.all_leq(compose(A.mult_table[x], row), range(A.n))
-        for x, row in enumerate(A.imp_table))),
+    "P2_9": ("x*(x->y) <= y", lambda A: A.order.all_leq(
+        chain.from_iterable(map(compose, A.mult_table, A.imp_table)), tuple(range(A.n)) * A.n)),
     "P2_10": ("x <= y implies ~y <= ~x", lambda A: all(
         A.order.matrix[A.negs[y]][A.negs[x]] for x, y in A.order.covers)),
-    "P2_11": ("x|y == ~(~x & ~y)", lambda A: all(
-        A.order.lubs[x] == _negated(A.order.glbs[v], A.negs) for x, v in enumerate(A.negs))),
-    "P2_12": ("x&y == ~(~x | ~y)", lambda A: all(
-        A.order.glbs[x] == _negated(A.order.lubs[v], A.negs) for x, v in enumerate(A.negs))),
-    "P2_13": ("x->y == ~(x * ~y)", lambda A: all(
-        row == _negated(A.mult_table[x], A.negs) for x, row in enumerate(A.imp_table))),
-    "P2_14": ("~x->y == ~(~x * ~y)", lambda A: all(
-        A.imp_table[v] == _negated(A.mult_table[v], A.negs) for v in A.negs)),
+    "P2_11": ("x|y == ~(~x & ~y)", lambda A: bytes(chain.from_iterable(A.order.lubs))
+              == _negated(compose(A.order.glbs, A.negs), A.negs)),
+    "P2_12": ("x&y == ~(~x | ~y)", lambda A: bytes(chain.from_iterable(A.order.glbs))
+              == _negated(compose(A.order.lubs, A.negs), A.negs)),
+    "P2_13": ("x->y == ~(x * ~y)", lambda A: bytes(chain.from_iterable(A.imp_table))
+              == _negated(A.mult_table, A.negs)),
+    "P2_14": ("~x->y == ~(~x * ~y)", lambda A: bytes(chain.from_iterable(
+        compose(A.imp_table, A.negs))) == _negated(compose(A.mult_table, A.negs), A.negs)),
     "P2_15": ("~top == bot", lambda A: A.negs[A.top] == A.bot),
     "P2_16": ("~top * top == bot", lambda A: A.mult_table[A.negs[A.top]][A.top] == A.bot),
     "LEMMA_MEET_IMP": ("(z->x)&(z->y) == z->(x&y)",

@@ -43,6 +43,11 @@ for the table T's rows joined in `flat`; the rows a row selects,
 `b"".join(map(rows.__getitem__, row))`, give T[row[y]][z].  So a test
 makes about 2n long calls where reading row by row makes n^2 short
 ones.  The byte views are built inside each call and kept nowhere.
+The rule holds for the two kernels under every test as well: `compose`
+reads a row through indices in one `operator.itemgetter` call, and
+`OrderRelation.all_leq` maps `operator.getitem` over the order's 0/1
+rows, so each order test (a test comparing sides by <=) builds its
+whole left and right sides and calls `all_leq` once.
 
 A point law is stated once, as its formula (`formula_law`), in the
 notation of the residuated-lattice literature: `~` binds tightest, then
@@ -61,6 +66,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, product
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -124,11 +130,12 @@ def first_violation(law: str, laws: Iterable[Law], ctx, detail: str = "") -> Ver
     return Verdict(law, True, None, detail)
 
 
-def compose(row: tuple, idx: Iterable[int]) -> tuple:
-    """(row[i] for i in idx) as a tuple: one table row read through
-    another, the inner loop of the whole-table tests that read one row
-    at a time; the cubic ones run as byte planes (module docstring)."""
-    return tuple(map(row.__getitem__, idx))
+def compose(row, idx: Iterable[int]) -> tuple:
+    """(row[i] for i in idx) as a tuple, for a tuple or bytes `row`: one
+    table row read through another, in one itemgetter call (module
+    docstring); itemgetter returns no tuple for fewer than two indices."""
+    idx = tuple(idx)
+    return itemgetter(*idx)(row) if len(idx) > 1 else tuple(row[i] for i in idx)
 
 
 def translation(row: Iterable[int]) -> bytes:

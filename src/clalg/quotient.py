@@ -13,7 +13,10 @@ algebra and the ideal alone.  Only a quotient whose tables are the ones
 a sealed base passed validation with (every class a singleton, as
 modulo the zero down-set, and the base's tables unchanged since;
 FiniteCLAlgebra.validated) is not re-validated: no verdict reads a
-name, so it is the base renamed (validator.renamed).
+name, so it is the base renamed (validator.renamed).  It is recognised
+right after the order criterion, from the classes and the base alone,
+before any class table is built; every other quotient reads its class
+tables through laws.compose, one call per row.
 
 The laws read the relation as one mask per element, rel[x], symmetric
 by construction; `CONGRUENCE` checks reflexivity, transitivity, then
@@ -63,7 +66,7 @@ from .core import (
     memoised,
 )
 from .ideals import Ideal, Subset, classify
-from .laws import Law, Verdict, cube, first_violation
+from .laws import Law, Verdict, compose, cube, first_violation
 from .validator import DISTRIBUTIVE_LATTICE, TOTAL, ValidationReport, renamed, validate
 
 
@@ -264,16 +267,8 @@ def build_quotient(alg: AlgebraCandidate, ideal: Ideal,
 
 
 def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> QuotientAlgebra:
-    cidx = cong.class_index
-    reps = cong.representatives()
-    k = len(reps)
-
-    q_leq = [[False] * k for _ in range(k)]
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            q_leq[i][j] = cidx[alg.meet(ri, rj)] == i
-
-    # cross-check the meet-derived order against the membership criterion
+    # cross-check the meet-derived order against the membership criterion,
+    # which reads only the base and the relation
     mismatch = first_violation("order_criterion", ORDER_CRITERION, cong.related(alg, ideal.bits))
     if not mismatch:
         x, y = mismatch.witness[1:3]
@@ -283,27 +278,29 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
             witness=mismatch.witness,
         )
 
+    cidx = cong.class_index
+    reps = cong.representatives()
+    name = f"{alg.name}_mod_{'_'.join(alg.elements[i] for i in ideal)}"
     names = tuple(f"[{alg.elements[r]}]" for r in reps)
-    q_mult = tuple(
-        tuple(cidx[alg.mult(ri, rj)] for rj in reps) for ri in reps
-    )
-    q_imp = tuple(
-        tuple(cidx[alg.imp(ri, rj)] for rj in reps) for ri in reps
-    )
+    if len(reps) == alg.n and alg.tables() == getattr(alg, "validated", None):
+        # every class a singleton over the tables the sealed base passed with
+        return QuotientAlgebra(base=alg, congruence=cong, algebra=renamed(alg, name, names))
+
+    def class_table(table):
+        """The class of table[r][r'] over representatives r, r'."""
+        return tuple(compose(cidx, compose(row, reps)) for row in compose(table, reps))
+
+    q_leq = [[v == i for v in row] for i, row in enumerate(class_table(alg.order.glbs))]
     q_cand = AlgebraCandidate(
-        name=f"{alg.name}_mod_{'_'.join(alg.elements[i] for i in ideal)}",
+        name=name,
         elements=names,
-        order=OrderRelation.from_leq(k, q_leq),
-        mult_table=q_mult,
-        imp_table=q_imp,
+        order=OrderRelation.from_leq(len(reps), q_leq),
+        mult_table=class_table(alg.mult_table),
+        imp_table=class_table(alg.imp_table),
         bot=cidx[alg.bot],
         zero=cidx[alg.zero],
         one=cidx[alg.one],
     )
-    if q_cand.tables() == getattr(alg, "validated", None):
-        # the tables the sealed base passed with: it is the quotient renamed
-        return QuotientAlgebra(base=alg, congruence=cong,
-                               algebra=renamed(alg, q_cand.name, q_cand.elements))
     report = validate(q_cand)
     if report.algebra is None:
         raise QuotientInvalid("quotient tables fail validation", report=report, candidate=q_cand)

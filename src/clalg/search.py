@@ -266,7 +266,7 @@ def _candidate_from_key(key: tuple, name: str,
 
     return AlgebraCandidate(
         name=name, elements=tuple(f"e{i}" for i in range(n)),
-        order=orders.setdefault(up, OrderRelation(n, up)),
+        order=orders.get(up) or orders.setdefault(up, OrderRelation(n, up)),
         mult_table=rows(mult), imp_table=rows(imp),
         bot=bot, zero=zero, one=one,
     )

@@ -23,6 +23,7 @@ from clalg.core import (
 from clalg.fileformat import export_dot, parse_algebra, serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
 from clalg.identities import run_identity_suite
+from clalg.laws import compose
 from clalg.search import enumerate_lattices
 from clalg.validator import seal
 
@@ -317,3 +318,37 @@ def test_looked_up_bounds_match_the_scan():
         glbs, lubs = _bounds_by_scan(order)
         assert [g for row in order.glbs for g in row] == glbs, order.up
         assert [g for row in order.lubs for g in row] == lubs, order.up
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 64])
+def test_compose_reads_a_row_through_indices(length):
+    # one itemgetter call, still a tuple for fewer than two indices
+    rng = random.Random(length)
+    row = tuple(rng.randrange(64) for _ in range(64))
+    idx = tuple(rng.randrange(64) for _ in range(length))
+    for r in (row, bytes(row)):
+        cases = ((idx, idx), (range(length), range(length)), ((i for i in idx), idx),
+                 (bytes(idx), idx))
+        for given, read in cases:
+            got = compose(r, given)
+            assert got == tuple(r[i] for i in read) and type(got) is tuple, (r, given)
+
+
+def test_all_leq_is_a_scan_up_to_the_shorter_side():
+    rng = random.Random(5)
+    orders = [lat for n in range(2, 7) for lat in enumerate_lattices(n)] + [OrderRelation(1, (1,))]
+    orders += [order for n in range(2, 6) for order in _orders(n)]
+    outcomes = Counter()
+    for order in orders:
+        n = order.n
+        for _ in range(6):
+            lhs = [rng.randrange(n) for _ in range(rng.randrange(12))]
+            rhs = [rng.randrange(n) for _ in range(rng.randrange(12))]
+            if rng.random() < 0.5:  # mostly true, so both answers are met
+                rhs = [v if order.leq(u, v) else u for u, v in zip(lhs, rhs)] + rhs[len(lhs):]
+            expected = all(order.leq(u, v) for u, v in zip(lhs, rhs))
+            for left, right in ((lhs, rhs), (tuple(lhs), bytes(rhs)), (bytes(lhs), iter(rhs))):
+                assert order.all_leq(left, right) is expected, (order.up, lhs, rhs)
+            outcomes[expected, len(lhs) == len(rhs)] += 1
+    assert order.all_leq((), ()) and order.all_leq([0], ()) and order.all_leq((), [0])
+    assert len(outcomes) == 4, outcomes

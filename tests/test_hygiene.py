@@ -11,8 +11,9 @@ imports another's private names, no line is longer than 100
 characters, the `scans` fixture counts the scans of every module
 that runs laws, every replay context is built from the algebra and the
 ideal bits alone, only laws.formula_law compiles source (eval, exec or
-compile), and every function and class is named somewhere outside its
-own definition."""
+compile), no loop or comprehension calls `all_leq` (one call per order
+test), and every function and class is named somewhere outside its own
+definition."""
 
 import ast
 import importlib
@@ -207,6 +208,37 @@ def test_replay_contexts_take_the_algebra_and_the_ideal_bits():
     for tag, (context, _entries) in replay.LAWS.items():
         kinds = [p.kind for p in inspect.signature(context).parameters.values()]
         assert kinds == [positional, positional], tag
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _all_leq_names(tree):
+    """all_leq and every name an assignment binds to `<value>.all_leq`."""
+    names = {"all_leq"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and isinstance(v, ast.Attribute) and v.attr == "all_leq"}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_loop_calls_all_leq(path):
+    # an order test builds its whole sides and calls all_leq once (laws
+    # module docstring): a call per row or per cover is n short C calls
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _all_leq_names(tree)
+    problems = {f"line {node.lineno}: all_leq in a loop" for loop in ast.walk(tree)
+                if isinstance(loop, LOOPS) for node in ast.walk(loop)
+                if isinstance(node, ast.Attribute) and node.attr == "all_leq"
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in names}
+    assert not problems, sorted(problems)
 
 
 # the dataclasses: each validates in __post_init__ (an Ideal as the

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +22,7 @@ from clalg.ideals import (
     is_prime,
     zero_downset,
 )
+from clalg.laws import Verdict
 from clalg.validator import is_idempotent
 
 
@@ -190,6 +194,33 @@ def test_ideal_witnesses_replay(linear5, nonlinear6):
     for alg, verdict, names in cases:
         assert not verdict.ok
         assert confirm_witness(alg, verdict, ideal_bits=subset(alg, names).bits)
+
+
+def test_no_point_outside_a_domain_violates(linear5, nonlinear6):
+    # replay re-evaluates a violation at the witnessed point without asking
+    # whether it lies in the entry's domain, so off its domain every
+    # violation returns None and no made-up witness is confirmed
+    from clalg import ideals
+    from clalg.replay import LAWS, confirm_witness
+
+    outside = Counter()
+    for alg in (linear5, nonlinear6):
+        for ideal in all_ideals(alg):
+            for tag, (context, entries) in LAWS.items():
+                ctx = context(alg, ideal.bits)
+                for entry in entries:
+                    coordinates = [range(alg.n)] * entry.arity
+                    if entry is ideals._CLOSED:  # the closure kind comes first
+                        coordinates[0] = tuple(ideals._CLOSURE)
+                    domain = set(entry.domain(ctx))
+                    points = [p for p in product(*coordinates) if p not in domain]
+                    bad = [p for p in points if entry.violation(ctx, *p) is not None]
+                    assert not bad, (tag, entry.kind, alg.name, ideal.bits, bad[:3])
+                    outside[tag, entry.kind] += len(points)
+    assert outside["ideal", "zero_missing"] and outside["ideal", None], outside
+    bits = subset(linear5, "bot,0").bits
+    for witness in (("zero_missing", 4), ("plus_not_closed", 2, 2, 2)):
+        assert not confirm_witness(linear5, Verdict("ideal", False, witness), bits), witness
 
 
 def test_classification_is_recomputed_not_inherited(linear5):

@@ -251,6 +251,23 @@ def test_zero_downset_quotient_of_a_sealed_algebra_is_it_renamed(census, monkeyp
 
 
 
+def test_renamed_quotient_builds_no_class_candidate(census_2_6, monkeypatch):
+    # the renamed quotient is recognised before any class table is built:
+    # no candidate (counted by exact class; the renamed copy is sealed)
+    # and no validation
+    algebras = [replace(alg) for alg in census_2_6]  # empty memos
+    ideals = [zero_downset(alg) for alg in algebras]
+    built, calls = [], []
+    post_init = AlgebraCandidate.__post_init__
+    monkeypatch.setattr(AlgebraCandidate, "__post_init__",
+                        lambda self: built.append(type(self)) or post_init(self))
+    monkeypatch.setattr(clalg.quotient, "validate", calls.append)
+    for alg, ideal in zip(algebras, ideals):
+        assert build_quotient(alg, ideal).algebra.order is alg.order
+    assert len(algebras) == 133 and calls == []
+    assert built.count(AlgebraCandidate) == 0 and built.count(FiniteCLAlgebra) == 133
+
+
 def test_a_sealed_copy_with_other_tables_is_validated_again(linear5, monkeypatch):
     # replace() carries over the record of the tables validate passed,
     # so a copy with other tables is validated like any candidate: with
