@@ -108,9 +108,10 @@ def _member_pairs(c):
 
 
 def _not_closed(c, kind, x, y):
-    """The sum or join outside the members, for members x <= y by index."""
+    """The sum or join outside the members, for members x <= y by index
+    and a kind `_CLOSURE` declares."""
     alg, bits = c
-    if x > y or not bits >> x & bits >> y & 1:
+    if kind not in _CLOSURE or x > y or not bits >> x & bits >> y & 1:
         return None
     v = getattr(alg, _CLOSURE[kind])(x, y)
     return None if bits >> v & 1 else (v,)
@@ -339,6 +340,8 @@ def _implicative_holds(c) -> bool:
     alg, bits = c
     if not alg.lattice_with_imp:
         return False
+    if bits == (1 << alg.n) - 1:
+        return True  # every ~(x->z) is a member
     values, members = _implicative_values(alg), tuple(iter_bits(bits))
     return not any(values[a][b] & ~bits for a in members for b in members)
 

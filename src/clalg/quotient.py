@@ -15,8 +15,12 @@ modulo the zero down-set, and the base's tables unchanged since;
 FiniteCLAlgebra.validated) is not re-validated: no verdict reads a
 name, so it is the base renamed (validator.renamed).  It is recognised
 right after the order criterion, from the classes and the base alone,
-before any class table is built; every other quotient reads its class
-tables through laws.compose, one call per row.
+before any class table is built.  At the other end, modulo the whole
+universe, every pair is related and there is one class: the relation
+is read off no table cell, the order criterion holds at every pair
+(both sides are 1) and every class table is ((0,),), so only the
+one-element candidate is built and validated.  Every other quotient
+reads its class tables through laws.compose, one call per row.
 
 The laws read the relation as one mask per element, rel[x], symmetric
 by construction; `CONGRUENCE` checks reflexivity, transitivity, then
@@ -127,8 +131,12 @@ class _Related(NamedTuple):
 
 def _related(alg: AlgebraCandidate, ideal_bits: int) -> _Related:
     """x ~ y iff x * ~y and y * ~x lie in the ideal (inside[x][y] is 1
-    where x * ~y does); its equivalence is decided once, here."""
-    inside = [[ideal_bits >> row[v] & 1 for v in alg.negs] for row in alg.mult_table]
+    where x * ~y does); its equivalence is decided once, here.  Modulo
+    the whole universe every pair is related, read off no table cell."""
+    negs, full = alg.negs, (1 << alg.n) - 1  # negs raises ImplicationAbsent
+    if ideal_bits == full:
+        return _Related(alg, ideal_bits, [full] * alg.n, [0] * alg.n)
+    inside = [[ideal_bits >> row[v] & 1 for v in negs] for row in alg.mult_table]
     bits = [1 << y for y in range(alg.n)]
     rel = [sum(compress(bits, map(and_, r, c))) for r, c in zip(inside, zip(*inside))]
     rep = [(m & -m).bit_length() - 1 for m in rel]
@@ -213,10 +221,15 @@ def _order_mismatch(c, x, y):
 
 def _order_agrees(c: _Related) -> bool:
     """meet(x, y) is related to x exactly where ~(x->y) is in the ideal,
-    read off the tables; run only where `lattice_with_imp` holds."""
+    read off the tables; run only where `lattice_with_imp` holds.  With
+    the whole universe as the ideal and as every class, both sides are
+    1 at every pair."""
     alg = c.alg
     if not alg.lattice_with_imp:
         return False
+    full = (1 << alg.n) - 1
+    if c.ideal_bits == full and c.rel.count(full) == alg.n:
+        return True
     neg_in = [c.ideal_bits >> v & 1 for v in alg.negs]
     rows = zip(c.rel, alg.order.glbs, alg.imp_table)
     return all(m >> v & 1 == neg_in[w] for m, meets, imp in rows for v, w in zip(meets, imp))
@@ -290,13 +303,17 @@ def _sealed_quotient(alg: AlgebraCandidate, ideal: Ideal, cong: Congruence) -> Q
         """The class of table[r][r'] over representatives r, r'."""
         return tuple(compose(cidx, compose(row, reps)) for row in compose(table, reps))
 
-    q_leq = [[v == i for v in row] for i, row in enumerate(class_table(alg.order.glbs))]
+    if len(reps) == 1:  # one class: every class table is the one cell 0
+        meets = mult = imp = ((0,),)
+    else:
+        meets, mult, imp = map(class_table, (alg.order.glbs, alg.mult_table, alg.imp_table))
+    q_leq = [[v == i for v in row] for i, row in enumerate(meets)]
     q_cand = AlgebraCandidate(
         name=name,
         elements=names,
         order=OrderRelation.from_leq(len(reps), q_leq),
-        mult_table=class_table(alg.mult_table),
-        imp_table=class_table(alg.imp_table),
+        mult_table=mult,
+        imp_table=imp,
         bot=cidx[alg.bot],
         zero=cidx[alg.zero],
         one=cidx[alg.one],

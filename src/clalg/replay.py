@@ -6,9 +6,12 @@ laws.first_violation from a declared law entry: the entry's kind tag
 confirm_witness finds that entry by the verdict's law and the tag,
 re-evaluates its violation function at the witnessed point and returns
 True when the same extra values come back, from a context built of the
-algebra and the ideal bits alone.  The CLI --replay flag drives this
-over every witness it prints but a violated theorem claim's, which
-indexes quotient classes and which no law declares.
+algebra and the ideal bits alone.  A made-up witness is refused, not
+raised on: one whose tag no entry declares, or whose point is short or
+has an element index outside the universe, is never evaluated.  The
+CLI --replay flag drives this over every witness it prints but a
+violated theorem claim's, which indexes quotient classes and which no
+law declares.
 """
 
 from __future__ import annotations
@@ -40,4 +43,10 @@ def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
         return False
     start = 0 if entry.kind is None else 1
     point, extra = w[start:start + entry.arity], w[start + entry.arity:]
+    # a point's coordinates are element indices, after the closure kind
+    # that the untagged ideal entry puts first (its violation refuses an
+    # undeclared kind itself)
+    elements = point[1:] if entry is ideals._CLOSED else point
+    if len(point) < entry.arity or not all(v in range(alg.n) for v in elements):
+        return False
     return entry.violation(context(alg, ideal_bits), *point) == extra

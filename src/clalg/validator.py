@@ -19,12 +19,16 @@ commutativity, never violated on the diagonal):
 
 Each law is declared once below as a list of laws.Law entries, each
 point axiom as its formula (laws.formula_law); validate and
-replay.confirm_witness both read those declarations.  Every entry,
-and those of the linear (TOTAL, read on the order), integral and
-distributive-lattice flags, scans only where its exact whole-table test
-(laws.Law.holds) fails, for the witness, which is that of the full
-scan.  Checks never mutate the candidate; a derived implication table
-is attached to the returned report/algebra only.  The report and its
+replay.confirm_witness both read those declarations.  Every entry
+scans only where its exact whole-table test (laws.Law.holds) fails,
+for the witness, which is that of the full scan.  The linear (TOTAL,
+read on the order), integral and distributive-lattice flags read their
+laws' tests alone, exact where they are read, and seek no witness: the
+integral law is scanned only for the message of EquivalenceBroken, and
+the distributive one only where a meet or join is missing, so that it
+raises NotALattice at the same pair.  Checks never mutate the
+candidate; a derived implication table is attached to the returned
+report/algebra only.  The report and its
 flags are NamedTuples, cheaper to build at import than dataclasses.
 """
 
@@ -275,10 +279,10 @@ def is_residuated_lattice(alg: FiniteCLAlgebra) -> bool:
     discrepancy is an internal-consistency failure and raises
     EquivalenceBroken rather than returning a guess.
     """
-    integral = first_violation("integral", INTEGRAL, alg)
+    integral = INTEGRAL[0].holds(alg)  # exact on any order
     top_is_one = alg.top == alg.one
     if top_is_one and not integral:
-        x, y = integral.witness
+        x, y = first_violation("integral", INTEGRAL, alg).witness
         raise EquivalenceBroken(x, y, f"top == one but mult({x},{y}) is not below {x}")
     if not top_is_one and integral:
         raise EquivalenceBroken(
@@ -293,15 +297,18 @@ def is_idempotent(alg: AlgebraCandidate) -> bool:
 
 
 # a total order, read on the order: the witness is the first incomparable
-# pair (x, y) off the diagonal, so x < y; its test: up[x] | dn[x] is full
+# pair (x, y) off the diagonal, so x < y; its test, exact on any order:
+# up[x] | dn[x] holds every element but perhaps x
 TOTAL = (
     Law(None, cube(2), lambda o, x, y: None if x == y or o.leq(x, y) or o.leq(y, x) else (),
-        holds=lambda o: all(u | d == (1 << o.n) - 1 for u, d in zip(o.up, o.dn))),
+        holds=lambda o: all(u | d | 1 << x == (1 << o.n) - 1
+                            for x, (u, d) in enumerate(zip(o.up, o.dn)))),
 )
 
 
 def is_linear(alg: AlgebraCandidate) -> bool:
-    return first_violation("linear", TOTAL, alg.order).ok
+    """TOTAL's test alone: it is exact, so no witness is sought."""
+    return TOTAL[0].holds(alg.order)
 
 
 DISTRIBUTIVE_LATTICE = (formula_law("x&(y|z) == (x&y)|(x&z)", lambda A: (
@@ -309,6 +316,11 @@ DISTRIBUTIVE_LATTICE = (formula_law("x&(y|z) == (x&y)|(x&z)", lambda A: (
 
 
 def is_distributive_lattice(alg: AlgebraCandidate) -> bool:
+    """The law's test where every meet and join exists, exact there;
+    elsewhere its scan, which raises NotALattice at the first pair
+    without one."""
+    if alg.order.has_meets_and_joins:
+        return DISTRIBUTIVE_LATTICE[0].holds(alg)
     return first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, alg).ok
 
 

@@ -9,7 +9,13 @@ from test_identities import _force_seal
 
 import clalg.quotient
 import clalg.validator
-from clalg.core import AlgebraCandidate, FiniteCLAlgebra, NotALattice, OrderRelation
+from clalg.core import (
+    AlgebraCandidate,
+    FiniteCLAlgebra,
+    ImplicationAbsent,
+    NotALattice,
+    OrderRelation,
+)
 from clalg.ideals import Ideal, Subset, all_ideals, certify_ideal, zero_downset
 from clalg.laws import Verdict
 from clalg.quotient import (
@@ -18,6 +24,7 @@ from clalg.quotient import (
     build_quotient,
     check_order_criterion,
     class_of,
+    _related,
     congruence_from_ideal,
     theorem_suite,
 )
@@ -266,6 +273,63 @@ def test_renamed_quotient_builds_no_class_candidate(census_2_6, monkeypatch):
         assert build_quotient(alg, ideal).algebra.order is alg.order
     assert len(algebras) == 133 and calls == []
     assert built.count(AlgebraCandidate) == 0 and built.count(FiniteCLAlgebra) == 133
+
+
+def _by_definition(alg, cong, name):
+    """The quotient as the general construction defines it: each class
+    table read at the representatives, the class order by class meets,
+    sealed by validate."""
+    reps, cidx = cong.representatives(), cong.class_index
+
+    def table(rows):
+        return tuple(tuple(cidx[rows[r][s]] for s in reps) for r in reps)
+
+    meets = table(alg.order.glbs)
+    return clalg.validator.seal(AlgebraCandidate(
+        name, tuple(f"[{alg.elements[r]}]" for r in reps),
+        OrderRelation.from_leq(len(reps), [[v == i for v in row] for i, row in enumerate(meets)]),
+        table(alg.mult_table), table(alg.imp_table), cidx[alg.bot], cidx[alg.zero], cidx[alg.one]))
+
+
+def test_quotient_by_the_whole_algebra_is_the_general_one(census_2_6, monkeypatch, scans):
+    # the one-class quotient is the one the general construction gives
+    # (name, elements, tables, designations and top), still sealed by
+    # validate, without composing a class table or scanning a point of
+    # the order criterion
+    composed, validated = [], []
+    compose, validate = clalg.quotient.compose, clalg.quotient.validate
+    monkeypatch.setattr(clalg.quotient, "compose",
+                        lambda row, idx: composed.append(idx) or compose(row, idx))
+    monkeypatch.setattr(clalg.quotient, "validate",
+                        lambda cand: validated.append(cand) or validate(cand))
+    for alg in map(replace, census_2_6):  # empty memos
+        universe = certify_ideal(alg, Subset.universe(alg.n))
+        quot = build_quotient(alg, universe).algebra
+        name = f"{alg.name}_mod_{'_'.join(alg.elements)}"
+        expected = _by_definition(alg, congruence_from_ideal(alg, universe), name)
+        assert quot == expected and quot.validated == expected.validated, alg.name
+        assert (quot.elements, quot.tables()) == ((f"[{alg.elements[0]}]",), (
+            (1,), ((0,),), ((0,),), 0, 0, 0)), alg.name
+    assert len(census_2_6) == len(validated) == scans["order_criterion",] == 133
+    assert composed == [] and not [key for key in scans if key[0] == "order_criterion"
+                                   and len(key) == 3], scans
+
+
+def test_related_modulo_the_whole_algebra_is_the_literal_relation(census, nonlinear6):
+    # every pair related, as the literal definition gives, on sealed
+    # algebras, mutants and defective tables; without an implication
+    # table it raises as any other ideal's relation does
+    rng = random.Random(35)
+    algebras = [alg for n in sorted(census) for alg in census[n]]
+    for cand in [nonlinear6] + [m for alg in algebras for m in (alg, *_mutants(alg, rng, 2))]:
+        full = (1 << cand.n) - 1
+        rel, equivalence, classes = oracle_congruence(cand, full)
+        assert _related(cand, full) == (cand, full, rel, [0] * cand.n)
+        assert equivalence and classes == [full]
+        no_imp = replace(cand.as_candidate(), imp_table=None)
+        for bits in (full, 1 << cand.zero):
+            with pytest.raises(ImplicationAbsent, match="neither supplied nor derived"):
+                _related(no_imp, bits)
 
 
 def test_a_sealed_copy_with_other_tables_is_validated_again(linear5, monkeypatch):

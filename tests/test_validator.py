@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_validate
 
+import clalg.validator
 from clalg.core import AlgebraCandidate, FiniteCLAlgebra, OrderRelation
 from clalg.fixtures import linear_candidate, nonlinear_candidate
 from clalg.laws import Verdict
@@ -247,3 +248,45 @@ def test_replay_refuses_a_witness_no_law_declares(nonlinear6):
     assert not report.residuation and confirm_witness(nonlinear6, report.residuation)
     for law, witness in (("no_such_law", ("adjunction", 0, 0, 0)), ("lattice", ("no_kind", 0))):
         assert confirm_witness(nonlinear6, Verdict(law, False, witness)) is False
+
+
+def test_equivalence_broken_on_an_element_above_imp_bot_bot(linear5_candidate, monkeypatch):
+    # with the four laws stubbed to pass, linear5 with imp(bot, bot)
+    # lowered to a reaches the consistency check in validate itself
+    for law in ("LATTICE", "MONOID", "RESIDUATION", "INVOLUTION"):
+        monkeypatch.setattr(clalg.validator, law, ())
+    cand = linear5_candidate
+    rows = [list(row) for row in cand.imp_table]
+    a = rows[cand.bot][cand.bot] = cand.index("a")
+    lowered = replace(cand, imp_table=tuple(map(tuple, rows)))
+    assert validate(cand).algebra is not None  # the stubs pass the unchanged tables
+    above = next(x for x in range(cand.n) if not cand.leq(x, a))  # the first not below a
+    with pytest.raises(EquivalenceBroken, match=fr"{above} is not below imp\(bot, bot\) = {a}"):
+        validate(lowered)
+
+
+def test_replay_refuses_a_point_outside_the_universe(linear5, monkeypatch):
+    # made-up witnesses on linear5 whose point leaves the universe, or
+    # whose closure kind no entry declares, are refused, not raised on
+    from clalg import replay
+    from clalg.laws import Law, cube
+
+    bits = linear5.order.dn[linear5.zero]  # {bot, 0}
+    for law, witness in (("ideal", ("sum_not_closed", 0, 0, 0)),
+                         ("congruence", ("mult", 9, 9, 9, 9)),
+                         ("lattice", ("transitivity", 7, 0, 0)),
+                         ("P2_5", (9, 0, 0)),
+                         ("lattice", ("transitivity", -1, 0, 0)),
+                         ("ideal", ("plus_not_closed", 0, -5, 0)),
+                         ("P2_5", ("plus_not_closed", 0, 0)),
+                         ("P2_5", (0, 0))):  # a point short of the entry's arity
+        assert replay.confirm_witness(linear5, Verdict(law, False, witness), bits) is False
+    # such a point never reaches the violation: a probe that confirms
+    # every point it is asked about is asked only inside the universe
+    asked = []
+    probe = Law("probe", cube(1), lambda alg, x: asked.append(x) or (), lambda alg: False)
+    monkeypatch.setitem(replay.LAWS, "probe", (lambda alg, _bits: alg, (probe,)))
+    for x in (0, linear5.n - 1, linear5.n, -1, -linear5.n, 64):
+        confirmed = replay.confirm_witness(linear5, Verdict("probe", False, ("probe", x)))
+        assert confirmed is (x in range(linear5.n)), x
+    assert asked == [0, linear5.n - 1]

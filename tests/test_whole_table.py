@@ -50,6 +50,7 @@ from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Related, _related, theo
 from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
+    EquivalenceBroken,
     INTEGRAL,
     INVOLUTION,
     LATTICE,
@@ -58,6 +59,7 @@ from clalg.validator import (
     TOTAL,
     _imp_or_derive,
     is_distributive_lattice,
+    is_linear,
     is_residuated_lattice,
     validate,
 )
@@ -188,6 +190,17 @@ def _contexts(cand, rng):
         bits = rng.choice(_zero_subsets(cand))
         rep = [(m & -m).bit_length() - 1 for m in rel]  # the least of each class
         yield CONGRUENCE + ORDER_CRITERION, _Related(cand, bits, rel, rep)
+    # the whole universe: as the ideal, with the relation it induces; as
+    # one class over a smaller ideal; and as both on the tables without
+    # an implication table, where the scans raise ImplicationAbsent
+    full, no_imp = (1 << cand.n) - 1, replace(cand, imp_table=None)
+    one_class = [full] * cand.n, [0] * cand.n
+    yield CONGRUENCE + ORDER_CRITERION, _related(cand, full)
+    yield CONGRUENCE + ORDER_CRITERION, _Related(cand, rng.choice(_zero_subsets(cand)[:-1]),
+                                                 *one_class)
+    yield CONGRUENCE + ORDER_CRITERION, _Related(no_imp, full, *one_class)
+    yield from ((entries, (ctx_cand, full)) for ctx_cand in (cand, no_imp)
+                for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
 
 
 def _declared_laws():
@@ -249,6 +262,51 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
 
+def _residuated_by_scan(alg):
+    """is_residuated_lattice as the integral law's scan decides it."""
+    integral = first_violation("integral", INTEGRAL, alg)
+    if integral.ok != (alg.top == alg.one):
+        raise EquivalenceBroken(0, 0, "")
+    return integral.ok
+
+
+def test_flags_answer_as_their_laws_scans(census_2_6):
+    # the linear, distributive-lattice and integral flags read their
+    # laws' tests, not the scans; on the census, seeded mutants and the
+    # fall-through orders they give each scan's truth, or raise what it
+    # raises (NotALattice at the same pair, EquivalenceBroken)
+    rng = random.Random(35)
+    algebras = [_force_seal(cand) for alg in census_2_6 for cand in (
+        alg, *_mutants(alg, rng, count=2),
+        *(replace(alg, order=order) for order in _orders(alg.n)))]
+    outcomes = Counter()
+    for alg in algebras:
+        for flag, plain in (
+                (is_linear, lambda A: first_violation("linear", TOTAL, A.order).ok),
+                (is_distributive_lattice,
+                 lambda A: first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, A).ok),
+                (is_residuated_lattice, _residuated_by_scan)):
+            expected, got = (_outcome_of(f, alg) for f in (plain, flag))
+            assert got == expected, (flag.__name__, alg.order.up, alg.mult_table, alg.top)
+            outcomes[flag, expected] += 1
+    assert len(algebras) == 133 * 8
+    assert {(flag, result) for flag, (result, *_rest) in outcomes} == {
+        (flag, result) for flag in (is_linear, is_distributive_lattice, is_residuated_lattice)
+        for result in (True, False)} | {(is_distributive_lattice, NotALattice),
+                                        (is_residuated_lattice, EquivalenceBroken)}, outcomes
+
+
+def _outcome_of(fn, alg):
+    """(fn(alg),), or the exception raised: NotALattice with its pair,
+    EquivalenceBroken alone (its message is the flag's own)."""
+    try:
+        return (fn(alg),)
+    except NotALattice as exc:
+        return NotALattice, str(exc)
+    except EquivalenceBroken:
+        return (EquivalenceBroken,)
+
+
 def test_missing_meet_is_raised_at_the_scan_pair(census):
     # the tables of a 4-element algebra on a "V" order: the whole-table
     # tests cannot decide, and the scans raise where they always did
@@ -282,10 +340,10 @@ def test_passing_verdicts_on_census_algebras_run_no_scan(census, nonlinear6, sca
         assert validate(alg.as_candidate()).algebra == alg
         assert all(run_identity_suite(alg).values())
         assert not _scanned(scans), (alg.name, scans)
-        for flag in (is_residuated_lattice, is_distributive_lattice):
-            holds = flag(alg)
-            assert bool(_scanned(scans)) != holds, (alg.name, flag.__name__, scans)
-            scans.clear()
+        # the flags read their laws' tests alone, holding or not
+        for flag in (is_linear, is_residuated_lattice, is_distributive_lattice):
+            flag(alg)
+            assert not _scanned(scans), (alg.name, flag.__name__, scans)
         for ideal in all_ideals(alg):
             for check in checks:
                 verdict = check(alg, ideal)
