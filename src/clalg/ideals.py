@@ -6,6 +6,15 @@ addition x+y = ~(~x * ~y) and under binary join, and is downward closed.
 Recognition scans the three conditions in that order and reports the
 lexicographically first violation.
 
+Enumeration and generation rest on one fact of the order: where
+`AlgebraCandidate.lattice_with_imp` holds, every join exists, so an
+ideal, closed under join and downward closed, is the down-set `dn[m]`
+of its greatest element m, the join of its members.  `all_ideals`
+checks only these at most n principal down-sets (zero <= m), and
+`generated_ideal` grows m alone.  No axiom enters, so this holds on
+unvalidated candidates too; on any other candidate both scan subsets
+(every down-set, or a closure to its fixed point).
+
 All operations here only need total tables and a lattice order; they
 deliberately accept unvalidated candidates so that defective printed
 table sets can still be analysed and reported on (classification flags
@@ -18,6 +27,7 @@ build at import.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
 from operator import getitem
 from typing import NamedTuple
@@ -111,7 +121,9 @@ def _not_closed(c, kind, x, y):
     """The sum or join outside the members, for members x <= y by index
     and a kind `_CLOSURE` declares."""
     alg, bits = c
-    if kind not in _CLOSURE or x > y or not bits >> x & bits >> y & 1:
+    if not isinstance(kind, str) or kind not in _CLOSURE:
+        return None
+    if x > y or not bits >> x & bits >> y & 1:
         return None
     v = getattr(alg, _CLOSURE[kind])(x, y)
     return None if bits >> v & 1 else (v,)
@@ -188,9 +200,27 @@ def certify_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
 
 
 def generated_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
-    """Least ideal containing s: add zero, then close downward and under
-    plus and join until a fixed point (the universe is finite)."""
+    """Least ideal containing s.
+
+    Where `lattice_with_imp` holds, the least ideal is `dn[m]` for its
+    greatest element m (`all_ideals`): m starts as the join of zero and
+    the seeds and takes in every sum of a member pair x <= y (by index)
+    of `dn[m]` until `dn[m]` stops growing (a pair's join lies below m
+    already).  Each m stays below the least ideal's greatest element,
+    so the fixed point is that ideal, by the order alone.  Elsewhere:
+    add zero, then close downward and under plus and join until a fixed
+    point (the universe is finite)."""
     dn = alg.order.dn
+    if alg.lattice_with_imp:
+        lubs = alg.order.lubs
+        m = reduce(lambda m, x: lubs[m][x], iter_bits(s.bits), alg.zero)
+        while True:
+            bits, mem = dn[m], tuple(iter_bits(dn[m]))
+            for i, x in enumerate(mem):
+                for y in mem[i:]:
+                    m = lubs[m][alg.plus(x, y)]
+            if dn[m] == bits:
+                return certify_ideal(alg, Subset(alg.n, bits))
     bits = s.bits | 1 << alg.zero
     while True:
         grown = bits
@@ -229,15 +259,24 @@ def _down_sets(alg: AlgebraCandidate) -> list[int]:
 def all_ideals(alg: AlgebraCandidate) -> list[Ideal]:
     """Every ideal, in ascending bit-pattern order.
 
-    Enumerates down-sets of the order and keeps those containing zero
-    that are closed under plus and join.
+    Where `lattice_with_imp` holds, an ideal is closed under join and
+    downward closed, so it is `dn[m]` for its greatest element m (the
+    join of its members), and m lies above zero: the candidates are the
+    distinct `dn[m]` for m in `up[zero]`, at most n, each kept when the
+    closure law's exact test passes.  On any other candidate, the
+    down-sets of the order containing zero, in `_down_sets` order (so a
+    missing join raises at the same pair), closed under plus and join.
     """
+    if alg.lattice_with_imp:
+        dn = alg.order.dn
+        principal = sorted({dn[m] for m in iter_bits(alg.order.up[alg.zero])})
+        return [Ideal(alg.n, bits) for bits in principal if _CLOSED.holds((alg, bits))]
     zero_bit = 1 << alg.zero
     found = []
     for bits in _down_sets(alg):
         if not bits & zero_bit:
             continue
-        if _passes("ideal", (_CLOSED,), (alg, bits)):
+        if first_violation("ideal", (_CLOSED,), (alg, bits)).ok:
             found.append(Ideal(alg.n, bits))
     found.sort(key=lambda ideal: ideal.bits)
     return found

@@ -30,7 +30,8 @@ the ideal laws (prime, distributive, implicative and the plus/join
 closure) are exact both ways where `lattice_with_imp` holds, and no
 scan of them raises there; `ideals.classify` (so
 `quotient.theorem_suite`, which reads its flags) and
-`ideals.all_ideals` rely on that, reading the test alone as the law's
+`ideals.all_ideals` (on the at most n principal down-sets, `ideals`
+module docstring) rely on that, reading the test alone as the law's
 truth and scanning only where `lattice_with_imp` fails.
 
 The cubic whole-table tests run on byte strings, one plane (y, z) per

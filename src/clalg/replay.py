@@ -7,11 +7,12 @@ confirm_witness finds that entry by the verdict's law and the tag,
 re-evaluates its violation function at the witnessed point and returns
 True when the same extra values come back, from a context built of the
 algebra and the ideal bits alone.  A made-up witness is refused, not
-raised on: one whose tag no entry declares, or whose point is short or
-has an element index outside the universe, is never evaluated.  The
-CLI --replay flag drives this over every witness it prints but a
-violated theorem claim's, which indexes quotient classes and which no
-law declares.
+raised on: one of a law on an ideal replayed without the ideal bits,
+one whose tag no entry declares (a tag is a string), or one whose point
+is short or has an element index outside the universe, is never
+evaluated.  The CLI --replay flag drives this over every witness it
+prints but a violated theorem claim's, which indexes quotient classes
+and which no law declares.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .core import AlgebraCandidate
 from .laws import Verdict
 
 LAWS = {**validator.LAWS, **ideals.LAWS, **quotient.LAWS, **identities.LAWS}
+# the laws whose context reads the ideal bits
+ON_AN_IDEAL = {*ideals.LAWS, *quotient.LAWS}
 
 
 def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
@@ -28,17 +31,18 @@ def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
     """Re-check one verdict's witness against the tables.
 
     `ideal_bits` is required for the laws of an ideal and of the
-    congruence it induces.  Pass verdicts and skipped verdicts confirm
+    congruence it induces (`ON_AN_IDEAL`); without them such a witness
+    is refused.  Pass verdicts and skipped verdicts confirm
     trivially (there is nothing to replay).
     """
     if verdict.ok or verdict.skipped or verdict.witness is None:
         return True
-    if verdict.law not in LAWS:
+    if verdict.law not in LAWS or ideal_bits is None and verdict.law in ON_AN_IDEAL:
         return False
     context, laws = LAWS[verdict.law]
     w = verdict.witness
     by_kind = {e.kind: e for e in laws}
-    entry = by_kind.get(w[0] if w else None, by_kind.get(None))
+    entry = by_kind.get(w[0] if w and isinstance(w[0], str) else None, by_kind.get(None))
     if entry is None:
         return False
     start = 0 if entry.kind is None else 1

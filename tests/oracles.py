@@ -699,3 +699,28 @@ def oracle_dfs_count(up: tuple[int, ...]) -> int:
                     for p in autos
                     for inv in [sorted(range(n), key=p.__getitem__)]))
     return len(keys)
+
+
+# --- large carriers -----------------------------------------------------------
+
+def lukasiewicz_product(ks: tuple[int, ...]) -> PlainAlgebra:
+    """The product of the Łukasiewicz chains L_k for k in `ks`, with the
+    product order: x*y = max(0, x+y-(k-1)) and x->y = min(k-1, k-1-x+y)
+    componentwise.  Elements are the coordinate tuples, numbered in
+    lexicographic order (the last coordinate fastest), so bot = zero is
+    element 0 and one = top the last."""
+    points = list(product(*(range(k) for k in ks)))
+    index = {p: i for i, p in enumerate(points)}
+
+    def table(op):
+        return tuple(tuple(index[tuple(op(k - 1, a, b) for k, a, b in zip(ks, x, y))]
+                           for y in points) for x in points)
+
+    up = tuple(sum(1 << j for j, y in enumerate(points) if all(a <= b for a, b in zip(x, y)))
+               for x in points)
+    return PlainAlgebra(
+        order=PlainOrder(up),
+        mult_table=table(lambda t, a, b: max(0, a + b - t)),
+        imp_table=table(lambda t, a, b: min(t, t - a + b)),
+        bot=0, zero=0, one=len(points) - 1,
+    )

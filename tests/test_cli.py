@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from test_ideals import lukasiewicz
 
 import clalg
 from clalg.cli import _build_parser, run_command
@@ -659,3 +661,15 @@ def test_not_an_equivalence_witness_is_printed_by_name(capsys, tmp_path):
     code, out, _ = run(capsys, "quotient", str(path), "--ideal", "e0")
     assert code == 1
     assert out.splitlines() == ["check congruence: FAIL  witness=['reflexivity', 'e0']", "exit: 1"]
+
+
+def test_ideals_of_a_64_element_boolean_algebra(capsys, tmp_path):
+    # 2^6 has 7,828,354 down-sets but only 64 principal ones to check
+    path = tmp_path / "boolean64.cla"
+    path.write_text(serialize_algebra(lukasiewicz((2,) * 6)), encoding="utf-8")
+    start = time.process_time()
+    code, out, _ = run(capsys, "ideals", str(path))
+    assert time.process_time() - start < 10.0
+    assert code == 0
+    assert out.splitlines()[0] == "algebra L2_2_2_2_2_2: 64 ideals"
+    assert sum(line.startswith("ideal {") for line in out.splitlines()) == 64

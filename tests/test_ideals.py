@@ -1,11 +1,16 @@
+import random
+import time
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_ideal_closure, oracle_ideals
+from oracles import lukasiewicz_product, oracle_ideal_closure, oracle_ideals
+from test_whole_table import _mutants
 
+from clalg.core import AlgebraCandidate, NotALattice, OrderRelation
 from clalg.ideals import (
     EmptySubset,
     NotAnIdeal,
@@ -23,7 +28,7 @@ from clalg.ideals import (
     zero_downset,
 )
 from clalg.laws import Verdict
-from clalg.validator import is_idempotent
+from clalg.validator import is_idempotent, seal, validate
 
 
 def subset(alg, names):
@@ -258,3 +263,90 @@ def test_generated_ideal_is_least_superset(seed):
     assert ideal.bits & seed == seed
     assert is_ideal(alg, ideal).ok
     assert ideal.bits == oracle_ideal_closure(alg, seed)
+
+
+# --- every ideal is principal where every join exists -------------------------
+
+def lukasiewicz(ks):
+    """The product of the Łukasiewicz chains L_k, k in `ks`, sealed."""
+    plain = lukasiewicz_product(ks)
+    n = plain.n
+    return seal(AlgebraCandidate("L" + "_".join(map(str, ks)), tuple(f"e{i}" for i in range(n)),
+                                 OrderRelation(n, plain.order.up), plain.mult_table,
+                                 plain.imp_table, plain.bot, plain.zero, plain.one))
+
+
+@pytest.mark.parametrize("ks", [(64,), (8, 8), (4, 4, 4), (2,) * 6])
+def test_large_products_list_their_ideals_at_once(ks):
+    # each finite MV-chain is simple, so a product of m of them has 2^m
+    # ideals; 2^6 has M(6) = 7,828,354 down-sets, and 64 elements
+    alg = lukasiewicz(ks)
+    start = time.process_time()
+    ideals = all_ideals(alg)
+    assert time.process_time() - start < 1.0
+    assert len(ideals) == 2 ** len(ks)
+    for ideal in ideals:
+        certify_ideal(alg, ideal)
+    # the least ideal containing x is the meet of the listed ones
+    for x in range(0, alg.n, 7):
+        least = (1 << alg.n) - 1
+        for ideal in ideals:
+            if x in ideal:
+                least &= ideal.bits
+        assert generated_ideal(alg, Subset(alg.n, 1 << x)).bits == least, x
+
+
+def _commutative(alg):
+    mult = alg.mult_table
+    return all(mult[x][y] == mult[y][x] for x in range(alg.n) for y in range(x))
+
+
+def _collapsed(alg):
+    """`alg` with its first cover lo < hi whose collapse keeps every join
+    turned into hi <= lo as well: a preorder, no longer a partial order."""
+    up = alg.order.up
+    for lo, hi in alg.order.covers:
+        order = OrderRelation(alg.n, tuple(u | up[lo] if u >> hi & 1 else u for u in up))
+        cand = replace(alg.as_candidate(), order=order)
+        if cand.lattice_with_imp:
+            return [cand]
+    return []
+
+
+def test_ideals_are_the_principal_ones_on_any_order_with_every_join(census_2_6):
+    # the principal characterisation uses the order alone: on the census,
+    # on candidates that are no CL-algebras and on preorders, the ideals
+    # and the least ideal over every seed are the subset filter's
+    # (the closure law reads the pairs x <= y by index, the oracle both
+    # orders, so the mutants keep a commutative fusion table)
+    rng = random.Random(36)
+    mutants = [m for alg in census_2_6 for m in _mutants(alg, rng, count=2)
+               if _commutative(m) and validate(m).algebra is None]
+    preorders = [p for alg in census_2_6 for p in _collapsed(alg)]
+    assert len(mutants) > 200 and len(preorders) > 100
+    for alg in census_2_6 + mutants + preorders:
+        assert alg.lattice_with_imp
+        expected = oracle_ideals(alg)
+        assert [i.bits for i in all_ideals(alg)] == expected, (alg.order.up, alg.mult_table)
+        for seed in range(1 << alg.n):
+            least = (1 << alg.n) - 1
+            for bits in expected:
+                if bits & seed == seed:
+                    least &= bits
+            assert generated_ideal(alg, Subset(alg.n, seed)).bits == least, (alg.order.up, seed)
+
+
+def test_all_ideals_scans_the_down_sets_where_a_bound_is_missing(linear5, nonlinear6):
+    # no meet of the two minimal elements: the down-sets are filtered; no
+    # join of two maximal elements: the scan raises at that pair
+    def order(alg, covers):
+        return replace(alg.as_candidate(), order=OrderRelation.from_covers(alg.n, covers))
+
+    for alg, expected in ((linear5, [2, 7, 15, 31]), (nonlinear6, [2, 7, 15, 31, 63])):
+        chain = [(x, x + 1) for x in range(2, alg.n - 1)]
+        cand = order(alg, [(0, 2), (1, 2)] + chain)
+        assert not cand.lattice_with_imp
+        assert [i.bits for i in all_ideals(cand)] == expected
+    vee = order(linear5, [(0, x) for x in range(1, linear5.n)])
+    with pytest.raises(NotALattice, match="no join for elements 1 and 4"):
+        all_ideals(vee)

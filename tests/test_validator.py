@@ -290,3 +290,29 @@ def test_replay_refuses_a_point_outside_the_universe(linear5, monkeypatch):
         confirmed = replay.confirm_witness(linear5, Verdict("probe", False, ("probe", x)))
         assert confirmed is (x in range(linear5.n)), x
     assert asked == [0, linear5.n - 1]
+
+
+def test_replay_refuses_a_witness_on_an_ideal_without_its_bits(linear5):
+    # the laws of an ideal and of its congruence read the ideal bits, so
+    # without them a witness, even a true one, is refused, not raised on
+    from clalg import replay
+    from clalg.ideals import Subset, is_ideal
+
+    bits = Subset.from_names(linear5, "bot,0,1").bits
+    verdict = is_ideal(linear5, Subset(linear5.n, bits))
+    assert replay.confirm_witness(linear5, verdict, bits) is True
+    assert replay.confirm_witness(linear5, verdict) is False
+    for law, witness in (("ideal", ("zero_missing", linear5.zero)),
+                         ("congruence", ("mult", 0, 0, 0, 0)),
+                         ("prime", (0, 0, 0, 0))):
+        assert replay.confirm_witness(linear5, Verdict(law, False, witness)) is False, law
+
+
+def test_replay_refuses_a_closure_kind_that_is_no_string(linear5):
+    from clalg import replay
+
+    bits = linear5.order.dn[linear5.zero]
+    for witness in (([1], 0, 1, 2), ({}, 0, 0, 0), (("plus_not_closed",), 0, 0, 0)):
+        for ideal_bits in (bits, None):
+            verdict = Verdict("ideal", False, witness)
+            assert replay.confirm_witness(linear5, verdict, ideal_bits) is False, witness
