@@ -6,14 +6,13 @@ addition x+y = ~(~x * ~y) and under binary join, and is downward closed.
 Recognition scans the three conditions in that order and reports the
 lexicographically first violation.
 
-Enumeration and generation rest on one fact of the order: where
+Enumeration rests on one fact of the order: where
 `AlgebraCandidate.lattice_with_imp` holds, every join exists, so an
 ideal, closed under join and downward closed, is the down-set `dn[m]`
 of its greatest element m, the join of its members.  `all_ideals`
-checks only these at most n principal down-sets (zero <= m), and
-`generated_ideal` grows m alone.  No axiom enters, so this holds on
-unvalidated candidates too; on any other candidate both scan subsets
-(every down-set, or a closure to its fixed point).
+checks only these at most n principal down-sets (zero <= m).  No axiom
+enters, so this holds on unvalidated candidates too; on any other
+candidate it scans every down-set.
 
 All operations here only need total tables and a lattice order; they
 deliberately accept unvalidated candidates so that defective printed
@@ -27,7 +26,6 @@ build at import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations_with_replacement
 from operator import getitem
 from typing import NamedTuple
@@ -200,27 +198,9 @@ def certify_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
 
 
 def generated_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
-    """Least ideal containing s.
-
-    Where `lattice_with_imp` holds, the least ideal is `dn[m]` for its
-    greatest element m (`all_ideals`): m starts as the join of zero and
-    the seeds and takes in every sum of a member pair x <= y (by index)
-    of `dn[m]` until `dn[m]` stops growing (a pair's join lies below m
-    already).  Each m stays below the least ideal's greatest element,
-    so the fixed point is that ideal, by the order alone.  Elsewhere:
-    add zero, then close downward and under plus and join until a fixed
-    point (the universe is finite)."""
+    """Least ideal containing s: add zero, then close downward and under
+    plus and join until a fixed point (the universe is finite)."""
     dn = alg.order.dn
-    if alg.lattice_with_imp:
-        lubs = alg.order.lubs
-        m = reduce(lambda m, x: lubs[m][x], iter_bits(s.bits), alg.zero)
-        while True:
-            bits, mem = dn[m], tuple(iter_bits(dn[m]))
-            for i, x in enumerate(mem):
-                for y in mem[i:]:
-                    m = lubs[m][alg.plus(x, y)]
-            if dn[m] == bits:
-                return certify_ideal(alg, Subset(alg.n, bits))
     bits = s.bits | 1 << alg.zero
     while True:
         grown = bits
