@@ -18,12 +18,11 @@ build the parsers are only read, so concurrent calls may share them.
 Machine-readable (--json) and human output are rendered from the same
 payload structure, so they cannot diverge.  --json prints the report as
 one JSON line; `clalg ... --json | python -m json.tool` indents it.
---replay re-checks each printed witness of a law against the tables
-before reporting it: every verdict's, the congruence's (one verdict
-line, printed alike by quotient and theorems), derive-imp's missing
-residual and the quotient's order-criterion mismatch, also where it
-blocks a theorem claim.  The one witness that is no law, and is not
-replayed, is a violated theorem claim's.
+--replay re-checks each printed witness against the tables before
+reporting it: every verdict's, the congruence's (one verdict line,
+printed alike by quotient and theorems), derive-imp's missing residual,
+the quotient's order-criterion mismatch, and each theorem claim's, the
+claim law's or the mismatch blocking it.
 """
 
 from __future__ import annotations
@@ -118,16 +117,18 @@ class _Run:
 
     def render_verdict_line(self, entry: dict) -> str:
         status = entry["status"]
-        line = f"check {entry['check']}: {'pass' if status == 'pass' else status.upper()}"
-        if entry.get("witness") is not None:
-            line += f"  witness={entry['witness']}"
-        if entry.get("detail"):
-            line += f"  [{entry['detail']}]"
-        return line + _replay_note(entry)
+        return (f"check {entry['check']}: {'pass' if status == 'pass' else status.upper()}"
+                + _witness_note(entry))
 
 
 def _replay_note(entry: dict) -> str:
     return f"  replay={entry['replay']}" if entry.get("replay") else ""
+
+
+def _witness_note(entry: dict) -> str:
+    """A `witnessed` entry's line ending: its witness, detail and replay outcome."""
+    note = "" if entry.get("witness") is None else f"  witness={entry['witness']}"
+    return note + (f"  [{entry['detail']}]" if entry.get("detail") else "") + _replay_note(entry)
 
 
 def _pairs(record: dict) -> str:
@@ -332,23 +333,8 @@ def _cmd_theorems(run: _Run) -> None:
     except NotACongruence as exc:
         _certificate(run, ideal, exc.certificate, {})
         return
-    cong = report.congruence
-    class_names = [f"[{alg.name_of(r)}]" for r in cong.representatives()]
-
-    def claim_entry(c):
-        # claim witnesses index quotient classes, except a blocked claim's
-        # order-criterion mismatch (replayed) and the singleton claim's subset mask
-        entry = {"claim": c.claim, "status": c.status, "witness": c.witness}
-        if c.status == "blocked":
-            return run.witnessed(entry, alg, Verdict("order_criterion", False, c.witness),
-                                 ideal.bits)
-        if c.witness is not None and c.claim == "zero_downset_singleton_classes":
-            entry["witness"] = [c.witness[0], Subset(alg.n, c.witness[1]).render(alg)]
-        elif c.witness is not None:
-            entry["witness"] = [class_names[i] if isinstance(i, int) else i for i in c.witness]
-        return entry
-
-    claims = [claim_entry(c) for c in report.claims]
+    claims = [run.witnessed({"claim": c.claim, "status": c.status}, alg, c.verdict, ideal.bits)
+              for c in report.claims]
     run.payload["theorems"] = {
         "ideal": ideal.render(alg),
         "certificate": "pass",  # theorem_suite raised on a failing one
@@ -357,11 +343,7 @@ def _cmd_theorems(run: _Run) -> None:
     }
     run.human.append(f"theorem suite for ideal {ideal.render(alg)}")
     run.human.append(f"quotient valid: {report.quotient_valid}")
-    for c in claims:
-        line = f"claim {c['claim']}: {c['status']}"
-        if c["witness"]:
-            line += f"  witness={c['witness']}"
-        run.human.append(line + _replay_note(c))
+    run.human.extend(f"claim {c['claim']}: {c['status']}" + _witness_note(c) for c in claims)
     if not report.ok:
         run.fail()
 

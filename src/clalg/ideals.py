@@ -218,8 +218,10 @@ def generated_ideal(alg: AlgebraCandidate, s: Subset) -> Ideal:
 
 def _down_sets(alg: AlgebraCandidate) -> list[int]:
     """All downward-closed subsets, via include/exclude DFS along a
-    linear extension (so down-closure prunes instead of filtering)."""
-    dn = alg.order.dn
+    linear extension (so down-closure prunes instead of filtering).  A
+    class of equivalent elements, dn[e] & up[e], enters as one block,
+    at its least member."""
+    dn, up = alg.order.dn, alg.order.up
     ext = sorted(range(alg.n), key=lambda i: (dn[i].bit_count(), i))
     out: list[int] = []
 
@@ -228,9 +230,10 @@ def _down_sets(alg: AlgebraCandidate) -> list[int]:
             out.append(included)
             return
         e = ext[pos]
+        block = dn[e] & up[e]
         rec(pos + 1, included)
-        if dn[e] & ~included == 1 << e:
-            rec(pos + 1, included | 1 << e)
+        if block & -block == 1 << e and dn[e] & ~included == block:
+            rec(pos + 1, included | block)
 
     rec(0, 0)
     return out

@@ -8,10 +8,10 @@ scratch, and the class order derived from meets is cross-checked
 against the membership criterion ~(x->y) in I.  Each of those
 verifications can fail on defective candidates, and each failure is a
 first-class reported result rather than an internal error; every
-witness but a violated theorem claim's is a law's, replayed from the
-algebra and the ideal alone.  Only a quotient whose tables are the ones
-a sealed base passed validation with (every class a singleton, as
-modulo the zero down-set, and the base's tables unchanged since;
+witness is a law's, a theorem claim's included (`CLAIMS`), replayed
+from the algebra and the ideal alone.  Only a quotient whose tables are
+the ones a sealed base passed validation with (every class a singleton,
+as modulo the zero down-set, and the base's tables unchanged since;
 FiniteCLAlgebra.validated) is not re-validated: no verdict reads a
 name, so it is the base renamed (validator.renamed).  It is recognised
 right after the order criterion, from the classes and the base alone,
@@ -59,19 +59,14 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import and_
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from .core import (
-    AlgebraCandidate,
-    AlgebraError,
-    FiniteCLAlgebra,
-    OrderRelation,
-    iter_bits,
-    memoised,
-)
+from .core import (AlgebraCandidate, AlgebraError, FiniteCLAlgebra, OrderRelation, iter_bits,
+                   memoised)
 from .ideals import Ideal, Subset, classify
 from .laws import Law, Verdict, compose, cube, first_violation
-from .validator import DISTRIBUTIVE_LATTICE, TOTAL, ValidationReport, renamed, validate
+from .validator import DISTRIBUTIVE_LATTICE, INTEGRAL, TOTAL, ValidationReport, renamed, validate
 
 
 class NotACongruence(AlgebraError):
@@ -109,7 +104,7 @@ class Congruence(NamedTuple):
     certificate: Verdict
 
     def representatives(self) -> tuple[int, ...]:
-        return tuple(cls.members()[0] for cls in self.classes)
+        return tuple((c.bits & -c.bits).bit_length() - 1 for c in self.classes)
 
     def related(self, alg: AlgebraCandidate, ideal_bits: int) -> _Related:
         """The laws' context, read off the classes, not built again: an
@@ -333,10 +328,58 @@ def check_order_criterion(alg: AlgebraCandidate, ideal: Ideal,
     return _order_sides(congruence_from_ideal(alg, ideal).related(alg, ideal.bits), x, y)
 
 
+def _class_view(quotient: FiniteCLAlgebra, cong: Congruence) -> SimpleNamespace:
+    """The quotient's order, meet, join and mult read on the base
+    elements, each standing for its class (cidx[x]), a value given as
+    its class's representative: a quotient law's violation reads it
+    unchanged.  As representatives ascend with their classes, its first
+    violating base point is the quotient's first witness with each
+    class replaced by its representative."""
+    cidx, reps = cong.class_index, cong.representatives()
+
+    def on(op):
+        return lambda x, y: reps[op(cidx[x], cidx[y])]
+    return SimpleNamespace(quotient=quotient, n=len(cidx), meet=on(quotient.meet),
+                           join=on(quotient.join), mult=on(quotient.mult),
+                           leq=lambda x, y: quotient.leq(cidx[x], cidx[y]))
+
+
+def _on_classes(alg: AlgebraCandidate, ideal_bits: int) -> SimpleNamespace:
+    """The quotient claims' context, the memoised quotient's class view;
+    raises what build_quotient raises."""
+    quot = build_quotient(alg, Ideal(alg.n, ideal_bits))
+    return _class_view(quot.algebra, quot.congruence)
+
+
+def _on_quotient(laws: tuple[Law, ...], read=lambda q: q) -> tuple[Law, ...]:
+    """`laws` of the quotient algebra (of its order, through `read`) read
+    on its class view: each entry's whole-table test reads the quotient."""
+    return tuple(e._replace(holds=lambda c, test=e.holds: test(read(c.quotient))) for e in laws)
+
+
+# "x ~ y implies x == y", read on the relation: the witness is the first
+# related pair of distinct elements
+SINGLETON_CLASSES = (
+    Law(None, _pairs, lambda c, x, y: () if x != y and c.rel[x] >> y & 1 else None,
+        holds=lambda c: all(m == 1 << x for x, m in enumerate(c.rel))),
+)
+
+# theorem claim -> (the classification flag that guards it, the context
+# its law reads, built from the algebra and the ideal bits; entries)
+CLAIMS = {
+    "distributive_ideal_distributive_quotient":
+        ("is_distributive", _on_classes, _on_quotient(DISTRIBUTIVE_LATTICE)),
+    "prime_ideal_linear_quotient":
+        ("is_prime", _on_classes, _on_quotient(TOTAL, lambda q: q.order)),
+    "affine_ideal_residuated_quotient": ("is_affine", _on_classes, _on_quotient(INTEGRAL)),
+    "zero_downset_singleton_classes": ("is_zero_downset", _related, SINGLETON_CLASSES),
+}
+
+
 class ClaimResult(NamedTuple):
     claim: str
     status: str  # "holds" | "violated" | "vacuous" | "blocked"
-    witness: tuple | None = None
+    verdict: Verdict  # the claim law's, or the order criterion's where it blocks
 
 
 class TheoremReport(NamedTuple):
@@ -350,72 +393,39 @@ class TheoremReport(NamedTuple):
 
 
 def theorem_suite(alg: AlgebraCandidate, ideal: Ideal) -> TheoremReport:
-    """Evaluate the four quotient theorems on one concrete instance:
+    """Evaluate the four quotient theorems on one concrete instance, each
+    the law of its name (`CLAIMS`):
 
       distributive ideal  -> quotient lattice is distributive
       prime ideal         -> quotient order is total
-      affine ideal        -> quotient top == one
+      affine ideal        -> quotient is integral (x*y <= x: top == one)
       I == {x : x <= 0}   -> every congruence class is a singleton
 
-    Each claim reports holds, violated (with witness), or vacuous; when
-    the quotient itself cannot be built the quotient-dependent claims
-    are reported as blocked instead of raising.
+    A claim whose guard fails is vacuous; any other holds or is violated
+    by its law's verdict.  When the quotient cannot be built, the claims
+    on it are blocked instead of raising, with the order criterion's
+    verdict: its mismatch, or a pass where the class tables fail
+    validation.  Raises NotACongruence as build_quotient does.
     """
     cong = congruence_from_ideal(alg, ideal)
-    if not cong.certificate:
-        raise NotACongruence(cong.certificate)
-
-    flags = classify(alg, ideal)
-
-    quotient = None
-    blocked_witness = None
+    contexts = {_related: cong.related(alg, ideal.bits)}
     try:
-        quotient = build_quotient(alg, ideal, cong)
+        contexts[_on_classes] = _class_view(build_quotient(alg, ideal, cong).algebra, cong)
     except QuotientInvalid as exc:
-        blocked_witness = exc.witness
-
+        blocked = Verdict("order_criterion", exc.witness is None, exc.witness)
+    flags = classify(alg, ideal)
     claims = []
-
-    def quotient_claim(name: str, guard: bool, evaluate) -> None:
-        if not guard:
-            claims.append(ClaimResult(name, "vacuous"))
-        elif quotient is None:
-            claims.append(ClaimResult(name, "blocked", blocked_witness))
+    for claim, (flag, context, laws) in CLAIMS.items():
+        if not getattr(flags, flag):
+            claims.append(ClaimResult(claim, "vacuous", Verdict(claim, True)))
+        elif context not in contexts:
+            claims.append(ClaimResult(claim, "blocked", blocked))
         else:
-            witness = evaluate(quotient.algebra)
-            status = "holds" if witness is None else "violated"
-            claims.append(ClaimResult(name, status, witness))
-
-    quotient_claim(
-        "distributive_ideal_distributive_quotient", flags.is_distributive,
-        lambda q: first_violation("distributive_lattice", DISTRIBUTIVE_LATTICE, q).witness,
-    )
-    quotient_claim(
-        "prime_ideal_linear_quotient", flags.is_prime,
-        lambda q: first_violation("linear", TOTAL, q.order).witness,
-    )
-    quotient_claim(
-        "affine_ideal_residuated_quotient", flags.is_affine,
-        lambda q: None if q.top == q.one else (q.top, q.one),
-    )
-
-    if not flags.is_zero_downset:
-        claims.append(ClaimResult("zero_downset_singleton_classes", "vacuous"))
-    else:
-        fat = next((c for c in cong.classes if len(c) > 1), None)
-        if fat is None:
-            claims.append(ClaimResult("zero_downset_singleton_classes", "holds"))
-        else:
-            claims.append(ClaimResult(
-                "zero_downset_singleton_classes", "violated", ("class", fat.bits)
-            ))
-
-    return TheoremReport(
-        congruence=cong,
-        quotient_valid=quotient is not None,
-        claims=tuple(claims),
-    )
+            verdict = first_violation(claim, laws, contexts[context])
+            claims.append(ClaimResult(claim, "holds" if verdict else "violated", verdict))
+    return TheoremReport(cong, _on_classes in contexts, tuple(claims))
 
 
 # law -> (context from the algebra and the ideal bits; entries)
-LAWS = {"congruence": (_related, CONGRUENCE), "order_criterion": (_related, ORDER_CRITERION)}
+LAWS = {"congruence": (_related, CONGRUENCE), "order_criterion": (_related, ORDER_CRITERION),
+        **{claim: (context, laws) for claim, (_flag, context, laws) in CLAIMS.items()}}

@@ -8,11 +8,10 @@ re-evaluates its violation function at the witnessed point and returns
 True when the same extra values come back, from a context built of the
 algebra and the ideal bits alone.  A made-up witness is refused, not
 raised on: one of a law on an ideal replayed without the ideal bits,
-one whose tag no entry declares (a tag is a string), or one whose point
-is short or has an element index outside the universe, is never
-evaluated.  The CLI --replay flag drives this over every witness it
-prints but a violated theorem claim's, which indexes quotient classes
-and which no law declares.
+one whose tag no entry declares (a tag is a string), one whose point
+is short or has an element index outside the universe, or one of a
+theorem claim on bits that give no quotient, is never evaluated.  The
+CLI --replay flag drives this over every witness it prints.
 """
 
 from __future__ import annotations
@@ -53,4 +52,8 @@ def confirm_witness(alg: AlgebraCandidate, verdict: Verdict,
     elements = point[1:] if entry is ideals._CLOSED else point
     if len(point) < entry.arity or not all(v in range(alg.n) for v in elements):
         return False
-    return entry.violation(context(alg, ideal_bits), *point) == extra
+    try:
+        ctx = context(alg, ideal_bits)
+    except (quotient.NotACongruence, quotient.QuotientInvalid):
+        return False
+    return entry.violation(ctx, *point) == extra

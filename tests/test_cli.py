@@ -14,6 +14,7 @@ from clalg.cli import _build_parser, run_command
 from clalg.core import ImplicationAbsent
 from clalg.fileformat import parse_algebra, serialize_algebra
 from clalg.fixtures import LINEAR_CLA, NONLINEAR_CLA
+from clalg.laws import Verdict
 from clalg.quotient import ClaimResult, theorem_suite
 from clalg.search import SearchConfig, run_search
 
@@ -166,7 +167,7 @@ def test_violated_zero_downset_claim_is_printed(capsys, tmp_path):
     assert chain.name == "cl3_l0_0"
     path = tmp_path / "zero_at_top.cla"
     path.write_text(serialize_algebra(chain).replace("zero: e0", "zero: e2"), encoding="utf-8")
-    witness = ["class", "{e0,e1,e2}"]
+    witness = ["e0", "e1"]  # the first related pair of distinct elements
     code, out, _ = run(capsys, "theorems", str(path), "--ideal", "e0,e1,e2")
     assert code == 1
     assert f"claim zero_downset_singleton_classes: violated  witness={witness}" in out
@@ -185,11 +186,13 @@ def test_printed_quotient_reads_back(capsys, ex1_path):
 
 def test_violated_quotient_claim_names_its_classes(capsys, monkeypatch, ex1_path):
     # no census algebra or small mutant violates a quotient claim, so one is
-    # stubbed in: its witness indexes quotient classes, printed as [rep]
+    # stubbed in: its witness indexes the base elements standing for their
+    # classes, printed by name
     def violated(alg, ideal):
         report = theorem_suite(alg, ideal)
         claims = list(report.claims)
-        claims[1] = ClaimResult("prime_ideal_linear_quotient", "violated", (2, 0))
+        verdict = Verdict("prime_ideal_linear_quotient", False, (4, 0))
+        claims[1] = ClaimResult("prime_ideal_linear_quotient", "violated", verdict)
         return report._replace(claims=tuple(claims))
 
     monkeypatch.setattr("clalg.cli.theorem_suite", violated)
@@ -197,10 +200,10 @@ def test_violated_quotient_claim_names_its_classes(capsys, monkeypatch, ex1_path
     assert code == 1
     assert json.loads(out)["theorems"]["claims"][1] == {
         "claim": "prime_ideal_linear_quotient", "status": "violated",
-        "witness": ["[top]", "[bot]"]}
+        "witness": ["top", "bot"]}
     code, out, _ = run(capsys, "theorems", str(ex1_path), "--ideal", "bot,0,a,1")
     assert code == 1
-    assert "claim prime_ideal_linear_quotient: violated  witness=['[top]', '[bot]']" in out
+    assert "claim prime_ideal_linear_quotient: violated  witness=['top', 'bot']" in out
 
 
 def test_search_command(capsys):
@@ -601,8 +604,8 @@ def _certificate(payload):
 # law witnesses that quotient, theorems and derive-imp print, each row
 # keyed by its command (and what it shows, after a colon): a quotient's
 # order-criterion mismatch, the same mismatch blocking theorem claims, a
-# missing residual and a failed congruence, printed alike by quotient and
-# theorems
+# violated claim, a missing residual and a failed congruence, printed
+# alike by quotient and theorems
 _LAW_WITNESSES = {
     "quotient": (NONLINEAR_CLA, ["--ideal", "bot,0", "--verify"],
                  lambda payload: [payload["quotient"]],
@@ -615,6 +618,10 @@ _LAW_WITNESSES = {
                  ["order_criterion", "e0", "e1", True, False]),
     "theorems:mult": (NONLINEAR_CLA, ["--ideal", "bot,0,1"], _certificate,
                       ["mult", "0", "1", "b", "b"]),
+    "theorems:zero_downset": (_CHAIN3.replace("zero: e0", "zero: e2"), ["--ideal", "e0,e1,e2"],
+                              lambda payload: [c for c in payload["theorems"]["claims"]
+                                               if c["status"] == "violated"],
+                              ["e0", "e1"]),
     "derive-imp": (_without_imp(_CHAIN3).replace("e0 e0 e1\ne0 e1 e2", "e0 e0 e1\ne1 e1 e2"),
                    [], lambda payload: [payload], ["no_residual", "e2", "e0", []]),
 }

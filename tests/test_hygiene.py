@@ -5,7 +5,8 @@ values they belong to, never in a module-level cache, and by
 core.cached_value, never by functools.cached_property, only the
 validator builds sealed algebras, no whole-table test outside the
 validator asks a part of `lattice_with_imp` on its own, no
-two modules declare a law under the same tag, and only the values that
+two modules declare a law under the same tag, the CLI names no theorem
+claim, and only the values that
 validate themselves or cache on themselves are dataclasses, no module
 imports another's private names, no line is longer than 100
 characters, the `scans` fixture counts the scans of every module
@@ -189,7 +190,16 @@ def test_law_tags_are_declared_once():
     # would replay a witness against the wrong law
     tables = [module.LAWS for module in (validator, ideals, quotient, identities)]
     tags = [tag for table in tables for tag in table]
-    assert len(set(tags)) == len(tags) == 27
+    assert len(set(tags)) == len(tags) == 31
+
+
+def test_cli_names_no_theorem_claim():
+    # every claim is rendered by one call, from its verdict; a claim's
+    # name in the CLI would be a special branch for it
+    tree = ast.parse((Path(clalg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    named = {claim for node in ast.walk(tree) for claim in quotient.CLAIMS
+             if isinstance(node, ast.Constant) and claim in str(node.value)}
+    assert len(quotient.CLAIMS) == 4 and not named, named
 
 
 def test_law_arity_counts_the_violation_parameters():

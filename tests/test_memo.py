@@ -83,8 +83,8 @@ def test_failed_quotient_is_raised_afresh(nonlinear6, scans):
     first = theorem_suite(nonlinear6, ideal)
     second = theorem_suite(nonlinear6, ideal)
     assert not first.quotient_valid and first == second
-    blocked = [c.witness for c in second.claims if c.status == "blocked"]
-    assert blocked == [c.witness for c in first.claims if c.status == "blocked"]
+    blocked = [c.verdict for c in second.claims if c.status == "blocked"]
+    assert blocked == [c.verdict for c in first.claims if c.status == "blocked"]
     for _ in range(2):
         with pytest.raises(QuotientInvalid) as exc:
             build_quotient(nonlinear6, ideal)

@@ -207,7 +207,8 @@ def test_zero_downset_claim_is_violated_by_a_fat_class(census):
     cand = replace(census[3][0].as_candidate(), zero=2)
     report = theorem_suite(cand, certify_ideal(cand, Subset.universe(3)))
     claim = {c.claim: c for c in report.claims}["zero_downset_singleton_classes"]
-    assert (claim.status, claim.witness) == ("violated", ("class", 0b111))
+    assert (claim.status, claim.verdict.witness) == ("violated", (0, 1))
+    assert confirm_witness(cand, claim.verdict, 0b111)
     assert not report.ok
 
 

@@ -308,6 +308,30 @@ def test_replay_refuses_a_witness_on_an_ideal_without_its_bits(linear5):
         assert replay.confirm_witness(linear5, Verdict(law, False, witness)) is False, law
 
 
+def test_replay_refuses_a_made_up_claim_witness(linear5, nonlinear6):
+    # a claim's context is built from the ideal bits: where they give no
+    # congruence or no valid quotient there is nothing to replay
+    from clalg import replay
+    from clalg.ideals import Subset, zero_downset
+
+    prime = Subset.from_names(linear5, "bot,0,a,1").bits
+    no_congruence = Subset.from_names(nonlinear6, "bot,0,1").bits
+    no_quotient = zero_downset(nonlinear6).bits
+    for claim, witness in (("prime_ideal_linear_quotient", (0, 1)),
+                           ("affine_ideal_residuated_quotient", (2, 3)),
+                           ("distributive_ideal_distributive_quotient", (0, 1, 2)),
+                           ("zero_downset_singleton_classes", (0, 1))):
+        verdict = Verdict(claim, False, witness)
+        assert replay.confirm_witness(linear5, verdict, prime) is False, claim
+        outside = verdict._replace(witness=(linear5.n,) + witness[1:])
+        assert replay.confirm_witness(linear5, outside, prime) is False, claim
+        for bits in (no_congruence, no_quotient):
+            assert replay.confirm_witness(nonlinear6, verdict, bits) is False, (claim, bits)
+    # modulo the prime ideal 0, 1 and a share a class, so (0, a) is a witness
+    assert replay.confirm_witness(linear5, Verdict("zero_downset_singleton_classes", False,
+                                                   (1, 3)), prime) is True
+
+
 def test_replay_refuses_a_closure_kind_that_is_no_string(linear5):
     from clalg import replay
 

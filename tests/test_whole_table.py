@@ -46,7 +46,18 @@ from clalg.ideals import (
 )
 from clalg.identities import IDENTITIES, check_identity, run_identity_suite
 from clalg.laws import Law, Verdict, associates, compose, distributes, first_violation
-from clalg.quotient import CONGRUENCE, ORDER_CRITERION, _Related, _related, theorem_suite
+from clalg.quotient import (
+    CLAIMS,
+    CONGRUENCE,
+    Congruence,
+    ORDER_CRITERION,
+    SINGLETON_CLASSES,
+    _class_view,
+    _on_classes,
+    _Related,
+    _related,
+    theorem_suite,
+)
 from clalg.search import SearchConfig, run_search
 from clalg.validator import (
     DISTRIBUTIVE_LATTICE,
@@ -174,6 +185,12 @@ def _contexts(cand, rng):
     """(entries, context) for each law with a whole-table test."""
     yield from ((entries, cand) for entries in (LATTICE, MONOID, INTEGRAL, DISTRIBUTIVE_LATTICE))
     yield TOTAL, cand.order
+    # the claims on a quotient, read on the candidate itself as one, every
+    # class a singleton (its tables and order need not pass validation)
+    singletons = Congruence(tuple(Subset(cand.n, 1 << x) for x in range(cand.n)),
+                            tuple(range(cand.n)), Verdict("congruence", True))
+    yield from ((laws, _class_view(cand, singletons))
+                for _flag, context, laws in CLAIMS.values() if context is _on_classes)
     for resolved in (_imp_or_derive(cand), _imp_or_derive(replace(cand, imp_table=None))):
         yield from ((entries, resolved) for entries in (RESIDUATION, INVOLUTION))
     forced = _force_seal(cand)
@@ -183,13 +200,19 @@ def _contexts(cand, rng):
         yield from ((entries, (cand, bits))
                     for entries in (PRIME, DISTRIBUTIVE_IDEAL, IMPLICATIVE, IDEAL))
         # the relation the subset really induces, an equivalence or not
-        yield CONGRUENCE + ORDER_CRITERION, _related(cand, bits)
+        yield CONGRUENCE + ORDER_CRITERION + SINGLETON_CLASSES, _related(cand, bits)
+        try:  # and the claims on its quotient, where one is built
+            quotient = _on_classes(cand, bits)
+        except AlgebraError:
+            continue
+        yield from ((laws, quotient) for _flag, context, laws in CLAIMS.values()
+                    if context is _on_classes)
     yield IDEAL, (cand, rng.choice([bits for bits in range(1, 1 << cand.n)
                                     if not bits >> cand.zero & 1]))
     for rel in _partitions(cand.n, rng):
         bits = rng.choice(_zero_subsets(cand))
         rep = [(m & -m).bit_length() - 1 for m in rel]  # the least of each class
-        yield CONGRUENCE + ORDER_CRITERION, _Related(cand, bits, rel, rep)
+        yield CONGRUENCE + ORDER_CRITERION + SINGLETON_CLASSES, _Related(cand, bits, rel, rep)
     # the whole universe: as the ideal, with the relation it induces; as
     # one class over a smaller ideal; and as both on the tables without
     # an implication table, where the scans raise ImplicationAbsent
@@ -210,6 +233,7 @@ def _declared_laws():
             if isinstance(value, tuple) and value and all(isinstance(e, Law) for e in value):
                 yield value
     yield from (entries for _ctx, entries in clalg.identities.LAWS.values())
+    yield from (entries for _flag, _ctx, entries in CLAIMS.values())
 
 
 def _plain(entry):
@@ -258,7 +282,7 @@ def test_fast_domains_answer_as_the_plain_scan(census):
     # every whole-table test the package declares is compared, and each
     # both passed and fell through somewhere
     tests = {entry.holds for entries in _declared_laws() for entry in entries}
-    assert {holds for holds, _passed in taken} == tests and len(tests) == 45
+    assert {holds for holds, _passed in taken} == tests and len(tests) == 49
     assert all(taken[holds, True] and taken[holds, False] for holds in tests)
 
 
